@@ -14,6 +14,7 @@ The paper adopts two metrics (§IV-C):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,11 +83,8 @@ def mismatch_count(golden_logits: np.ndarray, faulty_logits: np.ndarray) -> int:
     faulty = np.asarray(faulty_logits)
     if golden.shape != faulty.shape:
         raise ValueError(f"logit shapes differ: {golden.shape} vs {faulty.shape}")
-    all_nan = np.isnan(faulty.astype(np.float64, copy=False)).all(axis=-1)
-    with np.errstate(invalid="ignore"):
-        faulty = np.nan_to_num(faulty, nan=-np.inf)
-    changed = golden.argmax(axis=-1) != faulty.argmax(axis=-1)
-    return int(np.count_nonzero(changed | all_nan))
+    changed = golden.argmax(axis=-1) != _predictions(faulty)
+    return int(np.count_nonzero(changed | _all_nan_rows(faulty)))
 
 
 def mismatch_rate(golden_logits: np.ndarray, faulty_logits: np.ndarray) -> float:
@@ -118,12 +116,23 @@ def sdc_classify(golden_logits: np.ndarray, faulty_logits: np.ndarray,
     An all-NaN faulty row has no prediction: it is always ``changed`` and
     never "correct", so it lands in ``sdc`` (matching :func:`mismatch_count`).
     """
-    golden_pred = np.asarray(golden_logits).argmax(axis=-1)
     faulty = np.asarray(faulty_logits)
-    all_nan = np.isnan(faulty.astype(np.float64, copy=False)).all(axis=-1)
+    return _classify(np.asarray(golden_logits).argmax(axis=-1),
+                     _predictions(faulty), _all_nan_rows(faulty),
+                     np.asarray(labels))
+
+
+def _predictions(logits: np.ndarray) -> np.ndarray:
+    """Per-sample argmax with NaN logits treated as ``-inf``."""
     with np.errstate(invalid="ignore"):
-        faulty_pred = np.nan_to_num(faulty, nan=-np.inf).argmax(axis=-1)
-    labels = np.asarray(labels)
+        return np.nan_to_num(logits, nan=-np.inf).argmax(axis=-1)
+
+
+def _all_nan_rows(logits: np.ndarray) -> np.ndarray:
+    return np.isnan(logits.astype(np.float64, copy=False)).all(axis=-1)
+
+
+def _classify(golden_pred, faulty_pred, all_nan, labels) -> dict[str, int]:
     changed = (golden_pred != faulty_pred) | all_nan
     correct = (faulty_pred == labels) & ~all_nan
     return {
@@ -135,30 +144,56 @@ def sdc_classify(golden_logits: np.ndarray, faulty_logits: np.ndarray,
 
 @dataclass(frozen=True)
 class InferenceOutcome:
-    """Logits + labels of one inference run, ready for metric comparison."""
+    """Logits + labels of one inference run, ready for metric comparison.
+
+    Derived per-sample terms are computed on first use and cached, so a
+    golden outcome shared by every injection of a campaign pays for its
+    argmax, losses and accuracy once.  The arrays must not be mutated.
+    """
 
     logits: np.ndarray
     labels: np.ndarray
 
-    @property
+    @cached_property
+    def predictions(self) -> np.ndarray:
+        """Per-sample predicted class (NaN logits count as ``-inf``)."""
+        return _predictions(self.logits)
+
+    @cached_property
+    def raw_argmax(self) -> np.ndarray:
+        """Per-sample argmax of the logits as they are (a NaN wins)."""
+        return np.asarray(self.logits).argmax(axis=-1)
+
+    @cached_property
+    def losses(self) -> np.ndarray:
+        """Per-sample cross-entropy against ``labels``."""
+        return cross_entropy_values(self.logits, self.labels)
+
+    @cached_property
     def accuracy(self) -> float:
-        with np.errstate(invalid="ignore"):
-            preds = np.nan_to_num(self.logits, nan=-np.inf).argmax(axis=-1)
-        return float(np.mean(preds == self.labels))
+        return float(np.mean(self.predictions == self.labels))
 
     @property
     def mean_loss(self) -> float:
-        return float(np.mean(cross_entropy_values(self.logits, self.labels)))
+        return float(np.mean(self.losses))
 
 
 def compare_outcomes(golden: InferenceOutcome, faulty: InferenceOutcome) -> dict[str, float]:
-    """All supported metrics between a golden and a faulty run."""
-    counts = sdc_classify(golden.logits, faulty.logits, golden.labels)
+    """All supported metrics between a golden and a faulty run.
+
+    Equal to combining :func:`sdc_classify` and :func:`delta_loss` on the
+    logits, with the golden side's terms taken from its cache.  The faulty
+    outcome is scored against the golden labels.
+    """
+    faulty_logits = np.asarray(faulty.logits)
+    counts = _classify(golden.raw_argmax, faulty.predictions,
+                       _all_nan_rows(faulty_logits), np.asarray(golden.labels))
+    faulty_losses = cross_entropy_values(faulty_logits, golden.labels)
     total = len(golden.labels)
     return {
         "mismatches": float(counts["sdc"] + counts["benign_flip"]),
         "mismatch_rate": (counts["sdc"] + counts["benign_flip"]) / total,
-        "delta_loss": delta_loss(golden.logits, faulty.logits, golden.labels),
+        "delta_loss": float(np.mean(np.abs(faulty_losses - golden.losses))),
         "sdc_rate": counts["sdc"] / total,
         "faulty_accuracy": faulty.accuracy,
         "golden_accuracy": golden.accuracy,

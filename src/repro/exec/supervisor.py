@@ -29,11 +29,15 @@ workers=N)``:
 * **Worker supervision** — shards are *assigned* supervisor-side to
   specific workers over per-worker task queues, so the worker→shard
   association never depends on a message from a worker that may already
-  be dead (a worker killed by ``os._exit``/OOM can lose its outbound
-  queue-feeder thread along with any un-flushed messages).  A dead worker
-  is detected via its exit code; its orphaned shard is shrunk to the seqs
-  it had not yet streamed back and reassigned to the surviving pool, and
-  a replacement worker is spawned to keep the pool at strength.
+  be dead.  Results come back the same way, one pipe per worker
+  multiplexed with :func:`multiprocessing.connection.wait`: a worker that
+  dies mid-message (``os._exit``, OOM, SIGKILL) leaves at most a torn
+  frame on its *own* pipe, which reads as end-of-file, and can never wedge
+  a lock the rest of the pool writes through.  A dead worker is detected
+  via its exit code; the complete messages it sent are accepted, its
+  orphaned shard is shrunk to the seqs it had not yet streamed back and
+  reassigned to the surviving pool, and a replacement worker is spawned to
+  keep the pool at strength.
 * **Signal-safe shutdown** — SIGINT/SIGTERM set a stop flag; the
   supervisor flushes + fsyncs the journal, terminates the pool and
   returns a partial result marked ``interrupted`` that a later run can
@@ -59,11 +63,11 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import queue as _queue
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 from typing import Callable
 
 from ..obs.telemetry import get_registry, merge_metric_delta
@@ -94,7 +98,7 @@ class ExecConfig:
     backoff_cap: float = 4.0
     #: plans per shard (None = ~4 shards per worker, see shard.py)
     chunk_size: int | None = None
-    #: records per worker result-queue message; batches are flushed early
+    #: records per worker result message; batches are flushed early
     #: on shard boundaries and before error reports (see exec/worker.py)
     batch_records: int = 32
     #: publish the golden activation cache read-only to shared memory so
@@ -114,7 +118,7 @@ class ExecConfig:
     #: K=1 — only wall-clock changes (see core/campaign.py
     #: ``execute_injection_batch``)
     fault_batch: int = 1
-    #: result-queue poll granularity (also bounds signal-response latency)
+    #: result-channel poll granularity (also bounds signal-response latency)
     poll_interval: float = 0.05
     #: grace period for workers to drain the sentinel at clean shutdown
     shutdown_grace: float = 10.0
@@ -160,18 +164,20 @@ class WorkerPool:
     shard (or per layer) would re-pay fork plus cache adoption on every
     dispatch.  Membership changes only when the supervisor kills a
     timed-out worker or replaces a dead one; the replacement forks from
-    the same payload and rejoins the same queues.
+    the same payload with a task queue and result pipe of its own.
     """
 
-    def __init__(self, ctx, payload: WorkerPayload, result_queue, registry):
+    def __init__(self, ctx, payload: WorkerPayload, registry):
         self._ctx = ctx
         self.payload = payload
-        self._result_queue = result_queue
         self._registry = registry
         self.processes: dict[int, multiprocessing.Process] = {}
         #: per-worker task queues: assignment is supervisor-side so the
         #: worker -> shard mapping survives a worker that dies silently
         self.task_queues: dict[int, object] = {}
+        #: read ends of the per-worker result pipes (a channel leaves this
+        #: map at end-of-file or when its worker is killed)
+        self.channels: dict[int, object] = {}
         self.worker_shard: dict[int, int | None] = {}
         self.idle: set[int] = set()
         self.last_seen: dict[int, float] = {}
@@ -185,13 +191,18 @@ class WorkerPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self.payload, task_queue, self._result_queue),
+            args=(worker_id, self.payload, task_queue, writer),
             daemon=True, name=f"repro-exec-worker-{worker_id}")
         process.start()
+        # the worker now holds the only write end: its death is end-of-file
+        # (later forks must not inherit a copy that would keep it open)
+        writer.close()
         self.processes[worker_id] = process
         self.task_queues[worker_id] = task_queue
+        self.channels[worker_id] = reader
         self.worker_shard[worker_id] = None
         self.idle.add(worker_id)
         self.last_seen[worker_id] = time.monotonic()
@@ -211,7 +222,37 @@ class WorkerPool:
             self.worker_shard[worker_id] = None
             self.idle.add(worker_id)
 
-    def kill(self, worker_id: int) -> None:
+    def receive(self, timeout: float) -> list:
+        """Messages from every channel that turns readable within ``timeout``.
+
+        A channel at end-of-file (its worker exited or died, possibly
+        mid-message) is dropped; the worker itself is left to the
+        supervisor's death check.
+        """
+        owner = {id(conn): wid for wid, conn in self.channels.items()}
+        if not owner:
+            time.sleep(timeout)
+            return []
+        messages = []
+        for conn in wait_readable(list(self.channels.values()), timeout):
+            messages.extend(self._read(owner[id(conn)]))
+        return messages
+
+    def _read(self, worker_id: int) -> list:
+        """Every complete message already sent on ``worker_id``'s channel."""
+        conn = self.channels.get(worker_id)
+        messages = []
+        try:
+            while conn is not None and conn.poll():
+                messages.append(conn.recv())
+        except (EOFError, OSError):
+            # clean end of stream, or a frame torn by the writer's death
+            self.channels.pop(worker_id, None)
+            conn.close()
+        return messages
+
+    def kill(self, worker_id: int) -> list:
+        """Stop a worker; return the complete messages it left unread."""
         process = self.processes.pop(worker_id, None)
         self.worker_shard.pop(worker_id, None)
         self.idle.discard(worker_id)
@@ -222,6 +263,12 @@ class WorkerPool:
             if process.is_alive():  # pragma: no cover - stubborn child
                 process.kill()
                 process.join(timeout=2.0)
+        # the writer is dead, so reading cannot block: whatever was fully
+        # sent is returned, a torn last frame reads as end-of-file
+        left = self._read(worker_id)
+        channel = self.channels.pop(worker_id, None)
+        if channel is not None:
+            channel.close()
         if task_queue is not None:
             try:
                 task_queue.close()
@@ -229,6 +276,7 @@ class WorkerPool:
             except (OSError, ValueError):  # pragma: no cover - teardown race
                 pass
         self._registry.gauge("exec.workers").set(float(len(self.processes)))
+        return left
 
     def close(self) -> None:
         for worker_id in list(self.processes):
@@ -268,11 +316,9 @@ class CampaignSupervisor:
         self._stop = False
         self._stop_reason = ""
         self._ctx = multiprocessing.get_context("fork")
-        self._result_queue = self._ctx.Queue()
         self._registry = get_registry()
         self._tracer = get_tracer()
-        self._pool = WorkerPool(self._ctx, payload, self._result_queue,
-                                self._registry)
+        self._pool = WorkerPool(self._ctx, payload, self._registry)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -354,12 +400,7 @@ class CampaignSupervisor:
         while not self._stop and self._unsettled():
             now = time.monotonic()
             self._promote_deferred(now)
-            try:
-                message = self._result_queue.get(
-                    timeout=self.config.poll_interval)
-            except _queue.Empty:
-                message = None
-            if message is not None:
+            for message in self._pool.receive(self.config.poll_interval):
                 self._handle_message(message)
             now = time.monotonic()
             self._check_timeouts(now)
@@ -633,7 +674,7 @@ class CampaignSupervisor:
             logger.warning("shard %d exceeded its %.2fs timeout; killing "
                            "worker %d", shard_id, self.config.shard_timeout,
                            worker_id)
-            self._pool.kill(worker_id)
+            self._retire(worker_id)
             if self._unsettled() and not self._stop:
                 self._pool.spawn()
             self._fail_shard(shard_id, "timeout")
@@ -644,7 +685,7 @@ class CampaignSupervisor:
                 continue
             exitcode = process.exitcode
             shard_id = self._pool.worker_shard.get(worker_id)
-            self._pool.kill(worker_id)
+            self._retire(worker_id)
             self.worker_deaths += 1
             self._registry.counter(
                 "exec.worker_deaths_total",
@@ -659,6 +700,15 @@ class CampaignSupervisor:
                                  f"worker died (exit code {exitcode})")
             if self._unsettled() and not self._stop:
                 self._pool.spawn()
+
+    def _retire(self, worker_id: int) -> None:
+        """Kill a worker, then accept every complete message it sent.
+
+        Records it streamed before dying are journaled instead of being
+        re-executed, and a ``done`` that beat the death settles its shard.
+        """
+        for message in self._pool.kill(worker_id):
+            self._handle_message(message)
 
     # ------------------------------------------------------------------
     # shutdown
@@ -678,24 +728,15 @@ class CampaignSupervisor:
         deadline = time.monotonic() + self.config.shutdown_grace
         pending = set(live)
         while pending and time.monotonic() < deadline:
-            try:
-                message = self._result_queue.get(timeout=0.1)
-            except _queue.Empty:
-                pending = {wid for wid in pending
-                           if self._pool.processes.get(wid) is not None
-                           and self._pool.processes[wid].is_alive()}
-                continue
-            self._handle_message(message)
-            pending -= self._pool.clean_exits
+            for message in self._pool.receive(0.1):
+                self._handle_message(message)
+            # a worker is done once it said so or its channel hit EOF
+            pending = {wid for wid in pending - self._pool.clean_exits
+                       if wid in self._pool.channels}
         self._pool.close()
 
     def _reap(self) -> None:
         self._pool.close()
-        try:
-            self._result_queue.close()
-            self._result_queue.join_thread()
-        except (OSError, ValueError):  # pragma: no cover - teardown race
-            pass
 
 
 def run_parallel_campaign(

@@ -16,8 +16,9 @@ floor 1): N workers each spinning a full-width BLAS pool oversubscribe the
 machine into anti-scaling, which is exactly what the pre-batching executor
 measured (0.82x at 4 workers).
 
-Protocol (messages on the result queue, all ``(type, worker_id, payload,
-timestamp)`` tuples):
+Protocol (messages on the worker's own result pipe, all ``(type, worker_id,
+payload, timestamp)`` tuples, written synchronously by the worker's main
+thread — no feeder thread, no lock shared with other workers):
 
 * ``("ready", wid, {"pid", "shm_adopted"}, t)`` — worker is up and adopted
   the (shared or private) resume cache;
@@ -43,9 +44,11 @@ timestamp)`` tuples):
 
 A worker that stops producing messages mid-shard is caught by the shard
 timeout, and one that dies outright is caught by ``Process.is_alive()``.
-A worker killed mid-batch loses at most ``batch_records - 1`` un-flushed
-records — the supervisor re-dispatches the shard remainder and the
-re-executed records are bit-identical, so nothing observable changes.
+Every message a worker finished sending survives its death; a message cut
+short reads as end-of-file on that worker's pipe alone.  A worker killed
+mid-batch loses at most ``batch_records - 1`` un-flushed records — the
+supervisor re-dispatches the shard remainder and the re-executed records
+are bit-identical, so nothing observable changes.
 
 SIGINT is ignored in workers: a Ctrl-C in the foreground is delivered to
 the whole process group, and shutdown must be coordinated by the
@@ -81,7 +84,7 @@ class WorkerPayload:
     images: object
     plans: dict  # layer -> list of injection plans, indexed by seq
     use_resume: bool
-    #: records per result-queue message (flushed early on shard boundaries)
+    #: records per result message (flushed early on shard boundaries)
     batch_records: int = 32
     #: BLAS/OMP thread budget per worker (None = leave the runtime alone)
     blas_threads: int | None = None
@@ -132,8 +135,11 @@ def limit_blas_threads(n: int) -> None:
 
 
 def worker_main(worker_id: int, payload: WorkerPayload,
-                task_queue, result_queue) -> None:
-    """The worker loop: pull shards until the ``None`` sentinel arrives."""
+                task_queue, results) -> None:
+    """The worker loop: pull shards until the ``None`` sentinel arrives.
+
+    ``results`` is the write end of this worker's result pipe.
+    """
     # shutdown is the supervisor's job; a foreground Ctrl-C must not kill
     # workers mid-record (the supervisor terminates us after the journal
     # is flushed)
@@ -164,7 +170,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     # The forked copy of the parent's tracer shares the parent's buffered
     # file handle — writing through it would interleave bytes mid-line.
     # Replace it with an in-memory buffer whose events travel over the
-    # result queue instead; the parent replays them worker_id-tagged.
+    # result pipe instead; the parent replays them worker_id-tagged.
     buffer = None
     if get_tracer().enabled:
         buffer = BufferingTracer()
@@ -177,27 +183,27 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     batch_size = max(1, int(payload.batch_records))
     latency = float(payload.injection_latency or 0.0)
 
-    result_queue.put(("ready", worker_id,
-                      {"pid": os.getpid(), "shm_adopted": shm_adopted},
-                      time.time()))
+    results.send(("ready", worker_id,
+                   {"pid": os.getpid(), "shm_adopted": shm_adopted},
+                   time.time()))
     try:
         while True:
             task = task_queue.get()
             if task is None:
                 stats = session.stats.as_dict() if session is not None else None
-                result_queue.put(("exit", worker_id, stats, time.time()))
+                results.send(("exit", worker_id, stats, time.time()))
                 return
             shard, attempt = task
-            result_queue.put(("start", worker_id, (shard.shard_id, attempt),
-                              time.time()))
+            results.send(("start", worker_id, (shard.shard_id, attempt),
+                           time.time()))
             failure = None
             batch: list[dict] = []
 
             def flush_batch():
                 if batch:
-                    result_queue.put(("records", worker_id,
-                                      (shard.shard_id, attempt, tuple(batch)),
-                                      time.time()))
+                    results.send(("records", worker_id,
+                                   (shard.shard_id, attempt, tuple(batch)),
+                                   time.time()))
                     batch.clear()
 
             # every metric the attempt touches (injection flip counters,
@@ -246,18 +252,18 @@ def worker_main(worker_id: int, payload: WorkerPayload,
             metrics = scope.delta()
             events = buffer.drain() if buffer is not None else []
             if metrics or events:
-                result_queue.put(("telemetry", worker_id,
-                                  {"shard_id": shard.shard_id,
-                                   "attempt": attempt,
-                                   "metrics": metrics, "events": events},
-                                  time.time()))
+                results.send(("telemetry", worker_id,
+                               {"shard_id": shard.shard_id,
+                                "attempt": attempt,
+                                "metrics": metrics, "events": events},
+                               time.time()))
             if failure is not None:
-                result_queue.put(("error", worker_id,
-                                  (shard.shard_id, attempt, failure),
-                                  time.time()))
+                results.send(("error", worker_id,
+                               (shard.shard_id, attempt, failure),
+                               time.time()))
                 continue
-            result_queue.put(("done", worker_id, (shard.shard_id, attempt),
-                              time.time()))
+            results.send(("done", worker_id, (shard.shard_id, attempt),
+                           time.time()))
     finally:
         if shm_adopted:
             payload.shm_cache.release()

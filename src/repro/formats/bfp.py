@@ -33,6 +33,11 @@ never carries: its block exponent is fixed metadata captured by the tensor
 pass, so values that would overflow the mantissa field saturate against the
 register — matching bit-for-bit what the tensor pass stored (see the
 scalar↔tensor parity tests).
+
+Exactness: every granularity is a power of two ``2^k``, so multiplying by
+the reciprocal ``2^-k`` gives the same bits as dividing by ``2^k`` (both
+are one correctly rounded step from the same real value).  The tensor pass
+therefore scales in place instead of dividing.
 """
 
 from __future__ import annotations
@@ -45,6 +50,20 @@ from .base import MetadataError, NumberFormat
 from .bitstring import Bitstring, bits_to_uint, uint_to_bits, validate_bits
 
 __all__ = ["BlockFloatingPoint", "BfpMetadata"]
+
+
+def _block_peaks(magnitude: np.ndarray) -> np.ndarray:
+    """Per-row maximum of a (blocks, block_size) array, as float64.
+
+    numpy reduces short rows one row at a time, so small blocks are folded
+    column by column instead (NaN propagates either way).
+    """
+    if magnitude.shape[1] > 64:
+        return magnitude.max(axis=1).astype(np.float64)
+    peak = magnitude[:, 0].copy()
+    for j in range(1, magnitude.shape[1]):
+        np.maximum(peak, magnitude[:, j], out=peak)
+    return peak.astype(np.float64)
 
 
 @dataclass
@@ -118,18 +137,24 @@ class BlockFloatingPoint(NumberFormat):
     # ------------------------------------------------------------------
     def real_to_format_tensor(self, tensor: np.ndarray) -> np.ndarray:
         x = np.asarray(tensor, dtype=np.float32)
-        flat = x.reshape(-1).astype(np.float64)
-        numel = flat.size
+        numel = x.size
         block_size = self.block_size or max(numel, 1)
         num_blocks = max((numel + block_size - 1) // block_size, 1)
-        padded = np.zeros(num_blocks * block_size, dtype=np.float64)
-        padded[:numel] = flat
-        blocks = padded.reshape(num_blocks, block_size)
+        if num_blocks * block_size == numel:
+            blocks = x.reshape(num_blocks, block_size)
+        else:
+            blocks = np.zeros(num_blocks * block_size, dtype=np.float32)
+            blocks[:numel] = x.reshape(-1)
+            blocks = blocks.reshape(num_blocks, block_size)
 
         # shared exponent from finite magnitudes only (upstream faults may
         # have produced inf/NaN, which must not blow up the exponent register)
-        magnitude = np.where(np.isfinite(blocks), np.abs(blocks), 0.0)
-        peak = np.max(magnitude, axis=1)
+        magnitude = np.abs(blocks)
+        peak = _block_peaks(magnitude)
+        finite = None
+        if not np.isfinite(peak).all():
+            finite = np.isfinite(blocks)
+            peak = _block_peaks(np.where(finite, magnitude, 0.0))
         with np.errstate(divide="ignore"):
             _, raw_exp = np.frexp(peak)
         shared_exp = raw_exp - 1  # floor(log2 peak); all-zero blocks masked below
@@ -150,27 +175,41 @@ class BlockFloatingPoint(NumberFormat):
         self.metadata = BfpMetadata(exp_fields=exp_fields, block_size=block_size, numel=numel)
 
         granularity = np.exp2(shared_exp - self.mantissa_bits + 1)[:, None]
-        raw_mantissas = np.round(np.abs(blocks) / granularity)
-        # sign-magnitude mantissas: NaN has no encoding (-> 0), inf saturates
-        mantissas = np.nan_to_num(raw_mantissas, nan=0.0, posinf=self.max_mantissa)
-        mantissas = np.clip(mantissas, 0, self.max_mantissa)
-        signs = np.where(np.isnan(blocks), 0.0, np.sign(blocks))
-        quantized = signs * mantissas * granularity
-        zero_block = peak == 0.0
-        if zero_block.any():
-            quantized[zero_block] = 0.0
-        result = quantized.reshape(-1)[:numel].reshape(x.shape).astype(np.float32)
-        if self.stats_sink is not None:
+        # one float64 working buffer: |x| * 2^-k is bit-identical to
+        # |x| / 2^k (see the module docstring), then rint and saturate
+        mantissas = np.multiply(magnitude, 1.0 / granularity)
+        np.rint(mantissas, out=mantissas)
+        sink = self.stats_sink
+        if sink is not None:
             # raw mantissa past the register's reach = true dynamic-range
             # saturation (inf included via inf > max; NaN > max is False);
             # padding zeros round to mantissa 0 and contribute nothing.
-            saturated = int(np.count_nonzero(raw_mantissas > self.max_mantissa))
+            saturated = int(np.count_nonzero(mantissas > self.max_mantissa))
+        # inf saturates at max_mantissa; NaN stays NaN until remapped below
+        np.minimum(mantissas, self.max_mantissa, out=mantissas)
+        if sink is not None:
             flushed = int(np.count_nonzero(
-                (mantissas == 0) & np.isfinite(blocks) & (blocks != 0.0)))
-            nan_remapped = int(np.count_nonzero(np.isnan(blocks)))
-            self.stats_sink.record(self, x, result,
-                                   saturated=saturated, flushed=flushed,
-                                   nan_remapped=nan_remapped)
+                (mantissas == 0) & (blocks != 0.0)
+                & (np.isfinite(blocks) if finite is None else finite)))
+        # the exact float64 product rounds once, into the float32 result
+        quantized = np.multiply(mantissas, granularity, casting="same_kind",
+                                out=np.empty(blocks.shape, dtype=np.float32))
+        # sign-magnitude: sign(-0.0) is +0, so -0.0 stays +0.0 while a
+        # negative value flushed to mantissa 0 becomes -0.0
+        quantized *= np.sign(blocks)
+        if finite is not None:
+            # NaN has no sign-magnitude encoding: it is stored as +0
+            nan = np.isnan(blocks)
+            quantized[nan] = 0.0
+        zero_block = peak == 0.0
+        if zero_block.any():
+            quantized[zero_block] = 0.0
+        result = quantized.reshape(-1)[:numel].reshape(x.shape)
+        if sink is not None:
+            nan_remapped = int(np.count_nonzero(nan)) if finite is not None else 0
+            sink.record(self, x, result,
+                        saturated=saturated, flushed=flushed,
+                        nan_remapped=nan_remapped)
         return result
 
     # ------------------------------------------------------------------

@@ -12,6 +12,9 @@ exposes denormal support as a user-toggleable detail (§V-B).  Values that
 exceed the format's maximum saturate on conversion; bit patterns decoded
 *after an injected flip* may still be ±inf/NaN, modelling what the hardware
 would really produce.
+
+Exactness: the granularity is a power of two, so scaling with ``ldexp`` in
+place gives the same bits as dividing and multiplying by it.
 """
 
 from __future__ import annotations
@@ -68,33 +71,44 @@ class FloatingPoint(NumberFormat):
     # ------------------------------------------------------------------
     def real_to_format_tensor(self, tensor: np.ndarray) -> np.ndarray:
         x = np.asarray(tensor, dtype=np.float32)
-        # float64 intermediate so tiny formats (large granularity ratios)
-        # round exactly; cost is negligible next to the model's GEMMs.
-        xd = x.astype(np.float64)
-        magnitude = np.abs(xd)
-        with np.errstate(divide="ignore"):
-            _, raw_exp = np.frexp(magnitude)
-        exp = raw_exp - 1  # floor(log2 |x|); garbage at 0, masked below
-        exp = np.maximum(exp, self.min_exp)
-        granularity = np.ldexp(1.0, exp - self.mantissa_bits)
-        quantized = np.round(magnitude / granularity) * granularity  # half-to-even
-        if not self.denormals:
-            below = quantized < self.min_normal
-            # flush-to-zero with round-to-nearest at the normal boundary
-            quantized = np.where(
-                below, np.where(quantized >= self.min_normal / 2, self.min_normal, 0.0), quantized
-            )
-        quantized = np.minimum(quantized, self.max_value)  # saturate
-        quantized = np.where(magnitude == 0.0, 0.0, quantized)
-        result = (np.sign(xd) * quantized).astype(np.float32)
-        if self.stats_sink is not None:
+        # float64 working buffer so tiny formats (large granularity ratios)
+        # round exactly; scaling by 2^e with ldexp is bit-identical to
+        # multiplying or dividing by the power of two granularity
+        quantized = np.abs(x, dtype=np.float64)
+        sink = self.stats_sink
+        if sink is not None:
             # NaN > x is False, so saturated counts finite overflow and ±inf
-            saturated = int(np.count_nonzero(magnitude > self.max_value))
+            saturated = int(np.count_nonzero(quantized > self.max_value))
+        _, exp = np.frexp(x)
+        # granularity exponent: floor(log2 |x|) clamped to the denormal
+        # range, minus the mantissa width (0, inf and NaN scale harmlessly)
+        np.maximum(exp, self.min_exp + 1, out=exp)
+        exp -= self.mantissa_bits + 1
+        np.ldexp(quantized, -exp, out=quantized)
+        np.rint(quantized, out=quantized)  # half-to-even
+        np.ldexp(quantized, exp, out=quantized)
+        if not self.denormals:
+            # flush-to-zero with round-to-nearest at the normal boundary
+            below = quantized < self.min_normal
+            quantized[below] = np.where(
+                quantized[below] >= self.min_normal / 2, self.min_normal, 0.0)
+        np.minimum(quantized, self.max_value, out=quantized)  # saturate
+        if sink is not None:
             flushed = int(np.count_nonzero(
-                (quantized == 0.0) & (magnitude > 0.0) & np.isfinite(magnitude)))
-            self.stats_sink.record(self, x, result,
-                                   saturated=saturated, flushed=flushed,
-                                   nan_remapped=0)
+                (quantized == 0.0) & (x != 0.0) & np.isfinite(x)))
+        if x.size and np.isnan(x.max()):
+            # a NaN keeps whichever sign the float64 sign-times-NaN product
+            # gives, which depends on numpy's loop; replay that product
+            result = (np.sign(x.astype(np.float64)) * quantized).astype(np.float32)
+        else:
+            # sign(-0.0) is +0, so -0.0 stays +0.0 while a negative value
+            # flushed to zero becomes -0.0
+            result = quantized.astype(np.float32)
+            result *= np.sign(x)
+        if sink is not None:
+            sink.record(self, x, result,
+                        saturated=saturated, flushed=flushed,
+                        nan_remapped=0)
         return result
 
     # ------------------------------------------------------------------

@@ -128,24 +128,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def im2col(
     x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int], padding: tuple[int, int]
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Lower NCHW image patches into a matrix of shape (N*OH*OW, C*KH*KW)."""
+    """Lower NCHW image patches into a matrix of shape (N*OH*OW, C*KH*KW).
+
+    The input is padded once into an NHWC buffer, so each of the ``kh*kw``
+    kernel taps is one strided copy of whole channel rows into the
+    ``(n, oh, ow, c, kh, kw)`` patch buffer whose rows are the matrix rows.
+    The taps are copied one image at a time, so the image's patch rows stay
+    in cache across all ``kh*kw`` passes.
+    """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
-    sn, sc, sh_, sw_ = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh_ * sh, sw_ * sw, sh_, sw_),
-        writeable=False,
-    )
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow)
+    if ph or pw:
+        nhwc = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+        nhwc[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
+    else:
+        nhwc = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+    for b in range(n):
+        for i in range(kh):
+            for j in range(kw):
+                cols[b, ..., i, j] = nhwc[b, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
 def col2im(

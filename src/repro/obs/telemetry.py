@@ -425,7 +425,7 @@ def merge_metric_delta(delta: dict, registry: MetricsRegistry | None = None,
 
     This is the supervisor-side half of cross-process telemetry: a worker
     wraps each shard in a :class:`RunScope`, serializes ``delta()`` over the
-    result queue, and the parent calls this to adopt the contribution.
+    result pipe, and the parent calls this to adopt the contribution.
 
     * counters are incremented by the delta value,
     * histograms are folded with :meth:`Histogram.merge` (bucket-preserving),

@@ -22,6 +22,7 @@ import json
 import multiprocessing
 import os
 import signal
+import struct
 import time
 
 import numpy as np
@@ -350,6 +351,27 @@ def _crash_once(worker_id, shard, attempt):
         os._exit(23)
 
 
+def _dies_mid_write(worker_main):
+    """Wrap ``worker_main`` so worker 0 dies mid-write on its result channel.
+
+    Installed in the parent before the pool forks.  On a lock-guarded
+    channel (a ``multiprocessing.Queue`` shared by the pool) the worker dies
+    holding the channel's write lock, as one killed while its feeder thread
+    writes would; on a pipe it dies after a frame header promising 64 bytes
+    and three of them.
+    """
+    def wrapped(worker_id, payload, task_queue, results):
+        if worker_id == 0:
+            lock = getattr(results, "_wlock", None)
+            if lock is not None:
+                lock.acquire()
+            else:
+                os.write(results.fileno(), struct.pack("!i", 64) + b"abc")
+            os._exit(23)
+        worker_main(worker_id, payload, task_queue, results)
+    return wrapped
+
+
 def _hang_last_layer(worker_id, shard, attempt):
     if shard.layer == "fc3":
         time.sleep(60)
@@ -374,6 +396,26 @@ class TestCrashRecovery:
             cfg = ExecConfig(workers=2, shard_timeout=60.0, max_retries=2,
                              backoff_base=0.02, worker_fault=_crash_once,
                              install_signal_handlers=False)
+            par = run_campaign(ge, *data, injections_per_layer=6, seed=5,
+                               exec_config=cfg)
+        assert not par.interrupted and not par.quarantined
+        assert layer_stats(par) == layer_stats(serial)
+
+    def test_worker_dying_mid_write_wedges_only_itself(self, model,
+                                                       monkeypatch):
+        """A worker that dies mid-message must not block its siblings' or
+        its replacement's results (with a pool-wide result queue they hang
+        on its write lock until every shard times out into quarantine)."""
+        import repro.exec.supervisor as supervisor
+        monkeypatch.setattr(supervisor, "worker_main",
+                            _dies_mid_write(supervisor.worker_main))
+        local = np.random.default_rng(17)  # leaves the session rng alone
+        data = (local.standard_normal((6, 3, 32, 32)).astype(np.float32),
+                local.integers(0, 4, size=6))
+        with GoldenEye(model, "fp16") as ge:
+            serial = run_campaign(ge, *data, injections_per_layer=6, seed=5)
+            cfg = ExecConfig(workers=2, shard_timeout=5.0, max_retries=1,
+                             backoff_base=0.02, install_signal_handlers=False)
             par = run_campaign(ge, *data, injections_per_layer=6, seed=5,
                                exec_config=cfg)
         assert not par.interrupted and not par.quarantined

@@ -153,6 +153,47 @@ class TestOutcomes:
         assert result["mismatch_rate"] == result["mismatches"] / 3
         assert result["golden_accuracy"] == pytest.approx(2 / 3)
 
+    def test_compare_outcomes_equals_uncached_metrics(self):
+        """The cached golden terms give exactly the per-call metrics,
+        including all-NaN rows, +/-inf logits and label-0 rows."""
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            logits = rng.standard_normal((5, 4)) * 10
+            if trial % 3 == 0:
+                logits[0] = np.nan  # golden NaN row: raw argmax picks it
+            labels = np.zeros(5, dtype=np.int64) if trial % 2 else \
+                rng.integers(0, 4, size=5)
+            golden = M.InferenceOutcome(logits=logits, labels=labels)
+            for _ in range(3):
+                faulty = logits + rng.standard_normal(logits.shape) * 5
+                faulty[rng.integers(5)] = np.nan
+                faulty[rng.integers(5), rng.integers(4)] = rng.choice(
+                    [np.inf, -np.inf, np.nan])
+                result = M.compare_outcomes(
+                    golden, M.InferenceOutcome(logits=faulty, labels=labels))
+                counts = M.sdc_classify(logits, faulty, labels)
+                mismatches = counts["sdc"] + counts["benign_flip"]
+                assert result["mismatches"] == float(mismatches)
+                assert result["mismatch_rate"] == mismatches / 5
+                assert result["sdc_rate"] == counts["sdc"] / 5
+                assert result["delta_loss"] == M.delta_loss(logits, faulty,
+                                                            labels)
+                assert mismatches == M.mismatch_count(logits, faulty)
+                fresh = M.InferenceOutcome(logits=faulty, labels=labels)
+                assert result["faulty_accuracy"] == fresh.accuracy
+
+    def test_golden_terms_are_computed_once(self, golden, monkeypatch):
+        logits, labels = golden
+        g = M.InferenceOutcome(logits=logits, labels=labels)
+        calls = []
+        real = M.cross_entropy_values
+        monkeypatch.setattr(M, "cross_entropy_values",
+                            lambda *a: calls.append(1) or real(*a))
+        for _ in range(4):
+            M.compare_outcomes(g, M.InferenceOutcome(logits=logits + 1.0,
+                                                     labels=labels))
+        assert len(calls) == 1 + 4  # golden once, faulty once per compare
+
 
 class TestDegenerateLogits:
     """Edge cases an injection campaign actually produces: a corrupted layer
