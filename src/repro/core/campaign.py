@@ -23,14 +23,18 @@ parallel execution, write-ahead journaling and crash recovery possible:
 1. **Sampling** (:func:`sample_layer_plans`) — deterministically draws each
    layer's unique injection plans up front, consuming only the layer's child
    RNG.  Sampling never touches the model.
-2. **Execution** (:func:`execute_injection`) — runs one injected inference
-   for one plan and returns a plain-dict *record* (site, bits, ΔLoss,
-   mismatch/SDC rates, duration).  Records are JSON- and pickle-friendly so
-   they can cross process boundaries and be journaled.
-3. **Aggregation** (:func:`aggregate_layer`) — folds the records of a layer
+2. **Execution** (:func:`execute_chunks`, the one loop of the serial path
+   and every worker) — yields plain-dict *records* (site, bits, ΔLoss,
+   mismatch/SDC rates, duration), JSON- and pickle-friendly so they can
+   cross process boundaries and be journaled.  Every record enters the
+   campaign through one :meth:`RecordSink.accept` (journal, store,
+   telemetry, progress).
+3. **Aggregation** (:func:`fold_layer`) — folds the records of a layer
    *in plan order* (``seq``) into a :class:`LayerCampaignResult`.  Because
    the fold order is fixed by ``seq`` — not by execution order — serial,
-   parallel and journal-resumed campaigns produce bit-identical statistics.
+   parallel and journal-resumed campaigns produce bit-identical statistics,
+   and every surface reporting a layer (``/progress``, ``repro watch``,
+   ``repro report``) calls the same fold.
 
 Parallel execution & crash safety
 ---------------------------------
@@ -58,7 +62,7 @@ Telemetry
 The runner is fully instrumented (see :mod:`repro.obs`): a ``campaign.run``
 span wraps the campaign, a ``campaign.layer`` span wraps each serially
 executed layer, and — when tracing is enabled — one ``campaign.injection``
-event is emitted per injection (layer, site, bits, ΔLoss, wall-time),
+event is emitted per injection (layer, seq, site, bits, ΔLoss, wall-time),
 making every campaign a replayable JSONL event stream.  Counters/histograms
 land in the process registry (``campaign.injections_total``,
 ``campaign.injection_seconds``, ``campaign.sampling_retries_total``,
@@ -98,7 +102,12 @@ __all__ = [
     "golden_inference",
     "sample_layer_plans",
     "execute_injection",
+    "execute_chunks",
+    "RecordSink",
     "aggregate_layer",
+    "fold_layer",
+    "fold_sdc",
+    "normalized_record",
     "plan_site",
     "record_matches_plan",
 ]
@@ -136,6 +145,8 @@ class LayerCampaignResult:
     by_pattern: dict = field(default_factory=dict, repr=False)
     #: ECC verdict counts at this layer (corrected / detected / silent)
     ecc: dict = field(default_factory=dict, repr=False)
+    #: Wilson 95% interval of ``sdc_rate`` (see :func:`fold_sdc`)
+    sdc_ci95: tuple[float, float] = field(default=(0.0, 1.0), repr=False)
 
 
 @dataclass
@@ -550,6 +561,32 @@ def _execute_injection_batch(
     return out
 
 
+def execute_chunks(payload, layer: str, seqs):
+    """Execute ``layer``'s plans at ``seqs``; yield each chunk's records.
+
+    ``payload`` is the campaign's :class:`repro.exec.worker.WorkerPayload`.
+    Chunks hold ``payload.fault_batch`` plans (one batched forward each);
+    records are stamped with ``layer`` and ``seq``, and the emulated device
+    latency is slept once per chunk, after the caller took its records.
+    """
+    plans = payload.plans[layer]
+    seqs = list(seqs)
+    chunk = max(1, int(payload.fault_batch))
+    latency = float(payload.injection_latency or 0.0)
+    for i in range(0, len(seqs), chunk):
+        group = seqs[i:i + chunk]
+        records = execute_injection_batch(
+            payload.platform, payload.golden, payload.images,
+            [plans[seq] for seq in group], payload.use_resume,
+            fault_spec=payload.fault_spec, protection=payload.protection)
+        for seq, record in zip(group, records):
+            record["layer"] = layer
+            record["seq"] = seq
+        yield records
+        if latency > 0.0:
+            time.sleep(latency)
+
+
 def record_matches_plan(record: dict, plan) -> bool:
     """True when a journaled record was produced by exactly this plan.
 
@@ -582,37 +619,120 @@ def emit_injection_telemetry(record: dict, kind: str, location: str) -> None:
     tracer = get_tracer()
     if tracer.enabled:
         tracer.event("campaign.injection", layer=record["layer"], kind=kind,
-                     location=location, site=int(record["site"]),
+                     location=location, seq=int(record["seq"]),
+                     site=int(record["site"]),
                      bits=list(record["bits"]),
                      delta_loss=record["delta_loss"],
                      mismatch_rate=record["mismatch_rate"],
                      sdc_rate=record["sdc_rate"], dur_s=record["dur_s"])
 
 
+class RecordSink:
+    """The one accept path: the serial path accepts per chunk, the parallel
+    supervisor per worker batch, journal resume through :meth:`prefill`.
+
+    ``journal`` is the write-ahead
+    :class:`~repro.exec.journal.CampaignJournal` and ``progress`` the live
+    :class:`~repro.obs.live.CampaignProgress` (either may be None).
+    """
+
+    def __init__(self, kind: str, location: str, journal=None,
+                 progress=None):
+        self.kind = kind
+        self.location = location
+        self.journal = journal
+        self.progress = progress
+        #: every accepted record, keyed by ``(layer, seq)``
+        self.records: dict[tuple[str, int], dict] = {}
+
+    def accept(self, records, prefill: bool = False) -> None:
+        """Journal the records not yet held, then store, publish, track them.
+
+        Held records (a straggler batch from a killed worker that raced
+        its retry) are skipped.  The journal append comes first, so nothing
+        reaches the store, telemetry or progress unless it is on disk.
+        ``prefill=True`` adopts records read back from the journal: stored
+        and counted as prefilled progress, not re-journaled or re-published.
+        """
+        fresh = [record for record in records
+                 if (record["layer"], record["seq"]) not in self.records]
+        if not fresh:
+            return
+        if self.journal is not None and not prefill:
+            self.journal.append_batch(fresh)
+        for record in fresh:
+            self.records[(record["layer"], record["seq"])] = record
+            if not prefill:
+                emit_injection_telemetry(record, self.kind, self.location)
+            if self.progress is not None:
+                self.progress.record(record["layer"], record["seq"],
+                                     record["sdc_rate"], prefill=prefill)
+        if self.progress is not None and not prefill:
+            self.progress.maybe_log()
+
+    def prefill(self, records) -> None:
+        """Adopt records a previous run already journaled."""
+        self.accept(records, prefill=True)
+
+
 # ----------------------------------------------------------------------
 # stage 3: order-fixed aggregation
 # ----------------------------------------------------------------------
+def normalized_record(entry: dict) -> dict:
+    """A journal or trace record with missing/null numeric fields as 0.0."""
+    record = dict(entry)
+    for key in ("delta_loss", "mismatch_rate", "sdc_rate", "dur_s"):
+        record[key] = float(entry.get(key, 0.0) or 0.0)
+    return record
+
+
+def fold_sdc(rates) -> tuple[float, tuple[float, float]]:
+    """Per-injection SDC rates, summed left to right: (rate, Wilson CI95).
+
+    Passed in ``seq`` order, the rates give the same floats whatever order
+    the records arrived in; no rates give ``(0.0, (0.0, 1.0))``.
+    """
+    from ..analysis.confidence import wilson_interval
+
+    total = 0.0
+    count = 0
+    for rate in rates:
+        total += rate
+        count += 1
+    return (total / count if count else 0.0), wilson_interval(total, count)
+
+
 def aggregate_layer(layer_plan: LayerPlan,
                     records: dict[int, dict]) -> LayerCampaignResult | None:
+    """Fold one layer's records (keyed by ``seq``); None when there are none."""
+    return (fold_layer(layer_plan.layer, records, layer_plan.retries)
+            if records else None)
+
+
+def fold_layer(layer: str, records_by_seq: dict[int, dict],
+               retries: int = 0) -> LayerCampaignResult:
     """Fold one layer's records (keyed by ``seq``) into its statistics.
 
     Records are folded in plan (``seq``) order regardless of the order in
     which they were executed, so a 4-worker campaign, a serial campaign and
     a journal-resumed campaign all aggregate bit-identically.  Missing seqs
     (quarantined shards, interrupted runs) are simply absent — the layer
-    degrades to the statistics of the records that exist.
+    degrades to the statistics of the records that exist (zero counts when
+    there are none).
     """
-    ordered = [records[seq] for seq in sorted(records)]
+    ordered = [records_by_seq[seq] for seq in sorted(records_by_seq)]
     if not ordered:
-        return None
+        return LayerCampaignResult(layer=layer, injections=0,
+                                   mean_delta_loss=0.0, max_delta_loss=0.0,
+                                   mismatch_rate=0.0, sdc_rate=0.0,
+                                   retries=retries)
     delta_losses = [r["delta_loss"] for r in ordered]
+    sdc_rate, sdc_ci95 = fold_sdc(r["sdc_rate"] for r in ordered)
     mismatches = 0.0
-    sdcs = 0.0
     pattern_groups: dict[str, list[dict]] = {}
     ecc_counts: dict[str, int] = {}
     for r in ordered:
         mismatches += r["mismatch_rate"]
-        sdcs += r["sdc_rate"]
         verdict = r.get("ecc")
         if verdict:
             ecc_counts[verdict] = ecc_counts.get(verdict, 0) + 1
@@ -632,17 +752,18 @@ def aggregate_layer(layer_plan: LayerPlan,
         for g, rows in sorted(pattern_groups.items())
     }
     return LayerCampaignResult(
-        layer=layer_plan.layer,
+        layer=layer,
         injections=performed,
         mean_delta_loss=float(np.mean(delta_losses)),
         max_delta_loss=float(np.max(delta_losses)),
         mismatch_rate=mismatches / performed,
-        sdc_rate=sdcs / performed,
+        sdc_rate=sdc_rate,
         delta_losses=delta_losses,
         seconds=float(sum(r["dur_s"] for r in ordered)),
-        retries=layer_plan.retries,
+        retries=retries,
         by_pattern=by_pattern,
         ecc=ecc_counts,
+        sdc_ci95=sdc_ci95,
     )
 
 
@@ -707,7 +828,8 @@ def run_campaign(
     its fork-inherited copy-on-write cache).  ``fault_batch=K`` evaluates K
     independent neuron-value injections per forward pass (fault-axis
     batching, see :func:`execute_injection_batch`) — per-plan records, seq
-    ordering, journal framing and telemetry stay bit-identical to K=1.
+    ordering and telemetry stay bit-identical to K=1 (a serial run
+    journals each chunk as one line).
     ``exec_config`` (a :class:`repro.exec.ExecConfig`) overrides every one
     of these knobs and exposes test hooks.
 
@@ -780,10 +902,11 @@ def run_campaign(
             raise ValueError(
                 f"unknown layer(s) {unknown!r} in layers=; "
                 f"instrumented layers: {', '.join(all_layers)}")
-    if exec_config is not None:
-        effective_workers = exec_config.workers
-    else:
-        effective_workers = max(1, int(workers or 1))
+    from ..exec import ExecConfig
+    cfg = exec_config if exec_config is not None else ExecConfig(
+        workers=max(1, int(workers or 1)), shard_timeout=shard_timeout,
+        max_retries=max_retries, batch_records=batch_records,
+        shared_cache=shared_cache, fault_batch=fault_batch)
 
     from ..obs.live import CampaignProgress, LiveServer
 
@@ -828,7 +951,7 @@ def run_campaign(
             "campaign start: kind=%s location=%s format=%s layers=%d "
             "injections/layer=%d resume=%s workers=%d journal=%s", kind,
             location, platform.format_name(), len(target_layers),
-            injections_per_layer, resume, effective_workers, journal)
+            injections_per_layer, resume, cfg.workers, journal)
 
         quarantined: list[dict] = []
         interrupted = False
@@ -837,7 +960,7 @@ def run_campaign(
                          format=platform.format_name(), seed=seed,
                          injections_per_layer=injections_per_layer,
                          layers=len(target_layers), resume=resume,
-                         workers=effective_workers) as run_span:
+                         workers=cfg.workers) as run_span:
             # ---- stage 1: sample every layer's plans up front ------------
             sampling: dict[str, LayerPlan] = {}
             for layer in target_layers:
@@ -847,8 +970,9 @@ def run_campaign(
                     platform, layer, kind, location, injections_per_layer,
                     rng, num_bits,
                     fault_model=None if fault_spec == "single" else model)
-            progress.set_plan({layer: len(sampling[layer].plans)
-                               for layer in target_layers})
+            plan_sizes = {layer: len(sampling[layer].plans)
+                          for layer in target_layers}
+            progress.set_plan(plan_sizes)
 
             # ---- campaign identity (journal + ledger share it) -----------
             from ..exec.journal import CampaignJournal, campaign_fingerprint
@@ -861,72 +985,51 @@ def run_campaign(
                 fault=fault_spec, protect=protect_spec)
 
             # ---- write-ahead journal: load completed work ----------------
-            journal_obj = None
-            records: dict[tuple[str, int], dict] = {}
-            journal_skipped = 0
+            sink = RecordSink(kind, location, progress=progress)
             if journal is not None:
-                journal_obj, completed = CampaignJournal.open(journal, fingerprint)
-                for (layer, seq), rec in completed.items():
-                    plan_list = sampling.get(layer)
-                    if plan_list is None or seq >= len(plan_list.plans):
-                        continue  # stale entry outside this campaign's plans
-                    if not record_matches_plan(rec, plan_list.plans[seq]):
-                        continue
-                    records[(layer, seq)] = rec
-                for (layer, seq), rec in records.items():
-                    progress.record(layer, seq,
-                                    float(rec.get("sdc_rate", 0.0) or 0.0),
-                                    prefill=True)
-                journal_skipped = len(records)
-                if journal_skipped:
-                    registry.counter(
-                        "campaign.journal_skipped_total",
-                        help="injections satisfied from the write-ahead "
-                             "journal instead of re-executing").inc(journal_skipped)
-                    logger.info("journal %s: resuming past %d completed "
-                                "injections", journal, journal_skipped)
+                sink.journal, completed = CampaignJournal.open(
+                    journal, fingerprint, plan=plan_sizes)
+                sink.prefill(
+                    rec for (layer, seq), rec in completed.items()
+                    if layer in sampling
+                    and seq < len(sampling[layer].plans)
+                    and record_matches_plan(rec, sampling[layer].plans[seq]))
+            journal_skipped = len(sink.records)
+            if journal_skipped:
+                registry.counter(
+                    "campaign.journal_skipped_total",
+                    help="injections satisfied from the write-ahead "
+                         "journal instead of re-executing").inc(journal_skipped)
+                logger.info("journal %s: resuming past %d completed "
+                            "injections", journal, journal_skipped)
 
             # ---- stage 2: execute outstanding plans ----------------------
+            from ..exec.worker import WorkerPayload
+            payload = WorkerPayload(
+                platform=platform, golden=golden, images=images,
+                plans={name: lp.plans for name, lp in sampling.items()},
+                use_resume=resume, injection_latency=cfg.injection_latency,
+                fault_batch=cfg.fault_batch, fault_spec=fault_spec,
+                protection=protection)
             try:
-                if effective_workers >= 2:
-                    from ..exec import ExecConfig
+                if cfg.workers >= 2:
                     from ..exec.supervisor import run_parallel_campaign
-                    cfg = exec_config if exec_config is not None else ExecConfig(
-                        workers=effective_workers, shard_timeout=shard_timeout,
-                        max_retries=max_retries,
-                        batch_records=batch_records,
-                        shared_cache=shared_cache,
-                        fault_batch=fault_batch)
-                    outcome = run_parallel_campaign(
-                        platform, golden, images, target_layers, sampling,
-                        kind, location, resume, cfg, journal_obj, records,
-                        progress=progress, fault_spec=fault_spec,
-                        protection=protection)
-                    records = outcome.records
+                    outcome = run_parallel_campaign(payload, sampling, cfg,
+                                                    sink)
                     quarantined = outcome.quarantined
                     interrupted = outcome.interrupted
                     worker_resume_stats = outcome.worker_resume_stats
                 else:
-                    _run_serial(platform, golden, images, target_layers,
-                                sampling, kind, location, resume,
-                                journal_obj, records,
-                                injection_latency=(
-                                    exec_config.injection_latency
-                                    if exec_config is not None else 0.0),
-                                fault_batch=(
-                                    exec_config.fault_batch
-                                    if exec_config is not None
-                                    else fault_batch),
-                                progress=progress, fault_spec=fault_spec,
-                                protection=protection)
+                    _run_serial(payload, sampling, sink)
             finally:
-                if journal_obj is not None:
-                    journal_obj.close()
+                if sink.journal is not None:
+                    sink.journal.close()
 
             # ---- stage 3: aggregate in plan order ------------------------
             per_layer: dict[str, LayerCampaignResult] = {}
             for layer in target_layers:
-                layer_records = {seq: rec for (name, seq), rec in records.items()
+                layer_records = {seq: rec
+                                 for (name, seq), rec in sink.records.items()
                                  if name == layer}
                 stats = aggregate_layer(sampling[layer], layer_records)
                 if stats is not None:
@@ -951,7 +1054,7 @@ def run_campaign(
             throughput = injections_total / wall if wall > 0 else 0.0
             run_span.set(injections=injections_total, wall_s=wall,
                          injections_per_sec=throughput,
-                         workers=effective_workers,
+                         workers=cfg.workers,
                          journal_skipped=journal_skipped,
                          quarantined=len(quarantined),
                          interrupted=interrupted)
@@ -967,7 +1070,7 @@ def run_campaign(
             "injections": injections_total,
             "injections_per_sec": throughput,
             "sampling_retries": retries_total,
-            "workers": effective_workers,
+            "workers": cfg.workers,
             "journal_skipped": journal_skipped,
             "quarantined_shards": len(quarantined),
             "per_layer": {
@@ -997,9 +1100,7 @@ def run_campaign(
         _record_to_ledger(
             result, ledger, seed=seed,
             injections_per_layer=injections_per_layer, num_bits=num_bits,
-            workers=effective_workers,
-            fault_batch=(exec_config.fault_batch
-                         if exec_config is not None else fault_batch),
+            workers=cfg.workers, fault_batch=cfg.fault_batch,
             layers=target_layers, started_at=started_at)
         return result
     finally:
@@ -1061,68 +1162,31 @@ def _record_to_ledger(result: CampaignResult, ledger, *, seed: int,
             result.telemetry["ledger_seconds"] = time.perf_counter() - t0
 
 
-def _run_serial(
-    platform: GoldenEye,
-    golden: InferenceOutcome,
-    images: np.ndarray,
-    target_layers: list[str],
-    sampling: dict[str, LayerPlan],
-    kind: str,
-    location: str,
-    use_resume: bool,
-    journal_obj,
-    records: dict[tuple[str, int], dict],
-    injection_latency: float = 0.0,
-    fault_batch: int = 1,
-    progress=None,
-    fault_spec=None,
-    protection=None,
-) -> None:
-    """Execute all outstanding plans in-process, journaling each record.
+def _run_serial(payload, sampling: dict[str, LayerPlan],
+                sink: RecordSink) -> None:
+    """Execute every plan ``sink`` does not hold yet, in-process.
 
-    ``injection_latency`` mirrors :attr:`repro.exec.ExecConfig`'s knob of
-    the same name: the emulated per-injection device latency is applied
-    here exactly as in the workers, so serial-vs-parallel comparisons
-    measure orchestration, not an asymmetric handicap.  ``fault_batch=K``
-    chunks each layer's outstanding plans into fault-axis batched forwards
-    (one emulated device round-trip per chunk); records, journal lines and
-    telemetry are still emitted one per plan, in seq order.
+    The same chunk loop the parallel workers run (:func:`execute_chunks`,
+    including the emulated per-chunk device latency, so serial-vs-parallel
+    comparisons measure orchestration, not an asymmetric handicap); each
+    chunk's records are accepted as one batch.
     """
     tracer = get_tracer()
     registry = get_registry()
-    latency = float(injection_latency or 0.0)
-    chunk = max(1, int(fault_batch))
-    for layer in target_layers:
-        layer_plan = sampling[layer]
+    session = payload.platform.resume_session
+    for layer, layer_plan in sampling.items():
         if not layer_plan.plans:
             continue
-        with tracer.span("campaign.layer", layer=layer, kind=kind) as layer_span:
-            performed = 0
-            outstanding = [(seq, plan)
-                           for seq, plan in enumerate(layer_plan.plans)
-                           if (layer, seq) not in records]
-            for i in range(0, len(outstanding), chunk):
-                group = outstanding[i:i + chunk]
-                group_records = execute_injection_batch(
-                    platform, golden, images, [plan for _, plan in group],
-                    use_resume, fault_spec=fault_spec, protection=protection)
-                for (seq, _), record in zip(group, group_records):
-                    record["layer"] = layer
-                    record["seq"] = seq
-                    records[(layer, seq)] = record
-                    performed += 1
-                    if journal_obj is not None:
-                        journal_obj.append_record(record)
-                    emit_injection_telemetry(record, kind, location)
-                    if progress is not None:
-                        progress.record(layer, seq, record["sdc_rate"])
-                        progress.maybe_log()
-                if latency > 0.0:
-                    time.sleep(latency)
-            layer_span.set(performed=performed, retries=layer_plan.retries)
-        if use_resume and platform.resume_session is not None:
+        with tracer.span("campaign.layer", layer=layer,
+                         kind=sink.kind) as layer_span:
+            seqs = [seq for seq in range(len(layer_plan.plans))
+                    if (layer, seq) not in sink.records]
+            for records in execute_chunks(payload, layer, seqs):
+                sink.accept(records)
+            layer_span.set(performed=len(seqs), retries=layer_plan.retries)
+        if payload.use_resume and session is not None:
             # keep the resume gauges live as the campaign progresses
-            platform.resume_session.publish_metrics(registry)
+            session.publish_metrics(registry)
 
 
 def _site_space(platform: GoldenEye, layer: str, kind: str, location: str,

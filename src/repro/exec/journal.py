@@ -10,7 +10,8 @@ plan (``seq``) order regardless of where they came from.
 
 File format (one JSON object per line)::
 
-    {"type": "header", "version": 1, "fingerprint": {...}, "created": ...}
+    {"type": "header", "version": 1, "fingerprint": {...}, "created": ...,
+     "plan": {"conv1": 100, "fc": 64}}
     {"type": "injection", "layer": "conv1", "seq": 0, "site": 17,
      "bits": [3], "delta_loss": 0.25, "mismatch_rate": 0.0,
      "sdc_rate": 0.0, "dur_s": 0.004}
@@ -20,13 +21,15 @@ File format (one JSON object per line)::
      "seqs": [8, 9], "attempts": 3, "reason": "timeout"}
     ...
 
-``injection`` lines carry one record each (the serial executor's
-flush-per-record framing); ``batch`` lines carry a whole worker batch in
-one line with **one** write + flush (the parallel executor's framing —
-see :meth:`CampaignJournal.append_batch`).  Loading treats them
-identically: records fold into the same last-wins ``(layer, seq)`` map in
-file order, so dedup holds across batch boundaries and across mixed
-serial/parallel appends to one journal.
+Each accepted batch — a serial chunk of ``fault_batch`` records or a
+worker batch — is one :meth:`CampaignJournal.append_batch`: one
+``injection`` line for a single record (serial K=1 journals stay one line
+per record), else one ``batch`` line with **one** write + flush.  Loading
+treats them identically: records fold into the same last-wins
+``(layer, seq)`` map in file order, so dedup holds across batch
+boundaries and across mixed serial/parallel appends to one journal.  The
+header's ``plan`` (per-layer planned injections, the done/total of
+``repro watch``) sits outside the fingerprint, so older journals resume.
 
 Properties:
 
@@ -49,7 +52,7 @@ Properties:
   post-mortems; a resumed run re-attempts those seqs (the fault may have
   been transient).
 
-Durability note: ``flush()`` per record survives *process* death (the data
+Durability note: ``flush()`` per line survives *process* death (the data
 lives in the OS page cache); pass ``fsync_every`` to also survive machine
 crashes at a substantial throughput cost.
 """
@@ -231,13 +234,15 @@ class CampaignJournal:
 
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, path, fingerprint: dict, fsync_every: bool = False
+    def open(cls, path, fingerprint: dict, fsync_every: bool = False,
+             plan: dict[str, int] | None = None
              ) -> tuple["CampaignJournal", dict[tuple[str, int], dict]]:
         """Open (creating or resuming) the journal at ``path``.
 
         Returns the journal plus the records already completed by previous
-        runs.  A fresh file gets a header; an existing file must carry a
-        matching fingerprint (:class:`JournalMismatch` otherwise).
+        runs.  A fresh file gets a header (carrying ``plan``, the per-layer
+        planned injection counts, when given); an existing file must carry
+        a matching fingerprint (:class:`JournalMismatch` otherwise).
         """
         path = Path(path)
         completed: dict[tuple[str, int], dict] = {}
@@ -270,9 +275,11 @@ class CampaignJournal:
         fh = open(path, "a", encoding="utf-8")
         journal = cls(path, fingerprint, _fh=fh, fsync_every=fsync_every)
         if fresh:
-            journal._append({"type": "header", "version": JOURNAL_VERSION,
-                             "fingerprint": fingerprint,
-                             "created": time.time()})
+            header = {"type": "header", "version": JOURNAL_VERSION,
+                      "fingerprint": fingerprint, "created": time.time()}
+            if plan is not None:
+                header["plan"] = dict(plan)
+            journal._append(header)
         return journal, completed
 
     # ------------------------------------------------------------------
@@ -292,10 +299,10 @@ class CampaignJournal:
         self.records_written += 1
 
     def append_batch(self, records) -> None:
-        """Journal a worker batch as one framed line with one flush.
+        """Journal a batch of records as one framed line with one flush.
 
-        This is the parallel executor's write path: instead of one
-        write+flush syscall pair per record, a whole batch costs one line.
+        This is every executor's write path: instead of one write+flush
+        syscall pair per record, a whole batch costs one line.
         Durability granularity becomes the batch — a kill mid-write tears
         at most this one line (the loader skips it and a resumed run
         re-executes those records), while every previously flushed line is

@@ -7,12 +7,15 @@ workers=N)``:
   split into per-layer chunks (:mod:`repro.exec.shard`) and executed on a
   pool of forked workers; because aggregation folds records in plan order,
   the parallel aggregate is bit-identical to the serial one.
-* **Write-ahead journaling** — every record batch streamed back by a
-  worker is appended (and flushed) to the journal *before* any of its
-  records can reach aggregation, so no accepted injection is ever lost to
-  a crash.  Records travel in batches of ``ExecConfig.batch_records``
-  (flushed early on shard boundaries) and are journaled one framed line
-  per batch — see :meth:`repro.exec.journal.CampaignJournal.append_batch`.
+* **One accept path** — every record batch streamed back by a worker is
+  handed to the campaign's :class:`repro.core.campaign.RecordSink`, the
+  same sink the serial path feeds: it journals the batch (one framed
+  line, flushed) *before* any of its records can reach aggregation, so no
+  accepted injection is ever lost to a crash, then stores the records,
+  emits their telemetry and feeds live progress.  Records travel in
+  batches of ``ExecConfig.batch_records`` (flushed early on shard
+  boundaries); the supervisor itself keeps only shard bookkeeping and the
+  ``exec.*`` counters.
 * **Shared golden cache** — when resume is enabled the golden activation
   prefix is computed once in the parent and published read-only to the
   whole pool via :mod:`repro.exec.shmcache`; the segment is refcounted
@@ -66,7 +69,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as wait_readable
 from typing import Callable
 
@@ -82,6 +85,14 @@ __all__ = ["ExecConfig", "ParallelOutcome", "CampaignSupervisor",
 logger = logging.getLogger("repro.exec")
 
 
+#: backoff ceiling between shard retries (seconds)
+BACKOFF_CAP = 4.0
+#: result-channel poll granularity (also bounds signal-response latency)
+POLL_INTERVAL = 0.05
+#: grace period for workers to drain the sentinel at clean shutdown
+SHUTDOWN_GRACE = 10.0
+
+
 @dataclass
 class ExecConfig:
     """Tuning knobs (and test hooks) for the parallel executor."""
@@ -94,10 +105,6 @@ class ExecConfig:
     max_retries: int = 2
     #: exponential-backoff base delay between retries (seconds)
     backoff_base: float = 0.25
-    #: backoff ceiling (seconds)
-    backoff_cap: float = 4.0
-    #: plans per shard (None = ~4 shards per worker, see shard.py)
-    chunk_size: int | None = None
     #: records per worker result message; batches are flushed early
     #: on shard boundaries and before error reports (see exec/worker.py)
     batch_records: int = 32
@@ -107,21 +114,17 @@ class ExecConfig:
     #: BLAS/OMP threads per worker (None = cores // workers, floor 1),
     #: pinned at fork time to prevent pool-wide oversubscription
     blas_threads: int | None = None
-    #: emulated per-injection device latency in seconds, honoured
+    #: emulated device latency per fault-batch chunk in seconds, honoured
     #: identically by the serial and parallel paths (bench/test knob; the
     #: executor-scaling bench uses it to measure orchestration overhead
     #: independently of host core count)
     injection_latency: float = 0.0
     #: independent faults evaluated per forward pass (fault-axis batching);
     #: 1 = the classic one-injection-per-forward loop.  Per-plan records,
-    #: seq ordering, journal framing and telemetry stay bit-identical to
-    #: K=1 — only wall-clock changes (see core/campaign.py
-    #: ``execute_injection_batch``)
+    #: seq ordering and telemetry stay bit-identical to K=1 — only
+    #: wall-clock and serial journal framing (one line per chunk) change
+    #: (see core/campaign.py ``execute_chunks``)
     fault_batch: int = 1
-    #: result-channel poll granularity (also bounds signal-response latency)
-    poll_interval: float = 0.05
-    #: grace period for workers to drain the sentinel at clean shutdown
-    shutdown_grace: float = 10.0
     #: install SIGINT/SIGTERM handlers for the duration of the run
     #: (skipped automatically off the main thread)
     install_signal_handlers: bool = True
@@ -136,15 +139,12 @@ class ExecConfig:
 
 @dataclass
 class ParallelOutcome:
-    """What the supervisor hands back to ``run_campaign``."""
+    """What the supervisor hands back to ``run_campaign`` (the records
+    themselves are in the campaign's sink)."""
 
-    records: dict  # (layer, seq) -> record
     quarantined: list[dict] = field(default_factory=list)
     interrupted: bool = False
     worker_resume_stats: list[dict] = field(default_factory=list)
-    shards_total: int = 0
-    shard_retries: int = 0
-    worker_deaths: int = 0
 
 
 @dataclass
@@ -287,23 +287,15 @@ class CampaignSupervisor:
     """Drives one parallel campaign over a pool of forked workers."""
 
     def __init__(self, payload: WorkerPayload, shards: list[Shard],
-                 config: ExecConfig, journal=None,
-                 kind: str = "value", location: str = "neuron",
-                 progress=None):
+                 config: ExecConfig, sink):
         self.payload = payload
         self.config = config
-        self.journal = journal
-        self.kind = kind
-        self.location = location
-        #: optional live CampaignProgress tracker (repro.obs.live): fed per
-        #: accepted record and per worker message so /progress and /healthz
-        #: report parallel runs identically to serial ones
-        self.progress = progress
-        self.records: dict[tuple[str, int], dict] = {}
+        #: the campaign's RecordSink: accepts every worker batch (journal,
+        #: store, telemetry, progress); its progress tracker also gets a
+        #: heartbeat per worker message for /healthz
+        self.sink = sink
         self.quarantined: list[dict] = []
         self.worker_resume_stats: list[dict] = []
-        self.shard_retries = 0
-        self.worker_deaths = 0
         self._states = {s.shard_id: _ShardState(shard=s, pending=set(s.seqs))
                         for s in shards}
         #: shard_id -> (worker_id, deadline | None, attempt)
@@ -344,20 +336,16 @@ class CampaignSupervisor:
             self._shutdown()
         finally:
             self._restore_signal_handlers(previous_handlers)
-            self._reap()
+            self._pool.close()
             registry.gauge("exec.workers",
                            help="live campaign workers").set(0)
         return self._outcome()
 
     def _outcome(self) -> ParallelOutcome:
         return ParallelOutcome(
-            records=self.records,
             quarantined=self.quarantined,
             interrupted=self._stop,
             worker_resume_stats=self.worker_resume_stats,
-            shards_total=len(self._states),
-            shard_retries=self.shard_retries,
-            worker_deaths=self.worker_deaths,
         )
 
     # ------------------------------------------------------------------
@@ -400,7 +388,7 @@ class CampaignSupervisor:
         while not self._stop and self._unsettled():
             now = time.monotonic()
             self._promote_deferred(now)
-            for message in self._pool.receive(self.config.poll_interval):
+            for message in self._pool.receive(POLL_INTERVAL):
                 self._handle_message(message)
             now = time.monotonic()
             self._check_timeouts(now)
@@ -421,15 +409,11 @@ class CampaignSupervisor:
         self._registry.counter(
             "exec.heartbeats_total",
             help="worker liveness messages observed by the supervisor").inc()
-        if self.progress is not None:
-            self.progress.heartbeat(worker_id)
+        if self.sink.progress is not None:
+            self.sink.progress.heartbeat(worker_id)
         if mtype == "records":
             shard_id, _attempt, records = body
             self._accept_records(shard_id, records)
-        elif mtype == "record":
-            # legacy single-record framing (pre-batching workers)
-            shard_id, _attempt, record = body
-            self._accept_records(shard_id, (record,))
         elif mtype == "ready":
             if isinstance(body, dict) and body.get("shm_adopted"):
                 self._registry.counter(
@@ -450,7 +434,7 @@ class CampaignSupervisor:
             self._finish_shard(shard_id, attempt, worker_id)
         elif mtype == "error":
             shard_id, attempt, error = body
-            self._release_worker(worker_id, shard_id)
+            self._pool.release(worker_id, shard_id)
             entry = self._inflight.get(shard_id)
             if entry is not None and entry[2] == attempt:
                 self._inflight.pop(shard_id, None)
@@ -486,32 +470,19 @@ class CampaignSupervisor:
             help="worker shard-attempt telemetry payloads merged").inc()
 
     def _accept_records(self, shard_id: int, records) -> None:
-        """Fold one worker batch: journal once, then aggregate.
+        """Hand one worker batch to the sink, then settle shard bookkeeping.
 
-        The whole batch (minus records already held, e.g. stragglers from
-        a killed attempt that raced its retry) is journaled as a single
-        framed line with one flush *before* any record reaches aggregation
-        — the write-ahead invariant is preserved at batch granularity.
+        The sink journals the batch's unseen records (stragglers from a
+        killed attempt that raced its retry are skipped) as one framed line
+        *before* any of them reaches aggregation.
         """
-        from ..core.campaign import emit_injection_telemetry
-        fresh = [record for record in records
-                 if (record["layer"], record["seq"]) not in self.records]
-        if fresh and self.journal is not None:
-            self.journal.append_batch(fresh)
+        self.sink.accept(records)
         self._registry.counter(
             "exec.record_batches_total",
             help="worker record batches accepted by the supervisor").inc()
         self._registry.histogram(
             "exec.batch_size",
             help="records per accepted worker batch").observe(len(records))
-        for record in fresh:
-            self.records[(record["layer"], record["seq"])] = record
-            emit_injection_telemetry(record, self.kind, self.location)
-            if self.progress is not None:
-                self.progress.record(record["layer"], record["seq"],
-                                     record["sdc_rate"])
-        if fresh and self.progress is not None:
-            self.progress.maybe_log()
         state = self._states.get(shard_id)
         if state is not None:
             for record in records:
@@ -522,10 +493,10 @@ class CampaignSupervisor:
                 self._settle(state, via="straggler")
         if self.config.on_record is not None:
             for _ in records:
-                self.config.on_record(len(self.records))
+                self.config.on_record(len(self.sink.records))
 
     def _finish_shard(self, shard_id: int, attempt: int, worker_id: int) -> None:
-        self._release_worker(worker_id, shard_id)
+        self._pool.release(worker_id, shard_id)
         state = self._states.get(shard_id)
         if state is None or state.status in ("done", "quarantined"):
             return
@@ -596,9 +567,6 @@ class CampaignSupervisor:
         self._shard_started.setdefault(shard_id, time.monotonic())
         self._pool.send(worker_id, (remaining, state.attempts))
 
-    def _release_worker(self, worker_id: int, shard_id: int | None) -> None:
-        self._pool.release(worker_id, shard_id)
-
     def _promote_deferred(self, now: float) -> None:
         due = [sid for when, sid in self._deferred if when <= now]
         if not due:
@@ -621,11 +589,10 @@ class CampaignSupervisor:
         if state.attempts > self.config.max_retries:
             self._quarantine(state, reason)
             return
-        delay = min(self.config.backoff_cap,
+        delay = min(BACKOFF_CAP,
                     self.config.backoff_base * (2 ** (state.attempts - 1)))
         state.status = "deferred"
         self._deferred.append((time.monotonic() + delay, shard_id))
-        self.shard_retries += 1
         self._registry.counter(
             "exec.shard_retries_total",
             help="shard re-dispatches after a failed attempt").inc()
@@ -645,8 +612,8 @@ class CampaignSupervisor:
             "reason": reason,
         }
         self.quarantined.append(info)
-        if self.journal is not None:
-            self.journal.append_quarantine(info)
+        if self.sink.journal is not None:
+            self.sink.journal.append_quarantine(info)
         self._registry.counter(
             "exec.shards_quarantined_total",
             help="shards abandoned after exhausting their retry budget").inc()
@@ -686,7 +653,6 @@ class CampaignSupervisor:
             exitcode = process.exitcode
             shard_id = self._pool.worker_shard.get(worker_id)
             self._retire(worker_id)
-            self.worker_deaths += 1
             self._registry.counter(
                 "exec.worker_deaths_total",
                 help="workers that died without a clean exit").inc()
@@ -714,8 +680,8 @@ class CampaignSupervisor:
     # shutdown
     # ------------------------------------------------------------------
     def _shutdown(self) -> None:
-        if self.journal is not None:
-            self.journal.flush(fsync=True)
+        if self.sink.journal is not None:
+            self.sink.journal.flush(fsync=True)
         if self._stop:
             # interrupted: the journal holds everything completed; workers
             # may be mid-injection — terminate, do not wait
@@ -725,7 +691,7 @@ class CampaignSupervisor:
                 if proc.is_alive() and wid not in self._pool.clean_exits]
         for worker_id in live:
             self._pool.send(worker_id, None)
-        deadline = time.monotonic() + self.config.shutdown_grace
+        deadline = time.monotonic() + SHUTDOWN_GRACE
         pending = set(live)
         while pending and time.monotonic() < deadline:
             for message in self._pool.receive(0.1):
@@ -735,55 +701,33 @@ class CampaignSupervisor:
                        if wid in self._pool.channels}
         self._pool.close()
 
-    def _reap(self) -> None:
-        self._pool.close()
 
+def run_parallel_campaign(payload: WorkerPayload, sampling: dict,
+                          config: ExecConfig, sink) -> ParallelOutcome:
+    """Execute the plans ``sink`` does not hold yet on a supervised pool.
 
-def run_parallel_campaign(
-    platform,
-    golden,
-    images,
-    target_layers: list[str],
-    sampling: dict,
-    kind: str,
-    location: str,
-    use_resume: bool,
-    config: ExecConfig,
-    journal=None,
-    completed_records: dict | None = None,
-    progress=None,
-    fault_spec=None,
-    protection=None,
-) -> ParallelOutcome:
-    """Execute a campaign's outstanding plans on a supervised worker pool.
-
-    ``completed_records`` (e.g. loaded from a write-ahead journal) are
-    treated as done: their seqs are never dispatched and they appear in the
-    returned record set unchanged.  Falls back to the serial executor —
-    with identical results — on platforms without the ``fork`` start
-    method.
+    ``payload`` carries the campaign's execution inputs (the serial path
+    runs the same payload in-process); ``sampling`` maps each target layer
+    to its :class:`~repro.core.campaign.LayerPlan`, in campaign order.
+    Records already in ``sink`` (e.g. prefilled from a write-ahead journal)
+    are never dispatched.  Falls back to the serial executor — with
+    identical results — on platforms without the ``fork`` start method.
     """
-    completed_records = dict(completed_records or {})
     if "fork" not in multiprocessing.get_all_start_methods():
         logger.warning("multiprocessing 'fork' start method unavailable; "
                        "running the campaign serially")
         from ..core.campaign import _run_serial
-        _run_serial(platform, golden, images, target_layers, sampling,
-                    kind, location, use_resume, journal, completed_records,
-                    injection_latency=config.injection_latency,
-                    fault_batch=config.fault_batch, progress=progress,
-                    fault_spec=fault_spec, protection=protection)
-        return ParallelOutcome(records=completed_records)
-    shards = plan_shards(sampling, completed=set(completed_records),
-                         chunk_size=config.chunk_size, workers=config.workers,
-                         layer_order=target_layers)
+        _run_serial(payload, sampling, sink)
+        return ParallelOutcome()
+    shards = plan_shards(sampling, completed=set(sink.records),
+                         workers=config.workers)
     blas_threads = config.blas_threads
     if blas_threads is None:
         blas_threads = max(1, (os.cpu_count() or 1) // max(1, config.workers))
     registry = get_registry()
     shm = None
-    session = getattr(platform, "resume_session", None)
-    if config.shared_cache and use_resume and session is not None \
+    session = getattr(payload.platform, "resume_session", None)
+    if config.shared_cache and payload.use_resume and session is not None \
             and hasattr(session.cache, "entries"):
         entries = session.cache.entries()
         if entries:
@@ -802,23 +746,11 @@ def run_parallel_campaign(
                     "exec.shm_bytes",
                     help="bytes in the published shared golden cache"
                     ).set(float(shm.nbytes))
-    payload = WorkerPayload(platform=platform, golden=golden, images=images,
-                            plans={name: lp.plans
-                                   for name, lp in sampling.items()},
-                            use_resume=use_resume,
-                            batch_records=config.batch_records,
-                            blas_threads=blas_threads,
-                            shm_cache=shm,
-                            injection_latency=config.injection_latency,
-                            fault_batch=config.fault_batch,
-                            fault_spec=fault_spec,
-                            protection=protection,
-                            trace_parent=current_span_id(),
-                            fault=config.worker_fault)
-    supervisor = CampaignSupervisor(payload, shards, config, journal=journal,
-                                    kind=kind, location=location,
-                                    progress=progress)
-    supervisor.records = completed_records
+    payload = replace(payload, batch_records=config.batch_records,
+                      blas_threads=blas_threads, shm_cache=shm,
+                      trace_parent=current_span_id(),
+                      fault=config.worker_fault)
+    supervisor = CampaignSupervisor(payload, shards, config, sink)
     try:
         outcome = supervisor.run()
     finally:

@@ -26,10 +26,9 @@ thread — no feeder thread, no lock shared with other workers):
 * ``("records", wid, (shard_id, attempt, (record, ...)), t)`` — a **batch**
   of completed injections.  Batches are flushed when they reach
   ``payload.batch_records`` and always on the shard boundary (and before an
-  ``error`` report, so partial progress survives a failing shard).  Batching
-  replaces the one-message-per-record protocol whose per-record IPC
-  dominated small campaigns; liveness is carried by the
-  start/records/done cadence plus the supervisor's shard timeout;
+  ``error`` report, so partial progress survives a failing shard);
+  liveness is carried by the start/records/done cadence plus the
+  supervisor's shard timeout;
 * ``("done", wid, (shard_id, attempt), t)`` — shard attempt finished;
 * ``("error", wid, (shard_id, attempt, message), t)`` — shard attempt
   raised; the worker survives and awaits its next task;
@@ -77,7 +76,12 @@ _THREAD_ENV_VARS = (
 
 @dataclass
 class WorkerPayload:
-    """Everything a forked worker needs (inherited, never pickled)."""
+    """Everything an executor needs to run a campaign's plans.
+
+    Forked workers inherit it (never pickled); the serial path runs the
+    same :func:`repro.core.campaign.execute_chunks` loop over it
+    in-process.
+    """
 
     platform: object
     golden: object
@@ -91,9 +95,10 @@ class WorkerPayload:
     #: shared-memory golden cache published by the supervisor (None = the
     #: worker keeps its fork-inherited private copy)
     shm_cache: object | None = None
-    #: bench/test hook: emulated per-injection device latency (seconds);
-    #: the serial executor honours the same knob so speedups stay apples
-    #: to apples (see benchmarks/bench_parallel_campaign.py)
+    #: bench/test hook: emulated device latency per chunk (seconds),
+    #: slept by execute_chunks in workers and the serial path alike so
+    #: speedups stay apples to apples (see
+    #: benchmarks/bench_parallel_campaign.py)
     injection_latency: float = 0.0
     #: independent faults evaluated per forward pass (fault-axis batching);
     #: records stay per-plan and bit-identical to the K=1 loop
@@ -147,7 +152,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     if payload.blas_threads is not None:
         limit_blas_threads(payload.blas_threads)
 
-    from ..core.campaign import execute_injection_batch
+    from ..core.campaign import execute_chunks
     from ..obs.telemetry import get_registry
     from ..obs.tracing import BufferingTracer, get_tracer, seed_span_context, \
         set_tracer
@@ -181,7 +186,6 @@ def worker_main(worker_id: int, payload: WorkerPayload,
         seed_span_context(payload.trace_parent)
     registry = get_registry()
     batch_size = max(1, int(payload.batch_records))
-    latency = float(payload.injection_latency or 0.0)
 
     results.send(("ready", worker_id,
                    {"pid": os.getpid(), "shm_adopted": shm_adopted},
@@ -217,30 +221,15 @@ def worker_main(worker_id: int, payload: WorkerPayload,
                             if buffer is not None else None)
                     if payload.fault is not None:
                         payload.fault(worker_id, shard, attempt)
-                    plans = payload.plans[shard.layer]
                     if span is not None:
                         span.__enter__()
                     try:
-                        seqs = list(shard.seqs)
-                        chunk = max(1, int(payload.fault_batch))
-                        for i in range(0, len(seqs), chunk):
-                            group = seqs[i:i + chunk]
-                            group_records = execute_injection_batch(
-                                payload.platform, payload.golden,
-                                payload.images,
-                                [plans[seq] for seq in group],
-                                payload.use_resume,
-                                fault_spec=payload.fault_spec,
-                                protection=payload.protection)
-                            for seq, record in zip(group, group_records):
-                                record["layer"] = shard.layer
-                                record["seq"] = seq
+                        for records in execute_chunks(payload, shard.layer,
+                                                      shard.seqs):
+                            for record in records:
                                 batch.append(record)
                                 if len(batch) >= batch_size:
                                     flush_batch()
-                            # one device round-trip serviced the whole chunk
-                            if latency > 0.0:
-                                time.sleep(latency)
                     finally:
                         if span is not None:
                             span.__exit__(None, None, None)

@@ -30,17 +30,18 @@ started with ``run_campaign(serve="host:port")`` / ``repro campaign
   replaces — the existing JSONL sink.
 
 The progress state itself lives in :class:`CampaignProgress`, a
-thread-safe tracker the campaign runner threads through both executors:
-the serial loop and the parallel supervisor update the *same* object per
-accepted record (and journal-loaded records pre-fill it), so serial,
-parallel and fault-batched runs report identically — the per-layer SDC a
-scrape sees is folded in plan (``seq``) order exactly like
-:func:`repro.core.campaign.aggregate_layer`, making the endpoint's final
-numbers bit-identical to :class:`~repro.core.campaign.CampaignResult`.
+thread-safe tracker fed every accepted record by the campaign's one accept
+path (:class:`repro.core.campaign.RecordSink`, journal-loaded records
+pre-fill it), so serial, parallel and fault-batched runs report
+identically.  This module folds no records itself: per-layer SDC comes
+from the campaign's own seq-ordered fold (:func:`~repro.core.campaign.fold_sdc`
+live, :func:`~repro.core.campaign.fold_layer` on a journal), making the
+endpoint's final numbers bit-identical to
+:class:`~repro.core.campaign.CampaignResult`.
 
 ``repro watch URL|JOURNAL`` renders a curses-free terminal dashboard from
 either a live ``/progress`` endpoint or — for crashed or remote runs — a
-write-ahead journal file tailed via :func:`journal_progress`.
+write-ahead journal file read via :func:`journal_progress`.
 
 Lifecycle contract: ``run_campaign`` starts the server *before* the golden
 pass and always shuts it down in a ``finally`` — a SIGINT mid-campaign
@@ -101,14 +102,15 @@ SSE_NAME_PREFIXES = ("campaign.", "exec.")
 class CampaignProgress:
     """Thread-safe in-flight state of one injection campaign.
 
-    Updated synchronously by whichever executor runs the campaign — the
-    serial loop calls :meth:`record` per executed injection, the parallel
-    supervisor calls it per accepted record and :meth:`heartbeat` per
-    worker message — and read concurrently by the HTTP scrape threads and
-    the ``-v`` progress logger.  Per-layer SDC sums are kept per ``seq``
-    and folded in sorted-``seq`` order at snapshot time, so the reported
-    rate is bit-identical to :func:`repro.core.campaign.aggregate_layer`
-    however the records arrived.
+    Updated synchronously by the campaign's
+    :class:`~repro.core.campaign.RecordSink` (:meth:`record` per accepted
+    record, whichever executor produced it) and the parallel supervisor
+    (:meth:`heartbeat` per worker message), and read concurrently by the
+    HTTP scrape threads and the ``-v`` progress logger.  Per-layer SDC
+    rates are kept per ``seq`` and folded in sorted-``seq`` order at
+    snapshot time by :func:`repro.core.campaign.fold_sdc`, so the reported
+    rate is bit-identical to the campaign's own fold however the records
+    arrived.
     """
 
     def __init__(self, kind: str = "value", location: str = "neuron",
@@ -203,7 +205,7 @@ class CampaignProgress:
 
     def snapshot(self) -> dict:
         """The full ``progress/v1`` document (JSON-serialisable)."""
-        from ..analysis.confidence import wilson_interval
+        from ..core.campaign import fold_sdc
 
         with self._lock:
             now = time.monotonic()
@@ -223,20 +225,13 @@ class CampaignProgress:
                 0.0 if self.state == "running" or remaining == 0 else None)
             layers = {}
             for layer in self.totals:
-                records = self._sdc.get(layer, {})
-                performed = len(records)
-                # fold in sorted-seq order, exactly like aggregate_layer,
-                # so the final rate is bit-identical to CampaignResult
-                sdc_sum = 0.0
-                for seq in sorted(records):
-                    sdc_sum += records[seq]
-                sdc_rate = sdc_sum / performed if performed else 0.0
-                lo, hi = wilson_interval(sdc_sum, performed)
+                rates = self._sdc.get(layer, {})
+                sdc_rate, ci95 = fold_sdc(rates[seq] for seq in sorted(rates))
                 layers[layer] = {
-                    "done": performed,
+                    "done": len(rates),
                     "total": self.totals[layer],
                     "sdc_rate": sdc_rate,
-                    "sdc_ci95": [lo, hi],
+                    "sdc_ci95": list(ci95),
                 }
             resume = None
             if self.resume_source is not None:
@@ -623,42 +618,36 @@ def journal_progress(path: str) -> dict:
     """A ``progress/v1`` view of a write-ahead journal file.
 
     For crashed or remote campaigns the journal is the only live surface:
-    its fingerprinted header pins the plan size (layers x
-    injections_per_layer) and every flushed record carries its SDC rate,
-    so done/total and the in-flight SDC estimate reconstruct exactly.
-    Throughput/ETA are estimated from the records' own ``dur_s``.
+    its header pins each layer's plan size (older journals: the
+    fingerprint's ``injections_per_layer``) and every flushed record
+    carries its outcome, so each layer folds with
+    :func:`repro.core.campaign.fold_layer` to the numbers ``/progress``
+    served.  Throughput/ETA are estimated from the records' own ``dur_s``.
     """
-    from ..analysis.confidence import wilson_interval
+    from ..core.campaign import fold_layer, normalized_record
     from ..exec.journal import load_journal
 
     header, records, corrupt, _skipped = load_journal(path)
-    fingerprint = (header or {}).get("fingerprint", {})
-    layer_names = list(fingerprint.get("layers", ()))
+    header = header or {}
+    fingerprint = header.get("fingerprint", {})
+    plan = header.get("plan") or {}
     budget = int(fingerprint.get("injections_per_layer", 0) or 0)
-    per_layer: dict[str, dict[int, dict]] = {}
+    per_layer: dict[str, dict[int, dict]] = {
+        layer: {} for layer in fingerprint.get("layers", ())}
     for (layer, seq), record in records.items():
-        per_layer.setdefault(layer, {})[seq] = record
-    for layer in per_layer:
-        if layer not in layer_names:
-            layer_names.append(layer)
+        per_layer.setdefault(layer, {})[seq] = normalized_record(record)
     layers = {}
     total_done = 0
     dur_sum = 0.0
-    for layer in layer_names:
-        layer_records = per_layer.get(layer, {})
-        performed = len(layer_records)
-        total_done += performed
-        sdc_sum = 0.0
-        for seq in sorted(layer_records):
-            record = layer_records[seq]
-            sdc_sum += float(record.get("sdc_rate", 0.0) or 0.0)
-            dur_sum += float(record.get("dur_s", 0.0) or 0.0)
-        lo, hi = wilson_interval(sdc_sum, performed)
+    for layer, layer_records in per_layer.items():
+        stats = fold_layer(layer, layer_records)
+        total_done += stats.injections
+        dur_sum += stats.seconds
         layers[layer] = {
-            "done": performed,
-            "total": max(budget, performed),
-            "sdc_rate": sdc_sum / performed if performed else 0.0,
-            "sdc_ci95": [lo, hi],
+            "done": stats.injections,
+            "total": int(plan.get(layer, max(budget, stats.injections))),
+            "sdc_rate": stats.sdc_rate,
+            "sdc_ci95": list(stats.sdc_ci95),
         }
     total = sum(entry["total"] for entry in layers.values())
     rate = total_done / dur_sum if dur_sum > 0 else 0.0
@@ -670,7 +659,7 @@ def journal_progress(path: str) -> dict:
         "campaign": {"kind": fingerprint.get("kind", "?"),
                      "location": fingerprint.get("location", "?"),
                      "format": fingerprint.get("format", "?")},
-        "started_at": (header or {}).get("created"),
+        "started_at": header.get("created"),
         "elapsed_s": dur_sum,
         "done": total_done,
         "total": total,

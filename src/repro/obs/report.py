@@ -3,10 +3,17 @@
 ``repro report`` turns the two artifacts every campaign can already produce
 — the ``--metrics-json`` registry snapshot and the ``--trace`` JSONL event
 stream — into one joined health report: per-layer SDC / mismatch / ΔLoss
-statistics (re-aggregated offline from the ``campaign.injection`` events)
-side by side with the numeric-health streams (saturation, flush-to-zero,
-NaN-remap rates, quantization error, dynamic-range coverage), plus
-throughput, resume-cache, parallel-execution and quarantine summaries.
+statistics side by side with the numeric-health streams (saturation,
+flush-to-zero, NaN-remap rates, quantization error, dynamic-range
+coverage), plus throughput, resume-cache, parallel-execution and
+quarantine summaries.
+
+The per-layer rows are the campaign's own fold
+(:func:`repro.core.campaign.fold_layer`) over the trace's
+``campaign.injection`` events, taken in ``seq`` order (a stable sort, so
+events from traces that predate ``seq`` keep their arrival order) — the
+same numbers :class:`~repro.core.campaign.CampaignResult` reported, bit
+for bit, whichever executor wrote the trace.
 
 The report is a plain dict (:func:`build_report`) with a stable
 ``repro.report/v1`` schema (checked by :func:`validate_report`, which CI
@@ -82,39 +89,6 @@ def _metric_value(metrics: dict, name: str, default: float = 0.0,
     return default
 
 
-def _per_layer_injection_stats(events: list[dict]) -> dict[str, dict]:
-    """Re-aggregate ``campaign.injection`` events offline, per layer."""
-    layers: dict[str, dict] = {}
-    for event in events:
-        if event.get("name") != "campaign.injection":
-            continue
-        layer = str(event.get("layer", "?"))
-        s = layers.setdefault(layer, {
-            "injections": 0, "delta_loss_sum": 0.0, "max_delta_loss": 0.0,
-            "mismatch_sum": 0.0, "sdc_sum": 0.0, "seconds": 0.0,
-        })
-        s["injections"] += 1
-        dl = float(event.get("delta_loss", 0.0) or 0.0)
-        s["delta_loss_sum"] += dl
-        if dl > s["max_delta_loss"]:
-            s["max_delta_loss"] = dl
-        s["mismatch_sum"] += float(event.get("mismatch_rate", 0.0) or 0.0)
-        s["sdc_sum"] += float(event.get("sdc_rate", 0.0) or 0.0)
-        s["seconds"] += float(event.get("dur_s", 0.0) or 0.0)
-    out: dict[str, dict] = {}
-    for layer, s in layers.items():
-        n = s["injections"]
-        out[layer] = {
-            "injections": n,
-            "mean_delta_loss": s["delta_loss_sum"] / n if n else 0.0,
-            "max_delta_loss": s["max_delta_loss"],
-            "mismatch_rate": s["mismatch_sum"] / n if n else 0.0,
-            "sdc_rate": s["sdc_sum"] / n if n else 0.0,
-            "seconds": s["seconds"],
-        }
-    return out
-
-
 def build_report(metrics: dict | None = None,
                  events: list[dict] | None = None,
                  metrics_path: str | None = None,
@@ -125,29 +99,36 @@ def build_report(metrics: dict | None = None,
     health, throughput, cache and execution sections; a trace alone yields
     the per-layer injection statistics and quarantine events.
     """
+    from ..core.campaign import fold_layer, normalized_record
+
     metrics = metrics if metrics is not None else {}
     events = events if events is not None else []
-    injection_stats = _per_layer_injection_stats(events)
     numerics = summarize_collected(metrics)
+    by_layer: dict[str, list[dict]] = {name: [] for name in numerics}
+    for event in events:
+        if event.get("name") == "campaign.injection":
+            by_layer.setdefault(str(event.get("layer", "?")), []).append(event)
 
-    layer_names = sorted(set(injection_stats) | set(numerics))
     layers = []
-    for name in layer_names:
-        inj = injection_stats.get(name, {})
+    for name in sorted(by_layer):
+        # a stable sort: events of traces that predate seq keep arrival order
+        ordered = sorted(by_layer[name], key=lambda e: e.get("seq", 0))
+        inj = fold_layer(name, {i: normalized_record(event)
+                                for i, event in enumerate(ordered)})
         layers.append({
             "layer": name,
-            "injections": int(inj.get("injections", 0)),
-            "mean_delta_loss": float(inj.get("mean_delta_loss", 0.0)),
-            "max_delta_loss": float(inj.get("max_delta_loss", 0.0)),
-            "mismatch_rate": float(inj.get("mismatch_rate", 0.0)),
-            "sdc_rate": float(inj.get("sdc_rate", 0.0)),
+            "injections": inj.injections,
+            "mean_delta_loss": inj.mean_delta_loss,
+            "max_delta_loss": inj.max_delta_loss,
+            "mismatch_rate": inj.mismatch_rate,
+            "sdc_rate": inj.sdc_rate,
             "numerics": numerics.get(name, {}),
         })
 
     injections_total = sum(
         float(e.get("value", 0.0)) for e in
         metrics.get("campaign.injections_total", ())) or float(
-        sum(s["injections"] for s in injection_stats.values()))
+        sum(row["injections"] for row in layers))
     campaign = {
         "injections": int(injections_total),
         "injections_per_sec": _metric_value(

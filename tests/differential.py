@@ -17,6 +17,13 @@ covers:
   counters and ``campaign.injections_total``), summed across labels and
   stripped of ``worker`` tags.
 
+:func:`surface_rows` extends the contract across *surfaces*: with
+``run_mode(journal=True, serve=True, ledger=...)`` one run exposes the
+same campaign through CampaignResult, the final ``/progress`` document,
+``journal_progress`` on its journal, ``build_report`` on its trace and its
+ledger row — and every one of them must report the same per-layer numbers,
+bit for bit, because they all come from one fold.
+
 For the ``resumed`` mode the campaign is interrupted mid-flight (a real
 SIGINT delivered from the supervisor's ``on_record`` hook) and then
 resumed from its write-ahead journal; the outcome combines both sub-runs
@@ -37,7 +44,8 @@ from repro.core import GoldenEye, run_campaign
 from repro.exec import ExecConfig
 
 __all__ = ["MODES", "DifferentialOutcome", "layer_stats",
-           "injection_multiset", "counter_totals", "run_mode"]
+           "injection_multiset", "counter_totals", "run_mode",
+           "surface_rows"]
 
 #: every execution mode the harness can drive.  A ``-kN`` suffix runs the
 #: same campaign with fault-axis batching (``fault_batch=N``): K independent
@@ -54,7 +62,8 @@ DETERMINISTIC_COUNTER_PREFIXES = ("injection.", "campaign.injections_total")
 class DifferentialOutcome:
     """One mode's comparable surfaces (plus the raw result for asserts)."""
 
-    def __init__(self, result, stats, injections, counters, progress=None):
+    def __init__(self, result, stats, injections, counters, progress=None,
+                 events=None):
         self.result = result
         self.stats = stats
         self.injections = injections
@@ -62,6 +71,8 @@ class DifferentialOutcome:
         #: the final ``progress/v1`` document fetched from a live ``/progress``
         #: endpoint (``run_mode(serve=True)``), or None
         self.progress = progress
+        #: every trace event the mode's campaign run(s) wrote
+        self.events = events
 
 
 def layer_stats(result) -> dict:
@@ -137,7 +148,8 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
              injections_per_layer: int = 5, seed: int = 13,
              interrupt_after: int = 4, serve: bool = False,
              fault_model="single", protect="none",
-             layers=None, ledger=None) -> DifferentialOutcome:
+             layers=None, ledger=None,
+             journal: bool = False) -> DifferentialOutcome:
     """Run the seeded campaign under ``mode`` and bundle its surfaces.
 
     Every mode uses the same ``(format_spec, seed, injections_per_layer,
@@ -158,6 +170,10 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
     ``/progress`` document in :attr:`DifferentialOutcome.progress` — the
     harness owns the server's lifecycle so the endpoint is still answering
     *after* ``run_campaign`` returns (the sealed final state).
+
+    ``journal=True`` gives the non-resumed modes a write-ahead journal of
+    their own (``<label>.journal.jsonl`` under ``tmp_path``; the
+    ``resumed`` mode always journals).
     """
     label, fault_batch = mode, 1
     if "-k" in mode:
@@ -167,6 +183,8 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
                   injections_per_layer=injections_per_layer, seed=seed,
                   fault_batch=fault_batch, fault_model=fault_model,
                   protect=protect, layers=layers, ledger=ledger)
+    if journal and mode != "resumed":
+        common["journal"] = str(tmp_path / f"{label}.journal.jsonl")
     server = None
     if serve:
         from repro.obs.live import LiveServer
@@ -213,13 +231,15 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
                                ("campaign.injections_total",)))
             return DifferentialOutcome(result, layer_stats(result),
                                        injection_multiset(events), counters,
-                                       progress=_final_progress(server))
+                                       progress=_final_progress(server),
+                                       events=events)
         else:
             raise ValueError(f"unknown differential mode {mode!r}")
         return DifferentialOutcome(result, layer_stats(result),
                                    injection_multiset(events),
                                    counter_totals(metrics),
-                                   progress=_final_progress(server))
+                                   progress=_final_progress(server),
+                                   events=events)
     finally:
         if server is not None:
             server.close()
@@ -231,3 +251,46 @@ def _final_progress(server) -> dict | None:
         return None
     from repro.obs.live import fetch_progress
     return fetch_progress(server.url)
+
+
+def surface_rows(outcome, ledger) -> dict[str, dict[str, dict]]:
+    """Each reporting surface's per-layer numbers for one ``run_mode`` run.
+
+    Returns ``surface -> layer -> {field: value}`` for the surfaces
+    ``result`` (CampaignResult), ``progress`` (the final ``/progress``),
+    ``journal`` (``journal_progress``), ``report`` (``build_report`` on
+    the trace) and ``ledger`` (the run's ``run_layers`` rows; ``ledger``
+    is the ledger path the run recorded into).  Fields share one name
+    across surfaces — ``injections``, ``mean_delta_loss``,
+    ``max_delta_loss``, ``mismatch_rate``, ``sdc_rate`` and ``sdc_ci95``
+    — and each surface carries the subset it reports.  The run needs
+    ``serve=True``, ``journal=True`` and a ``ledger``.
+    """
+    from repro.obs.ledger import CampaignLedger
+    from repro.obs.live import journal_progress
+    from repro.obs.report import build_report
+
+    def progress_rows(doc):
+        return {layer: {"injections": entry["done"],
+                        "sdc_rate": entry["sdc_rate"],
+                        "sdc_ci95": tuple(entry["sdc_ci95"])}
+                for layer, entry in doc["layers"].items()}
+
+    fold_fields = ("injections", "mean_delta_loss", "max_delta_loss",
+                   "mismatch_rate", "sdc_rate")
+    result = outcome.result
+    report = build_report(events=outcome.events)
+    with CampaignLedger(ledger) as db:
+        run = db.get_run(result.ledger_run_id)
+    return {
+        "result": {layer: {f: getattr(r, f) for f in fold_fields}
+                   for layer, r in result.per_layer.items()},
+        "progress": progress_rows(outcome.progress),
+        "journal": progress_rows(journal_progress(result.journal_path)),
+        "report": {row["layer"]: {f: row[f] for f in fold_fields}
+                   for row in report["layers"]},
+        "ledger": {row["layer"]: dict(
+            {f: row[f] for f in fold_fields},
+            sdc_ci95=(row["sdc_lo"], row["sdc_hi"]))
+            for row in run["layers_detail"]},
+    }
