@@ -8,14 +8,20 @@ assemble the per-layer ΔLoss profile, plus the single-value network summary
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.campaign import CampaignResult, run_campaign
+from ..core.campaign import CampaignResult, CampaignSpec, campaign_settings, \
+    run_campaign
 from ..core.goldeneye import GoldenEye
 from ..nn.module import Module
 from .tables import render_table
+
+if TYPE_CHECKING:
+    from ..exec import ExecConfig
 
 __all__ = ["ResilienceProfile", "profile_resilience",
            "layer_vulnerability_table", "fault_pattern_table"]
@@ -65,27 +71,31 @@ def profile_resilience(
     format_spec,
     images: np.ndarray,
     labels: np.ndarray,
-    injections_per_layer: int = 100,
-    location: str = "neuron",
-    seed: int = 0,
     detector=None,
     use_range_detector: bool = False,
     targets=("conv", "linear"),
     profiler=None,
     numerics=None,
-    workers: int = 1,
+    *,
+    spec: CampaignSpec | None = None,
+    exec_config: ExecConfig | None = None,
     journal: str | None = None,
-    shard_timeout: float | None = None,
-    batch_records: int = 32,
-    shared_cache: bool = True,
-    fault_batch: int = 1,
-    fault_model="single",
-    protect="none",
     serve=None,
-    layers=None,
     ledger=None,
+    **fields,
 ) -> ResilienceProfile:
     """Run the paper's per-layer value + metadata campaigns for one format.
+
+    ``spec``, ``exec_config``, ``journal``, ``serve``, ``ledger`` and the
+    keyword ``fields`` mean what they mean for
+    :func:`~repro.core.campaign.run_campaign`.  The value campaign runs
+    ``spec`` as a value campaign; the metadata campaign runs it as a
+    metadata campaign at ``seed + 1``, journaled to ``journal +
+    ".metadata"``, and only when the format has metadata and the fault
+    model is ``"single"`` (the fault-model axis is a value-word concept).
+    With a ledger, each campaign gets its own row.  ``serve="host:port"``
+    starts one live observability server spanning *both* campaigns, so a
+    watcher keeps its endpoint across the hand-off.
 
     ``use_range_detector=True`` reproduces the paper's default setting
     (§V-B: the detector is enabled by default for resiliency analysis): a
@@ -100,30 +110,9 @@ def profile_resilience(
     records per-layer quantization error, saturation / flush-to-zero /
     NaN-remap counts and dynamic-range coverage through the formats' stats
     sinks; the campaign telemetry then carries a ``numeric_health`` summary.
-
-    ``workers`` / ``journal`` / ``shard_timeout`` / ``batch_records`` /
-    ``shared_cache`` / ``fault_batch`` are forwarded to
-    :func:`~repro.core.campaign.run_campaign` (parallel execution and
-    crash-safe write-ahead journaling — see :mod:`repro.exec`).  The
-    metadata campaign journals to ``journal + ".metadata"`` so the two
-    campaigns never share (and never clash over) one fingerprinted file.
-    ``ledger`` (a path or open :class:`~repro.obs.ledger.CampaignLedger`)
-    records both campaigns in the persistent run history; each gets its
-    own row (their fingerprints differ by kind and seed).
-
-    ``fault_model`` / ``protect`` select the campaign's fault model and
-    ECC protection (see :mod:`repro.core.faultmodels` /
-    :mod:`repro.core.ecc`).  Non-single fault models apply to value
-    injections only, so the metadata campaign runs only under the default
-    model.  ``layers`` restricts both campaigns to a subset of
-    instrumented layers (required for the exhaustive model on all but the
-    smallest layers).
-
-    ``serve="host:port"`` starts one live observability server
-    (:mod:`repro.obs.live`) spanning *both* campaigns — the value and
-    metadata runs attach to it in turn, so a watcher keeps its endpoint
-    across the hand-off instead of the port flapping between campaigns.
     """
+    spec, exec_config = campaign_settings(spec, exec_config, fields)
+    spec = replace(spec, kind="value")
     if use_range_detector and detector is None:
         from ..core.detector import RangeDetector
 
@@ -131,53 +120,29 @@ def profile_resilience(
     platform = GoldenEye(model, format_spec, targets=targets,
                          range_detector=detector, profiler=profiler,
                          numerics=numerics)
-    server = serve
-    owns_server = False
-    if isinstance(serve, str):
-        from ..obs.live import LiveServer
+    from ..obs.live import LiveServer
 
-        server = LiveServer.start(serve)
-        owns_server = True
-    try:
-        with platform:
-            if use_range_detector:
-                from ..core.campaign import golden_inference
+    with (LiveServer.start(serve) if isinstance(serve, str)
+          else nullcontext(serve)) as server, platform:
+        if use_range_detector:
+            from ..core.campaign import golden_inference
 
-                detector.active = False
-                golden_inference(platform, images, labels)  # profiling pass
-                detector.active = True
-            from ..core.faultmodels import parse_fault_model
-
-            fault_spec = parse_fault_model(fault_model).spec()
-            value_campaign = run_campaign(
-                platform, images, labels, kind="value", location=location,
-                injections_per_layer=injections_per_layer, seed=seed,
-                layers=layers, workers=workers, journal=journal,
-                shard_timeout=shard_timeout,
-                batch_records=batch_records, shared_cache=shared_cache,
-                fault_batch=fault_batch, fault_model=fault_model,
-                protect=protect, serve=server, ledger=ledger,
-            )
-            fmt = platform.spawn_format()
-            metadata_campaign = None
-            # metadata campaigns support only the single-bit model (the
-            # fault-model axis is a value-word concept); skip them rather
-            # than silently running a different model than requested
-            if fmt is not None and fmt.has_metadata and fault_spec == "single":
-                metadata_journal = f"{journal}.metadata" if journal else None
-                metadata_campaign = run_campaign(
-                    platform, images, labels, kind="metadata",
-                    location=location,
-                    injections_per_layer=injections_per_layer, seed=seed + 1,
-                    layers=layers, workers=workers, journal=metadata_journal,
-                    shard_timeout=shard_timeout,
-                    batch_records=batch_records, shared_cache=shared_cache,
-                    fault_batch=fault_batch, protect=protect, serve=server,
-                    ledger=ledger,
-                )
-    finally:
-        if owns_server:
-            server.close()
+            detector.active = False
+            golden_inference(platform, images, labels)  # profiling pass
+            detector.active = True
+        value_campaign = run_campaign(
+            platform, images, labels, spec=spec, exec_config=exec_config,
+            journal=journal, serve=server, ledger=ledger)
+        fmt = platform.spawn_format()
+        metadata_campaign = None
+        if fmt is not None and fmt.has_metadata \
+                and spec.fault_model == "single":
+            metadata_campaign = run_campaign(
+                platform, images, labels,
+                spec=replace(spec, kind="metadata", seed=spec.seed + 1),
+                exec_config=exec_config,
+                journal=f"{journal}.metadata" if journal else None,
+                serve=server, ledger=ledger)
     return ResilienceProfile(
         model_name=model_name,
         format_name=value_campaign.format_name,

@@ -249,6 +249,17 @@ def _resolve_fault_args(args) -> str:
                 spec += f":align{args.align}"
     parse_fault_model(spec)  # raises ValueError naming the valid specs
     parse_protection(args.protect)  # raises ValueError naming valid models
+    if getattr(args, "kind", "value") == "metadata":
+        # profile_resilience runs no metadata campaign in these cases, so
+        # the value campaign's numbers would print under a metadata label
+        if parse_fault_model(spec).spec() != "single":
+            raise ValueError(
+                f"--kind metadata supports only the single fault model, "
+                f"not {spec!r}")
+        if not make_format(args.format).has_metadata:
+            raise ValueError(
+                f"--kind metadata needs a format with metadata (shared "
+                f"scales or exponents); {args.format} has none")
     return spec
 
 

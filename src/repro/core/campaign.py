@@ -7,13 +7,18 @@ bit flips at each instrumented layer — in data values or metadata — measurin
 the experimental procedure behind Fig. 7 ("1000 unique single-bit flip
 injections for each of data and metadata at a layer-granularity").
 
+A campaign is described by two objects.  A frozen :class:`CampaignSpec`
+says *what* to inject (kind, location, budget, seed, layers, bits, fault
+model, protection) and is the identity the journal and the ledger pin; an
+:class:`~repro.exec.ExecConfig` says *how* to run it and never changes its
+results.  Every setting is documented once, on its field.
+
 By default the campaign runs in **checkpoint-and-resume** mode
-(``resume=True``): the golden pass records every layer's output in an
+(``ExecConfig.resume``): the golden pass records every layer's output in an
 :class:`~repro.core.resume.ActivationCache`, and each injection at layer *L*
 restarts inference *from L* with the cached prefix replayed — O(suffix)
 instead of O(network) per injection, bit-identical logits (the Gräfe et al.
-2023 intermediate-state-checkpointing optimisation).  Set ``resume=False``
-to force full re-execution for every injection.
+2023 intermediate-state-checkpointing optimisation).
 
 Pipeline
 --------
@@ -38,7 +43,7 @@ parallel execution, write-ahead journaling and crash recovery possible:
 
 Parallel execution & crash safety
 ---------------------------------
-``run_campaign(..., workers=N)`` shards the sampled plans into per-layer
+``ExecConfig.workers >= 2`` shards the sampled plans into per-layer
 chunks and executes them on a supervised ``multiprocessing`` pool (see
 :mod:`repro.exec`): per-shard timeout + bounded retry with exponential
 backoff, quarantine of poison shards, dead-worker detection with shard
@@ -75,9 +80,12 @@ timing).
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -91,11 +99,17 @@ from .goldeneye import GoldenEye
 from .injection import InjectionError, MetadataInjection, ValueInjection, \
     per_sample_numel
 from .metrics import InferenceOutcome, compare_outcomes
-from .resume import DEFAULT_CACHE_BUDGET
+
+# repro.exec (multiprocessing, shared memory) loads on a campaign's first
+# use, which keeps it out of the cost of importing repro.core
+if TYPE_CHECKING:
+    from ..exec.supervisor import ExecConfig
 
 __all__ = [
     "CampaignError",
     "CampaignResult",
+    "CampaignSpec",
+    "campaign_settings",
     "LayerCampaignResult",
     "LayerPlan",
     "run_campaign",
@@ -122,6 +136,127 @@ class CampaignError(RuntimeError):
     can act on — e.g. the live observability server's ``--serve`` address
     already being bound by another process.
     """
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """What a campaign injects: the identity its journal and ledger pin.
+
+    Runs of one spec on one format and evaluation batch give bit-identical
+    results however they execute (serial, parallel, fault-batched,
+    journal-resumed); how they execute is an :class:`~repro.exec.ExecConfig`.
+    """
+
+    #: ``"value"`` (data words) or ``"metadata"`` (shared scale/exponent
+    #: registers)
+    kind: str = "value"
+    #: ``"neuron"`` (layer outputs) or ``"weight"`` (parameters)
+    location: str = "neuron"
+    #: unique (site, bits) injections sampled per layer, as the paper's
+    #: "1000 unique single-bit flip injections"; exhaustive ignores it
+    injections_per_layer: int = 100
+    #: layer *i* samples from ``np.random.default_rng([seed, i])`` (*i* =
+    #: its index among all instrumented layers), so results do not depend
+    #: on which other layers are targeted or in what order
+    seed: int = 0
+    #: target layers, stored as a tuple (None = every instrumented layer;
+    #: unknown names raise ``ValueError`` before any work runs)
+    layers: tuple[str, ...] | None = None
+    #: bits flipped in one word per injection by the single model
+    num_bits: int = 1
+    #: fault-model spec (:mod:`repro.core.faultmodels`), stored canonical:
+    #: ``"single"`` (byte-identical to campaigns predating fault models),
+    #: ``"burst2"``/``"burst4"`` (optionally ``:strideS:alignA``),
+    #: ``"stuck0"``/``"stuck1"``, ``"exhaustive"`` (every single-bit site,
+    #: refused above :data:`~repro.core.faultmodels.EXHAUSTIVE_SITE_CAP`
+    #: sites per layer) or ``"temporalN"``; non-single models are
+    #: value-only
+    fault_model: str = "single"
+    #: ECC protection spec (:mod:`repro.core.ecc`), stored canonical:
+    #: ``"secded"`` over value words, ``"parity"`` over metadata registers,
+    #: ``"secded+parity"`` or ``"none"``; corrected/detected faults skip
+    #: the injected inference and record the golden outcome
+    protect: str = "none"
+
+    def __post_init__(self):
+        if self.kind not in ("value", "metadata"):
+            raise ValueError(
+                f"kind must be 'value' or 'metadata', got {self.kind!r}")
+        fault_model = parse_fault_model(self.fault_model).spec()
+        if fault_model != "single" and self.kind != "value":
+            raise ValueError(
+                f"fault model {fault_model!r} applies to value injections "
+                "only; metadata campaigns support only the 'single' model")
+        object.__setattr__(self, "fault_model", fault_model)
+        object.__setattr__(self, "protect",
+                           parse_protection(self.protect).spec())
+        if self.layers is not None:
+            object.__setattr__(self, "layers", tuple(self.layers))
+
+    def fingerprint(self, format_name: str, layers, images=None,
+                    labels=None) -> dict:
+        """The identity a journal header pins and a ledger row hashes.
+
+        ``layers`` is the resolved target-layer list.  ``fault`` and
+        ``protect`` enter only when non-default, so a default campaign keeps
+        the fingerprint journals had before fault models existed; ``data``
+        digests the evaluation batch when it is given.
+        """
+        fp = {
+            "kind": self.kind,
+            "location": self.location,
+            "format": format_name,
+            "seed": int(self.seed),
+            "injections_per_layer": int(self.injections_per_layer),
+            "num_bits": int(self.num_bits),
+            "layers": list(layers),
+        }
+        if self.fault_model != "single":
+            fp["fault"] = self.fault_model
+        if self.protect != "none":
+            fp["protect"] = self.protect
+        if images is not None and labels is not None:
+            fp["data"] = _data_digest(images, labels)
+        return fp
+
+
+def _data_digest(images, labels) -> str:
+    """Short content digest of the evaluation batch (shape + bytes)."""
+    h = hashlib.sha256()
+    arr = np.ascontiguousarray(np.asarray(images, dtype=np.float32))
+    h.update(str(arr.shape).encode())
+    h.update(arr.tobytes())
+    lab = np.ascontiguousarray(np.asarray(labels))
+    h.update(str(lab.shape).encode())
+    h.update(lab.tobytes())
+    return h.hexdigest()[:16]
+
+
+def campaign_settings(spec: CampaignSpec | None,
+                      exec_config: ExecConfig | None,
+                      fields: dict) -> tuple[CampaignSpec, ExecConfig]:
+    """Apply keyword ``fields`` over ``spec`` and ``exec_config``.
+
+    The keyword shim of :func:`run_campaign` and
+    :func:`~repro.analysis.resilience.profile_resilience`: each keyword
+    names a :class:`CampaignSpec` or :class:`~repro.exec.ExecConfig` field
+    and overrides it; any other name raises :class:`TypeError`.
+    """
+    from ..exec.supervisor import ExecConfig
+
+    spec = spec if spec is not None else CampaignSpec()
+    exec_config = exec_config if exec_config is not None else ExecConfig()
+    spec_names = CampaignSpec.__dataclass_fields__
+    exec_names = ExecConfig.__dataclass_fields__
+    unknown = [name for name in fields
+               if name not in spec_names and name not in exec_names]
+    if unknown:
+        raise TypeError("unexpected keyword argument(s): "
+                        + ", ".join(repr(name) for name in unknown))
+    return (replace(spec, **{k: v for k, v in fields.items()
+                             if k in spec_names}),
+            replace(exec_config, **{k: v for k, v in fields.items()
+                                    if k in exec_names}))
 
 
 @dataclass
@@ -171,7 +306,7 @@ class CampaignResult:
     #: the write-ahead journal backing this run, if any
     journal_path: str | None = None
     #: the campaign fingerprint (identity of kind/location/format/seed/
-    #: plans/data — see :func:`repro.exec.journal.campaign_fingerprint`)
+    #: plans/data — see :meth:`CampaignSpec.fingerprint`)
     fingerprint: dict | None = None
     #: the run's row id in the campaign ledger, when one was configured
     #: (see :mod:`repro.obs.ledger`)
@@ -565,19 +700,20 @@ def execute_chunks(payload, layer: str, seqs):
     """Execute ``layer``'s plans at ``seqs``; yield each chunk's records.
 
     ``payload`` is the campaign's :class:`repro.exec.worker.WorkerPayload`.
-    Chunks hold ``payload.fault_batch`` plans (one batched forward each);
+    Chunks hold ``config.fault_batch`` plans (one batched forward each);
     records are stamped with ``layer`` and ``seq``, and the emulated device
     latency is slept once per chunk, after the caller took its records.
     """
+    config = payload.config
     plans = payload.plans[layer]
     seqs = list(seqs)
-    chunk = max(1, int(payload.fault_batch))
-    latency = float(payload.injection_latency or 0.0)
+    chunk = max(1, int(config.fault_batch))
+    latency = float(config.injection_latency or 0.0)
     for i in range(0, len(seqs), chunk):
         group = seqs[i:i + chunk]
         records = execute_injection_batch(
             payload.platform, payload.golden, payload.images,
-            [plans[seq] for seq in group], payload.use_resume,
+            [plans[seq] for seq in group], config.resume,
             fault_spec=payload.fault_spec, protection=payload.protection)
         for seq, record in zip(group, records):
             record["layer"] = layer
@@ -774,83 +910,30 @@ def run_campaign(
     platform: GoldenEye,
     images: np.ndarray,
     labels: np.ndarray,
-    kind: str = "value",
-    location: str = "neuron",
-    injections_per_layer: int = 100,
-    seed: int = 0,
-    layers: list[str] | None = None,
-    num_bits: int = 1,
-    resume: bool = True,
-    resume_budget_bytes: int | None = DEFAULT_CACHE_BUDGET,
-    workers: int = 1,
+    *,
+    spec: CampaignSpec | None = None,
+    exec_config: ExecConfig | None = None,
     journal: str | None = None,
-    shard_timeout: float | None = None,
-    max_retries: int = 2,
-    batch_records: int = 32,
-    shared_cache: bool = True,
-    fault_batch: int = 1,
-    fault_model="single",
-    protect="none",
-    exec_config=None,
     serve=None,
     ledger=None,
+    **fields,
 ) -> CampaignResult:
     """Run an injection campaign and aggregate ΔLoss / mismatch per layer.
 
-    The platform must already be attached.  Each injection is unique within
-    its layer (no repeated (index, bits) pair), mirroring the paper's "1000
-    unique single-bit flip injections"; ``num_bits > 1`` switches to the
-    multi-bit flip error model (several bits of the same word at once).
+    The platform must already be attached.  ``spec`` (a
+    :class:`CampaignSpec`) says what to inject and ``exec_config`` (a
+    :class:`~repro.exec.ExecConfig`) how to run it; every setting is
+    documented on its field there.  Any field of either may also be passed
+    as a keyword (``injections_per_layer=50, workers=4``), overriding the
+    object's value; an unknown keyword raises :class:`TypeError`.
 
-    Each layer samples from its own child generator derived from
-    ``[seed, layer_index]`` (see the module docstring), so per-layer results
-    are invariant under layer subsetting and reordering.
-
-    ``resume=True`` (the default) checkpoints the golden pass and restarts
-    each injected inference from its victim layer (see module docstring);
-    ``resume_budget_bytes`` caps the activation cache (None = unlimited).
-    Results are bit-identical either way.
-
-    Robust execution
-    ----------------
-    ``workers >= 2`` shards the campaign across a supervised fork-based
-    worker pool (:mod:`repro.exec`) — per-layer statistics are bit-identical
-    to serial mode.  ``journal=PATH`` write-ahead-journals every completed
-    injection; re-running the same campaign with the same journal skips the
-    journaled work and reproduces the identical aggregate (crash/SIGKILL
-    recovery).  ``shard_timeout`` bounds one shard attempt (seconds); a
-    shard that keeps timing out or crashing is retried ``max_retries``
-    times with exponential backoff and then **quarantined** — reported in
-    :attr:`CampaignResult.quarantined` instead of failing the campaign.
-    ``batch_records`` sets how many records a worker packs per result
-    message / journal line, and ``shared_cache=False`` disables publishing
-    the golden activation cache to shared memory (each worker then keeps
-    its fork-inherited copy-on-write cache).  ``fault_batch=K`` evaluates K
-    independent neuron-value injections per forward pass (fault-axis
-    batching, see :func:`execute_injection_batch`) — per-plan records, seq
-    ordering and telemetry stay bit-identical to K=1 (a serial run
-    journals each chunk as one line).
-    ``exec_config`` (a :class:`repro.exec.ExecConfig`) overrides every one
-    of these knobs and exposes test hooks.
-
-    Fault models & protection
-    -------------------------
-    ``fault_model`` selects how each injection chooses and perturbs bits
-    (see :mod:`repro.core.faultmodels`): ``"single"`` (the default —
-    byte-identical plans, records and journals to campaigns predating fault
-    models), ``"burst2"``/``"burst4"`` (adjacent multi-bit upsets, with
-    optional ``:strideS``/``:alignA`` options), ``"stuck0"``/``"stuck1"``
-    (stuck-at defects), ``"exhaustive"`` (every single-bit site of every
-    target layer, refused above
-    :data:`~repro.core.faultmodels.EXHAUSTIVE_SITE_CAP` sites per layer)
-    and ``"temporalN"`` (faults persisting N evaluation batches).
-    Non-single models apply to ``kind="value"`` campaigns only.
-    ``protect`` applies an ECC protection model
-    (:mod:`repro.core.ecc`) at injection time: ``"secded"`` over value
-    words, ``"parity"`` over shared metadata registers, or
-    ``"secded+parity"``; corrected/detected faults skip the injected
-    inference and record the golden outcome, flagged by verdict.  All
-    execution modes stay bit-identical under every model.
+    Journal
+    -------
+    ``journal=PATH`` write-ahead-journals every completed injection;
+    re-running the same campaign with the same journal skips the journaled
+    work and reproduces the identical aggregate (crash/SIGKILL recovery).
+    A journal written by a different campaign raises
+    :class:`~repro.exec.journal.JournalMismatch`.
 
     Live observability
     ------------------
@@ -861,10 +944,10 @@ def run_campaign(
     throughput, ETA and in-flight SDC±Wilson-CI), ``/healthz`` (worker
     liveness) and ``/events`` (SSE trace-event stream).  A port already in
     use raises :class:`CampaignError` naming the address; the server is
-    always shut down in a ``finally`` — a SIGINT mid-campaign still returns
-    the partial resumable result with no dangling thread.  Passing an
-    already-started :class:`~repro.obs.live.LiveServer` instance instead of
-    an address attaches the campaign to it but leaves the lifecycle (and
+    always shut down when the campaign ends — a SIGINT mid-campaign still
+    returns the partial resumable result with no dangling thread.  Passing
+    an already-started :class:`~repro.obs.live.LiveServer` instance instead
+    of an address attaches the campaign to it but leaves the lifecycle (and
     the final progress state, still being served) to the caller.  Progress
     is tracked identically for serial, parallel and fault-batched runs.
 
@@ -883,42 +966,35 @@ def run_campaign(
     """
     if not platform.attached:
         raise RuntimeError("attach() the GoldenEye platform before running a campaign")
-    if kind not in ("value", "metadata"):
-        raise ValueError(f"kind must be 'value' or 'metadata', got {kind!r}")
-    model = parse_fault_model(fault_model)
-    fault_spec = model.spec()
-    if fault_spec != "single" and kind != "value":
-        raise ValueError(
-            f"fault model {fault_spec!r} applies to value injections only; "
-            "metadata campaigns support only the 'single' model")
-    protection = parse_protection(protect)
-    protect_spec = protection.spec()
-    if protect_spec == "none":
-        protection = None
+    spec, cfg = campaign_settings(spec, exec_config, fields)
     all_layers = platform.layer_names()
-    if layers is not None:
-        unknown = [name for name in layers if name not in set(all_layers)]
+    if spec.layers is not None:
+        unknown = [name for name in spec.layers if name not in set(all_layers)]
         if unknown:
             raise ValueError(
                 f"unknown layer(s) {unknown!r} in layers=; "
                 f"instrumented layers: {', '.join(all_layers)}")
-    from ..exec import ExecConfig
-    cfg = exec_config if exec_config is not None else ExecConfig(
-        workers=max(1, int(workers or 1)), shard_timeout=shard_timeout,
-        max_retries=max_retries, batch_records=batch_records,
-        shared_cache=shared_cache, fault_batch=fault_batch)
 
-    from ..obs.live import CampaignProgress, LiveServer
+    from ..obs.live import LiveServer
 
-    server: LiveServer | None = None
-    owns_server = False
-    if serve is not None:
-        if isinstance(serve, LiveServer):
-            server = serve
-        else:
-            server = LiveServer.start(str(serve))
-            owns_server = True
+    with (LiveServer.start(serve) if isinstance(serve, str)
+          else nullcontext(serve)) as server:
+        return _execute_campaign(platform, images, labels, spec, cfg,
+                                 journal, server, ledger)
 
+
+def _execute_campaign(platform: GoldenEye, images, labels,
+                      spec: CampaignSpec, cfg: ExecConfig, journal, server,
+                      ledger) -> CampaignResult:
+    """Sample, execute and aggregate one validated campaign."""
+    from ..obs.live import CampaignProgress
+
+    kind, location = spec.kind, spec.location
+    fault_model = (None if spec.fault_model == "single"
+                   else parse_fault_model(spec.fault_model))
+    protection = (None if spec.protect == "none"
+                  else parse_protection(spec.protect))
+    workers = max(1, int(cfg.workers or 1))
     registry = get_registry()
     progress = CampaignProgress(kind=kind, location=location,
                                 format_name=platform.format_name())
@@ -933,60 +1009,57 @@ def run_campaign(
     tracer = get_tracer()
     started_at = time.time()
     t_campaign = time.perf_counter()
-    if resume:
-        platform.enable_resume(resume_budget_bytes)
+    if cfg.resume:
+        platform.enable_resume()
         progress.resume_source = (
             lambda: platform.resume_session.stats.as_dict()
             if platform.resume_session is not None else {})
     try:
-        if resume:
+        if cfg.resume:
             logits = platform.capture_golden(images)  # also warms output shapes
             golden = InferenceOutcome(logits=logits, labels=np.asarray(labels))
         else:
             golden = golden_inference(platform, images, labels)
 
+        all_layers = platform.layer_names()
         layer_index = {name: i for i, name in enumerate(all_layers)}
-        target_layers = list(layers) if layers is not None else all_layers
+        target_layers = (list(spec.layers) if spec.layers is not None
+                         else all_layers)
         logger.info(
             "campaign start: kind=%s location=%s format=%s layers=%d "
             "injections/layer=%d resume=%s workers=%d journal=%s", kind,
             location, platform.format_name(), len(target_layers),
-            injections_per_layer, resume, cfg.workers, journal)
+            spec.injections_per_layer, cfg.resume, workers, journal)
 
         quarantined: list[dict] = []
         interrupted = False
         worker_resume_stats: list[dict] = []
         with tracer.span("campaign.run", kind=kind, location=location,
-                         format=platform.format_name(), seed=seed,
-                         injections_per_layer=injections_per_layer,
-                         layers=len(target_layers), resume=resume,
-                         workers=cfg.workers) as run_span:
+                         format=platform.format_name(), seed=spec.seed,
+                         injections_per_layer=spec.injections_per_layer,
+                         layers=len(target_layers), resume=cfg.resume,
+                         workers=workers) as run_span:
             # ---- stage 1: sample every layer's plans up front ------------
             sampling: dict[str, LayerPlan] = {}
             for layer in target_layers:
                 rng = np.random.default_rng(
-                    [seed, layer_index.get(layer, len(layer_index))])
+                    [spec.seed, layer_index.get(layer, len(layer_index))])
                 sampling[layer] = sample_layer_plans(
-                    platform, layer, kind, location, injections_per_layer,
-                    rng, num_bits,
-                    fault_model=None if fault_spec == "single" else model)
+                    platform, layer, kind, location,
+                    spec.injections_per_layer, rng, spec.num_bits,
+                    fault_model=fault_model)
             plan_sizes = {layer: len(sampling[layer].plans)
                           for layer in target_layers}
             progress.set_plan(plan_sizes)
 
             # ---- campaign identity (journal + ledger share it) -----------
-            from ..exec.journal import CampaignJournal, campaign_fingerprint
-            fingerprint = campaign_fingerprint(
-                kind=kind, location=location,
-                format_name=platform.format_name(), seed=seed,
-                injections_per_layer=injections_per_layer,
-                num_bits=num_bits, layers=target_layers,
-                images=images, labels=labels,
-                fault=fault_spec, protect=protect_spec)
+            fingerprint = spec.fingerprint(platform.format_name(),
+                                           target_layers, images, labels)
 
             # ---- write-ahead journal: load completed work ----------------
             sink = RecordSink(kind, location, progress=progress)
             if journal is not None:
+                from ..exec.journal import CampaignJournal
                 sink.journal, completed = CampaignJournal.open(
                     journal, fingerprint, plan=plan_sizes)
                 sink.prefill(
@@ -1008,14 +1081,12 @@ def run_campaign(
             payload = WorkerPayload(
                 platform=platform, golden=golden, images=images,
                 plans={name: lp.plans for name, lp in sampling.items()},
-                use_resume=resume, injection_latency=cfg.injection_latency,
-                fault_batch=cfg.fault_batch, fault_spec=fault_spec,
+                config=cfg, fault_spec=spec.fault_model,
                 protection=protection)
             try:
-                if cfg.workers >= 2:
+                if workers >= 2:
                     from ..exec.supervisor import run_parallel_campaign
-                    outcome = run_parallel_campaign(payload, sampling, cfg,
-                                                    sink)
+                    outcome = run_parallel_campaign(payload, sampling, sink)
                     quarantined = outcome.quarantined
                     interrupted = outcome.interrupted
                     worker_resume_stats = outcome.worker_resume_stats
@@ -1039,7 +1110,7 @@ def run_campaign(
                                  stats.seconds, stats.mean_delta_loss)
 
             resume_stats = None
-            if resume and platform.resume_session is not None:
+            if cfg.resume and platform.resume_session is not None:
                 resume_stats = platform.resume_session.stats.as_dict()
                 for wstats in worker_resume_stats:
                     for key in resume_stats:
@@ -1054,7 +1125,7 @@ def run_campaign(
             throughput = injections_total / wall if wall > 0 else 0.0
             run_span.set(injections=injections_total, wall_s=wall,
                          injections_per_sec=throughput,
-                         workers=cfg.workers,
+                         workers=workers,
                          journal_skipped=journal_skipped,
                          quarantined=len(quarantined),
                          interrupted=interrupted)
@@ -1070,7 +1141,8 @@ def run_campaign(
             "injections": injections_total,
             "injections_per_sec": throughput,
             "sampling_retries": retries_total,
-            "workers": cfg.workers,
+            "workers": workers,
+            "fault_batch": cfg.fault_batch,
             "journal_skipped": journal_skipped,
             "quarantined_shards": len(quarantined),
             "per_layer": {
@@ -1097,11 +1169,7 @@ def run_campaign(
             journal_path=str(journal) if journal is not None else None,
             fingerprint=fingerprint,
         )
-        _record_to_ledger(
-            result, ledger, seed=seed,
-            injections_per_layer=injections_per_layer, num_bits=num_bits,
-            workers=cfg.workers, fault_batch=cfg.fault_batch,
-            layers=target_layers, started_at=started_at)
+        _record_to_ledger(result, ledger, started_at)
         return result
     finally:
         # finish() only transitions from "running", so a clean return (which
@@ -1109,20 +1177,13 @@ def run_campaign(
         progress.finish("error")
         if previous_tracer is not None:
             set_tracer(previous_tracer)
-        if owns_server and server is not None:
-            # an address-started server lives exactly as long as the
-            # campaign; SIGINT unwinds through here too, so no dangling
-            # "repro-live-obs" thread survives an interrupted run
-            server.close()
         # always release the activation cache — an injection raising mid-run
-        # must not leak the full golden-pass cache (satellite of ISSUE 4)
-        if resume:
+        # must not leak the full golden-pass cache
+        if cfg.resume:
             platform.clear_resume()
 
 
-def _record_to_ledger(result: CampaignResult, ledger, *, seed: int,
-                      injections_per_layer: int, num_bits: int, workers: int,
-                      fault_batch: int, layers: list[str],
+def _record_to_ledger(result: CampaignResult, ledger,
                       started_at: float) -> None:
     """Write ``result`` to the configured campaign ledger, if any.
 
@@ -1143,10 +1204,8 @@ def _record_to_ledger(result: CampaignResult, ledger, *, seed: int,
     t0 = time.perf_counter()
     try:
         result.ledger_run_id = ledger_obj.record_campaign(
-            result, fingerprint=result.fingerprint, seed=seed,
-            injections_per_layer=injections_per_layer, num_bits=num_bits,
-            workers=workers, fault_batch=fault_batch, layers=layers,
-            started_at=started_at, trace_path=sink_path(get_tracer()))
+            result, started_at=started_at,
+            trace_path=sink_path(get_tracer()))
         logger.info("ledger %s: recorded run %s", ledger_obj.path,
                     result.ledger_run_id)
     except Exception:  # noqa: BLE001 - a broken ledger never fails the run
@@ -1184,7 +1243,7 @@ def _run_serial(payload, sampling: dict[str, LayerPlan],
             for records in execute_chunks(payload, layer, seqs):
                 sink.accept(records)
             layer_span.set(performed=len(seqs), retries=layer_plan.retries)
-        if payload.use_resume and session is not None:
+        if payload.config.resume and session is not None:
             # keep the resume gauges live as the campaign progresses
             session.publish_metrics(registry)
 

@@ -33,7 +33,7 @@ are **bit-identical** to serial ones — the acceptance bar this package is
 tested against.
 """
 
-from .journal import CampaignJournal, JournalMismatch, campaign_fingerprint
+from .journal import CampaignJournal, JournalMismatch
 from .shard import Shard, plan_shards
 from .shmcache import SharedCacheError, SharedGoldenCache, live_segments
 from .supervisor import CampaignSupervisor, ExecConfig, ParallelOutcome, \
@@ -42,7 +42,6 @@ from .supervisor import CampaignSupervisor, ExecConfig, ParallelOutcome, \
 __all__ = [
     "CampaignJournal",
     "JournalMismatch",
-    "campaign_fingerprint",
     "Shard",
     "plan_shards",
     "SharedCacheError",

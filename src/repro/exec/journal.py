@@ -33,10 +33,12 @@ header's ``plan`` (per-layer planned injections, the done/total of
 
 Properties:
 
-* **Fingerprinted.**  The header pins the campaign identity (kind, location,
-  format, seed, plan budget, bit count, target layers, and a digest of the
-  evaluation batch).  Opening a journal written by a *different* campaign
-  raises :class:`JournalMismatch` instead of silently mixing results.
+* **Fingerprinted.**  The header pins the campaign identity,
+  :meth:`repro.core.campaign.CampaignSpec.fingerprint`: the spec (kind,
+  location, seed, plan budget, bit count, fault model, protection), the
+  format, the target layers and a digest of the evaluation batch.  Opening
+  a journal written by a *different* campaign raises
+  :class:`JournalMismatch` instead of silently mixing results.
 * **Torn-tail tolerant.**  A process killed mid-``write`` leaves a partial
   final line; loading skips unparseable lines (counting them) rather than
   failing, so a journal is always resumable after a hard kill.  A torn
@@ -59,73 +61,19 @@ crashes at a substantial throughput cost.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from pathlib import Path
 
-import numpy as np
-
-__all__ = ["CampaignJournal", "JournalMismatch", "campaign_fingerprint",
-           "load_journal", "KNOWN_RECORD_KINDS"]
+__all__ = ["CampaignJournal", "JournalMismatch", "load_journal",
+           "KNOWN_RECORD_KINDS"]
 
 JOURNAL_VERSION = 1
 
 
 class JournalMismatch(ValueError):
     """The journal on disk was written by a different campaign."""
-
-
-def _data_digest(images, labels) -> str:
-    """Short content digest of the evaluation batch (shape + bytes)."""
-    h = hashlib.sha256()
-    arr = np.ascontiguousarray(np.asarray(images, dtype=np.float32))
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
-    lab = np.ascontiguousarray(np.asarray(labels))
-    h.update(str(lab.shape).encode())
-    h.update(lab.tobytes())
-    return h.hexdigest()[:16]
-
-
-def campaign_fingerprint(
-    kind: str,
-    location: str,
-    format_name: str,
-    seed: int,
-    injections_per_layer: int,
-    num_bits: int,
-    layers: list[str],
-    images=None,
-    labels=None,
-    fault=None,
-    protect=None,
-) -> dict:
-    """The identity of a campaign for journal-compatibility checks.
-
-    ``fault`` (fault-model spec) and ``protect`` (protection spec)
-    participate *only* when non-default: a default single-bit unprotected
-    campaign keeps its historical fingerprint, so journals written before
-    fault models existed stay resumable — while resuming one under a
-    different model/protection raises :class:`JournalMismatch`.
-    """
-    fp = {
-        "kind": kind,
-        "location": location,
-        "format": format_name,
-        "seed": int(seed),
-        "injections_per_layer": int(injections_per_layer),
-        "num_bits": int(num_bits),
-        "layers": list(layers),
-    }
-    if fault is not None and str(fault) != "single":
-        fp["fault"] = str(fault)
-    if protect is not None and str(protect) != "none":
-        fp["protect"] = str(protect)
-    if images is not None and labels is not None:
-        fp["data"] = _data_digest(images, labels)
-    return fp
 
 
 #: record ``kind`` values this version of the loader understands

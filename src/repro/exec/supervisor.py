@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -95,13 +94,21 @@ SHUTDOWN_GRACE = 10.0
 
 @dataclass
 class ExecConfig:
-    """Tuning knobs (and test hooks) for the parallel executor."""
+    """How a campaign runs: executor knobs and test hooks.
 
-    #: worker-pool size; values < 2 fall back to the serial path
-    workers: int = 2
+    No field changes what a completed campaign computes — serial,
+    parallel, fault-batched and resumed runs of one
+    :class:`~repro.core.campaign.CampaignSpec` are bit-identical — so none
+    enters the journal fingerprint.
+    """
+
+    #: worker-pool size; values < 2 run the serial path in-process
+    workers: int = 1
     #: wall-clock budget for one shard attempt (None = unbounded)
     shard_timeout: float | None = None
-    #: re-dispatches allowed after a shard's first failed attempt
+    #: re-dispatches allowed after a shard's first failed attempt; a shard
+    #: that exhausts them is quarantined (``CampaignResult.quarantined``)
+    #: instead of failing the campaign
     max_retries: int = 2
     #: exponential-backoff base delay between retries (seconds)
     backoff_base: float = 0.25
@@ -111,9 +118,6 @@ class ExecConfig:
     #: publish the golden activation cache read-only to shared memory so
     #: the pool replays one physical copy instead of N copy-on-write ones
     shared_cache: bool = True
-    #: BLAS/OMP threads per worker (None = cores // workers, floor 1),
-    #: pinned at fork time to prevent pool-wide oversubscription
-    blas_threads: int | None = None
     #: emulated device latency per fault-batch chunk in seconds, honoured
     #: identically by the serial and parallel paths (bench/test knob; the
     #: executor-scaling bench uses it to measure orchestration overhead
@@ -125,6 +129,10 @@ class ExecConfig:
     #: wall-clock and serial journal framing (one line per chunk) change
     #: (see core/campaign.py ``execute_chunks``)
     fault_batch: int = 1
+    #: checkpoint-and-resume: capture the golden pass once and replay each
+    #: injection from its victim layer over the cached prefix, instead of
+    #: re-running the whole network (see :mod:`repro.core.resume`)
+    resume: bool = True
     #: install SIGINT/SIGTERM handlers for the duration of the run
     #: (skipped automatically off the main thread)
     install_signal_handlers: bool = True
@@ -286,10 +294,9 @@ class WorkerPool:
 class CampaignSupervisor:
     """Drives one parallel campaign over a pool of forked workers."""
 
-    def __init__(self, payload: WorkerPayload, shards: list[Shard],
-                 config: ExecConfig, sink):
+    def __init__(self, payload: WorkerPayload, shards: list[Shard], sink):
         self.payload = payload
-        self.config = config
+        self.config = payload.config
         #: the campaign's RecordSink: accepts every worker batch (journal,
         #: store, telemetry, progress); its progress tracker also gets a
         #: heartbeat per worker message for /healthz
@@ -703,12 +710,13 @@ class CampaignSupervisor:
 
 
 def run_parallel_campaign(payload: WorkerPayload, sampling: dict,
-                          config: ExecConfig, sink) -> ParallelOutcome:
+                          sink) -> ParallelOutcome:
     """Execute the plans ``sink`` does not hold yet on a supervised pool.
 
-    ``payload`` carries the campaign's execution inputs (the serial path
-    runs the same payload in-process); ``sampling`` maps each target layer
-    to its :class:`~repro.core.campaign.LayerPlan`, in campaign order.
+    ``payload`` carries the campaign's execution inputs and its
+    :class:`ExecConfig` (the serial path runs the same payload in-process);
+    ``sampling`` maps each target layer to its
+    :class:`~repro.core.campaign.LayerPlan`, in campaign order.
     Records already in ``sink`` (e.g. prefilled from a write-ahead journal)
     are never dispatched.  Falls back to the serial executor — with
     identical results — on platforms without the ``fork`` start method.
@@ -719,15 +727,13 @@ def run_parallel_campaign(payload: WorkerPayload, sampling: dict,
         from ..core.campaign import _run_serial
         _run_serial(payload, sampling, sink)
         return ParallelOutcome()
+    config = payload.config
     shards = plan_shards(sampling, completed=set(sink.records),
                          workers=config.workers)
-    blas_threads = config.blas_threads
-    if blas_threads is None:
-        blas_threads = max(1, (os.cpu_count() or 1) // max(1, config.workers))
     registry = get_registry()
     shm = None
     session = getattr(payload.platform, "resume_session", None)
-    if config.shared_cache and payload.use_resume and session is not None \
+    if config.shared_cache and config.resume and session is not None \
             and hasattr(session.cache, "entries"):
         entries = session.cache.entries()
         if entries:
@@ -746,11 +752,8 @@ def run_parallel_campaign(payload: WorkerPayload, sampling: dict,
                     "exec.shm_bytes",
                     help="bytes in the published shared golden cache"
                     ).set(float(shm.nbytes))
-    payload = replace(payload, batch_records=config.batch_records,
-                      blas_threads=blas_threads, shm_cache=shm,
-                      trace_parent=current_span_id(),
-                      fault=config.worker_fault)
-    supervisor = CampaignSupervisor(payload, shards, config, sink)
+    payload = replace(payload, shm_cache=shm, trace_parent=current_span_id())
+    supervisor = CampaignSupervisor(payload, shards, sink)
     try:
         outcome = supervisor.run()
     finally:

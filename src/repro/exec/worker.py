@@ -11,10 +11,9 @@ physical pages read-only (:meth:`repro.core.resume.ResumeSession.adopt_shared`),
 so the golden prefix is computed once per campaign, not once per worker.
 
 At startup each worker **pins its BLAS/OpenMP thread budget** to
-``payload.blas_threads`` (the supervisor computes ``cores // workers``,
-floor 1): N workers each spinning a full-width BLAS pool oversubscribe the
-machine into anti-scaling, which is exactly what the pre-batching executor
-measured (0.82x at 4 workers).
+``cores // workers`` (floor 1): N workers each spinning a full-width BLAS
+pool oversubscribe the machine into anti-scaling, which is exactly what the
+pre-batching executor measured (0.82x at 4 workers).
 
 Protocol (messages on the worker's own result pipe, all ``(type, worker_id,
 payload, timestamp)`` tuples, written synchronously by the worker's main
@@ -25,8 +24,8 @@ thread — no feeder thread, no lock shared with other workers):
 * ``("start", wid, (shard_id, attempt), t)`` — shard attempt began;
 * ``("records", wid, (shard_id, attempt, (record, ...)), t)`` — a **batch**
   of completed injections.  Batches are flushed when they reach
-  ``payload.batch_records`` and always on the shard boundary (and before an
-  ``error`` report, so partial progress survives a failing shard);
+  ``ExecConfig.batch_records`` and always on the shard boundary (and before
+  an ``error`` report, so partial progress survives a failing shard);
   liveness is carried by the start/records/done cadence plus the
   supervisor's shard timeout;
 * ``("done", wid, (shard_id, attempt), t)`` — shard attempt finished;
@@ -60,7 +59,6 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = ["WorkerPayload", "worker_main", "limit_blas_threads"]
 
@@ -87,22 +85,11 @@ class WorkerPayload:
     golden: object
     images: object
     plans: dict  # layer -> list of injection plans, indexed by seq
-    use_resume: bool
-    #: records per result message (flushed early on shard boundaries)
-    batch_records: int = 32
-    #: BLAS/OMP thread budget per worker (None = leave the runtime alone)
-    blas_threads: int | None = None
+    #: how the campaign runs (a :class:`repro.exec.ExecConfig`)
+    config: object
     #: shared-memory golden cache published by the supervisor (None = the
     #: worker keeps its fork-inherited private copy)
     shm_cache: object | None = None
-    #: bench/test hook: emulated device latency per chunk (seconds),
-    #: slept by execute_chunks in workers and the serial path alike so
-    #: speedups stay apples to apples (see
-    #: benchmarks/bench_parallel_campaign.py)
-    injection_latency: float = 0.0
-    #: independent faults evaluated per forward pass (fault-axis batching);
-    #: records stay per-plan and bit-identical to the K=1 loop
-    fault_batch: int = 1
     #: the campaign's fault-model spec, stamped into records when
     #: non-default (``"single"``/None leaves records byte-identical)
     fault_spec: str | None = None
@@ -114,10 +101,6 @@ class WorkerPayload:
     #: its span-context stack with it so every worker span parents into
     #: the campaign's trace tree (see :mod:`repro.obs.tracing`)
     trace_parent: str | None = None
-    #: test hook: called as ``fault(worker_id, shard, attempt)`` before a
-    #: shard attempt executes — tests use it to hang, crash (``os._exit``)
-    #: or raise on chosen shards to exercise the supervision machinery
-    fault: Callable | None = None
 
 
 def limit_blas_threads(n: int) -> None:
@@ -149,8 +132,8 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     # workers mid-record (the supervisor terminates us after the journal
     # is flushed)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if payload.blas_threads is not None:
-        limit_blas_threads(payload.blas_threads)
+    config = payload.config
+    limit_blas_threads((os.cpu_count() or 1) // max(1, config.workers))
 
     from ..core.campaign import execute_chunks
     from ..obs.telemetry import get_registry
@@ -185,7 +168,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
         # whatever thread state the fork happened to copy)
         seed_span_context(payload.trace_parent)
     registry = get_registry()
-    batch_size = max(1, int(payload.batch_records))
+    batch_size = max(1, int(config.batch_records))
 
     results.send(("ready", worker_id,
                    {"pid": os.getpid(), "shm_adopted": shm_adopted},
@@ -219,8 +202,8 @@ def worker_main(worker_id: int, payload: WorkerPayload,
                     span = (buffer.span("exec.worker_shard", attempt=attempt,
                                         **shard.summary())
                             if buffer is not None else None)
-                    if payload.fault is not None:
-                        payload.fault(worker_id, shard, attempt)
+                    if config.worker_fault is not None:
+                        config.worker_fault(worker_id, shard, attempt)
                     if span is not None:
                         span.__enter__()
                     try:

@@ -186,23 +186,21 @@ class CampaignLedger:
 
     # -- writes --------------------------------------------------------
 
-    def record_campaign(self, result, *, fingerprint: dict,
-                        seed: int, injections_per_layer: int,
-                        num_bits: int = 1, workers: int = 1,
-                        fault_batch: int = 1, layers=None,
-                        started_at: float | None = None,
+    def record_campaign(self, result, *, started_at: float | None = None,
                         trace_path: str | None = None,
                         metrics_path: str | None = None) -> int:
         """Insert (or, for a resumed journal, update) one campaign row.
 
-        ``result`` is a :class:`repro.core.campaign.CampaignResult`.  A
-        row with the same ``fingerprint_sha`` *and* the same journal path
-        is the same logical run resumed — it is updated in place
-        (``resumes`` incremented) so interrupt/resume cycles never
-        duplicate history.  Runs without a journal always insert.
+        ``result`` is a :class:`repro.core.campaign.CampaignResult`: the
+        campaign's identity comes from its ``fingerprint``, its worker and
+        fault-batch configuration from its ``telemetry``, and each layer's
+        SDC interval is the fold's own ``sdc_ci95``.  A row with the same
+        ``fingerprint_sha`` *and* the same journal path is the same logical
+        run resumed — it is updated in place (``resumes`` incremented) so
+        interrupt/resume cycles never duplicate history.  Runs without a
+        journal always insert.
         """
-        from ..analysis.confidence import wilson_interval
-
+        fingerprint = result.fingerprint
         telemetry = result.telemetry or {}
         sha = fingerprint_sha(fingerprint)
         total_inj = sum(r.injections for r in result.per_layer.values())
@@ -221,12 +219,12 @@ class CampaignLedger:
             "format": result.format_name,
             "fault_model": str(fingerprint.get("fault", "single")),
             "protect": str(fingerprint.get("protect", "none")),
-            "layers": json.dumps(list(layers or [])),
-            "seed": int(seed),
-            "injections_per_layer": int(injections_per_layer),
-            "num_bits": int(num_bits),
-            "workers": int(workers),
-            "fault_batch": int(fault_batch),
+            "layers": json.dumps(list(fingerprint["layers"])),
+            "seed": int(fingerprint["seed"]),
+            "injections_per_layer": int(fingerprint["injections_per_layer"]),
+            "num_bits": int(fingerprint["num_bits"]),
+            "workers": int(telemetry.get("workers", 1)),
+            "fault_batch": int(telemetry.get("fault_batch", 1)),
             "git_describe": git_describe(),
             "started_at": float(started_at if started_at is not None
                                 else time.time()),
@@ -251,7 +249,7 @@ class CampaignLedger:
         layer_rows = []
         for name, r in result.per_layer.items():
             successes = r.sdc_rate * r.injections
-            lo, hi = wilson_interval(successes, r.injections)
+            lo, hi = r.sdc_ci95
             layer_rows.append({
                 "layer": name,
                 "injections": int(r.injections),

@@ -323,3 +323,45 @@ class TestCampaignRobustness:
                                       np.random.default_rng(0))
         assert plan.plans == []
         assert plan.sampling_error == "nope"
+
+
+class TestCampaignSettings:
+    """One settings path: keywords apply over ``spec`` / ``exec_config``."""
+
+    def test_exec_config_alone_defaults_to_serial(self, model, data):
+        from repro.exec import ExecConfig
+
+        with GoldenEye(model, "fp16") as ge:
+            result = run_campaign(ge, *data, injections_per_layer=3, seed=0,
+                                  exec_config=ExecConfig(fault_batch=4))
+        assert result.telemetry["workers"] == 1
+        assert result.telemetry["fault_batch"] == 4
+
+    def test_keyword_overrides_exec_config(self, model, data):
+        from repro.exec import ExecConfig
+
+        with GoldenEye(model, "fp16") as ge:
+            result = run_campaign(ge, *data, injections_per_layer=3, seed=0,
+                                  exec_config=ExecConfig(workers=2),
+                                  workers=1)
+        assert result.telemetry["workers"] == 1
+
+    def test_misspelled_keyword_is_named(self, model, data):
+        with GoldenEye(model, "fp16") as ge:
+            with pytest.raises(TypeError, match="'worker'"):
+                run_campaign(ge, *data, worker=2)
+
+    def test_profile_campaigns_differ_only_in_kind_and_seed(self, model,
+                                                            data):
+        from repro.analysis import profile_resilience
+
+        profile = profile_resilience(model, "cnn", "int8", *data,
+                                     injections_per_layer=3, seed=4,
+                                     workers=1, fault_batch=2)
+        value = profile.value_campaign.fingerprint
+        metadata = profile.metadata_campaign.fingerprint
+        assert value.keys() == metadata.keys()
+        assert {k for k in value if value[k] != metadata[k]} == {"kind",
+                                                                "seed"}
+        assert (value["kind"], value["seed"]) == ("value", 4)
+        assert (metadata["kind"], metadata["seed"]) == ("metadata", 5)

@@ -222,6 +222,19 @@ class TestFaultModelCLI:
         assert code == 2
         assert "secded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--format", "fp16"], "fp16 has none"),
+        (["--format", "bfp_e5m5_b16", "--fault-model", "burst2"],
+         "only the single fault model"),
+    ])
+    def test_metadata_kind_without_a_metadata_campaign_fails_fast(
+            self, capsys, argv, reason):
+        """No metadata campaign would run, so the value campaign's numbers
+        must not be printed under a metadata label."""
+        code = main(["campaign", *CHEAP, "--kind", "metadata", *argv])
+        assert code == 2
+        assert reason in capsys.readouterr().err
+
     def test_campaign_burst_with_secded(self, capsys):
         code = main(["campaign", *CHEAP, "--format", "fp16",
                      "--injections", "3", "--batch", "8",

@@ -28,13 +28,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import GoldenEye, run_campaign
+from repro.core import CampaignSpec, GoldenEye, run_campaign
 from repro.exec import (
     CampaignJournal,
     ExecConfig,
     JournalMismatch,
     Shard,
-    campaign_fingerprint,
     plan_shards,
 )
 from repro.exec.journal import load_journal
@@ -176,13 +175,11 @@ class TestJournal:
         assert completed == {} and corrupt == 0  # skipped, not failed
 
     def test_fingerprint_includes_data_digest(self):
-        kwargs = dict(kind="value", location="neuron", format_name="fp16",
-                      seed=0, injections_per_layer=5, num_bits=1,
-                      layers=["a"])
+        spec = CampaignSpec(seed=0, injections_per_layer=5)
         imgs = np.zeros((2, 3), dtype=np.float32)
         labels = np.array([0, 1])
-        fp1 = campaign_fingerprint(**kwargs, images=imgs, labels=labels)
-        fp2 = campaign_fingerprint(**kwargs, images=imgs + 1, labels=labels)
+        fp1 = spec.fingerprint("fp16", ["a"], imgs, labels)
+        fp2 = spec.fingerprint("fp16", ["a"], imgs + 1, labels)
         assert fp1 != fp2
         assert json.dumps(fp1)  # JSON-serialisable
 

@@ -43,12 +43,9 @@ from repro.core import (
     run_campaign,
     validate_hardening_report,
 )
-from repro.core.campaign import _compose_temporal, sample_layer_plans
-from repro.exec.journal import (
-    JournalMismatch,
-    campaign_fingerprint,
-    load_journal,
-)
+from repro.core.campaign import CampaignSpec, _compose_temporal, \
+    sample_layer_plans
+from repro.exec.journal import JournalMismatch, load_journal
 from repro.formats.bfp import BlockFloatingPoint
 from repro.formats.bitstring import bits_to_float32, flip_bit, float32_to_bits
 from repro.formats.registry import make_format
@@ -316,12 +313,22 @@ class TestSingleBitByteIdentity:
             assert not {"fault", "op", "persist", "ecc"} & set(record)
 
     def test_fingerprint_defaults_match_the_historical_identity(self):
-        base = dict(kind="value", location="neuron", format_name="fp16",
-                    seed=5, injections_per_layer=6, num_bits=1,
-                    layers=["fc1"])
-        assert campaign_fingerprint(**base) == campaign_fingerprint(
-            **base, fault="single", protect="none")
-        assert "fault" in campaign_fingerprint(**base, fault="burst2")
+        """Fingerprint bytes are pinned: journals written before the spec
+        existed must still resume, and ledger ``fingerprint_sha`` values
+        must stay stable."""
+        data = (np.zeros((2, 3), np.float32), [0, 1])
+        default = CampaignSpec(seed=5, injections_per_layer=6)
+        assert default.fingerprint("fp16", ["fc1"], *data) == {
+            "kind": "value", "location": "neuron", "format": "fp16",
+            "seed": 5, "injections_per_layer": 6, "num_bits": 1,
+            "layers": ["fc1"], "data": "55da2623a79f27c1"}
+        burst = CampaignSpec(seed=5, injections_per_layer=6,
+                             fault_model="burst2", protect="secded")
+        assert burst.fingerprint("fp16", ["fc1"], *data) == {
+            "kind": "value", "location": "neuron", "format": "fp16",
+            "seed": 5, "injections_per_layer": 6, "num_bits": 1,
+            "layers": ["fc1"], "fault": "burst2", "protect": "secded",
+            "data": "55da2623a79f27c1"}
 
 
 class TestNonDefaultCampaigns:

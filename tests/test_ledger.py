@@ -309,6 +309,7 @@ class _FakeLayer:
         self.max_delta_loss = 0.5
         self.seconds = 0.2
         self.retries = 0
+        self.sdc_ci95 = wilson_interval(sdc_rate * injections, injections)
 
 
 class _FakeResult:
@@ -338,10 +339,10 @@ def _record_fake(ledger, per_layer, **overrides):
     result = _FakeResult(per_layer)
     for key, value in overrides.items():
         setattr(result, key, value)
-    return ledger.record_campaign(
-        result, fingerprint={"kind": result.kind, "format": result.format_name,
-                             "seed": 0},
-        seed=0, injections_per_layer=400)
+    result.fingerprint = {"kind": result.kind, "format": result.format_name,
+                          "seed": 0, "injections_per_layer": 400,
+                          "num_bits": 1, "layers": list(per_layer)}
+    return ledger.record_campaign(result)
 
 
 class TestDiff:

@@ -706,12 +706,13 @@ class TestJournalProgressFaultModels:
     ]
 
     def _journal(self, tmp_path, framing):
-        from repro.exec.journal import CampaignJournal, campaign_fingerprint
+        from repro.core.campaign import CampaignSpec
+        from repro.exec.journal import CampaignJournal
         images, labels = _make_data()
-        fingerprint = campaign_fingerprint(
-            kind="value", location="neuron", format_name="fp16", seed=SEED,
-            injections_per_layer=2, num_bits=1, layers=["conv", "fc"],
-            images=images, labels=labels, fault="burst2", protect="secded")
+        fingerprint = CampaignSpec(
+            seed=SEED, injections_per_layer=2, fault_model="burst2",
+            protect="secded").fingerprint("fp16", ["conv", "fc"], images,
+                                          labels)
         path = str(tmp_path / f"fault-{framing}.journal.jsonl")
         journal, completed = CampaignJournal.open(path, fingerprint)
         assert completed == {}

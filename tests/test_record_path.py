@@ -132,10 +132,10 @@ def test_journal_totals_match_progress(model, tmp_path,
 
 
 def test_journal_without_plan_sizes_falls_back_to_budget(tmp_path):
-    from repro.exec.journal import CampaignJournal, campaign_fingerprint
-    fingerprint = campaign_fingerprint(
-        kind="value", location="neuron", format_name="fp16", seed=SEED,
-        injections_per_layer=5, num_bits=1, layers=["fc1", "fc2"])
+    from repro.core.campaign import CampaignSpec
+    from repro.exec.journal import CampaignJournal
+    fingerprint = CampaignSpec(seed=SEED, injections_per_layer=5).fingerprint(
+        "fp16", ["fc1", "fc2"])
     path = str(tmp_path / "old.journal.jsonl")
     journal, _ = CampaignJournal.open(path, fingerprint)
     journal.append_record({"layer": "fc1", "seq": 0, "site": 1, "bits": [2],
