@@ -974,6 +974,11 @@ def run_campaign(
             raise ValueError(
                 f"unknown layer(s) {unknown!r} in layers=; "
                 f"instrumented layers: {', '.join(all_layers)}")
+    image_shape, label_shape = np.shape(images), np.shape(labels)
+    if not image_shape or not image_shape[0] or label_shape != image_shape[:1]:
+        raise ValueError(
+            f"labels of shape {label_shape} do not fit images of shape "
+            f"{image_shape}: need a non-empty batch and one label per image")
 
     from ..obs.live import LiveServer
 

@@ -60,14 +60,15 @@ def cross_entropy_values(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    finite = np.isfinite(logits)
-    if not finite.all():
+    if not np.isfinite(logits).all():
         # replace non-finite entries with the most pessimistic finite values
         big = 1e4
         logits = np.where(np.isnan(logits), -big, logits)
         logits = np.clip(logits, -big, big)
-    probs = softmax_probs(logits)
-    picked = probs[np.arange(len(labels)), labels]
+    # softmax_probs on finite logits, with only the picked entries divided:
+    # its non-finite branch and zero-denominator guard cannot fire here
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    picked = e[np.arange(len(labels)), labels] / e.sum(axis=-1)
     return -np.log(np.maximum(picked, 1e-300))
 
 
@@ -123,7 +124,14 @@ def sdc_classify(golden_logits: np.ndarray, faulty_logits: np.ndarray,
 
 
 def _predictions(logits: np.ndarray) -> np.ndarray:
-    """Per-sample argmax with NaN logits treated as ``-inf``."""
+    """Per-sample argmax with NaN logits treated as ``-inf``.
+
+    ``±inf`` logits count as the dtype's ±largest finite value, which
+    decides ties: a row ``[NaN, -inf]`` predicts class 1.
+    """
+    logits = np.asarray(logits)
+    if np.isfinite(logits).all():
+        return logits.argmax(axis=-1)
     with np.errstate(invalid="ignore"):
         return np.nan_to_num(logits, nan=-np.inf).argmax(axis=-1)
 
@@ -171,7 +179,8 @@ class InferenceOutcome:
 
     @cached_property
     def accuracy(self) -> float:
-        return float(np.mean(self.predictions == self.labels))
+        hits = self.predictions == self.labels
+        return np.count_nonzero(hits) / hits.size  # np.mean, bit for bit
 
     @property
     def mean_loss(self) -> float:
@@ -189,11 +198,12 @@ def compare_outcomes(golden: InferenceOutcome, faulty: InferenceOutcome) -> dict
     counts = _classify(golden.raw_argmax, faulty.predictions,
                        _all_nan_rows(faulty_logits), np.asarray(golden.labels))
     faulty_losses = cross_entropy_values(faulty_logits, golden.labels)
+    gaps = np.abs(faulty_losses - golden.losses)
     total = len(golden.labels)
     return {
         "mismatches": float(counts["sdc"] + counts["benign_flip"]),
         "mismatch_rate": (counts["sdc"] + counts["benign_flip"]) / total,
-        "delta_loss": float(np.mean(np.abs(faulty_losses - golden.losses))),
+        "delta_loss": float(gaps.sum() / gaps.size),  # np.mean, bit for bit
         "sdc_rate": counts["sdc"] / total,
         "faulty_accuracy": faulty.accuracy,
         "golden_accuracy": golden.accuracy,

@@ -53,6 +53,9 @@ class FloatingPoint(NumberFormat):
                                    * np.exp2(np.float64(self.max_exp)))
             self.min_normal = float(np.exp2(np.float64(self.min_exp)))
             self.min_denormal = float(np.exp2(np.float64(self.min_exp - mantissa_bits)))
+        #: the IEEE binary32 layout: every finite float32 is exact here
+        self.binary32 = (self.exp_bits, self.mantissa_bits,
+                         self.denormals) == (8, 23, True)
 
     def config(self) -> dict:
         return {
@@ -71,11 +74,23 @@ class FloatingPoint(NumberFormat):
     # ------------------------------------------------------------------
     def real_to_format_tensor(self, tensor: np.ndarray) -> np.ndarray:
         x = np.asarray(tensor, dtype=np.float32)
+        sink = self.stats_sink
+        has_nan = x.size and np.isnan(x.max())
+        if self.binary32 and not has_nan:
+            # float32 input is already exact: only ±inf saturates, and
+            # += 0.0 turns -0.0 into +0.0 as the sign product below does
+            result = np.minimum(x, self.max_value)
+            np.maximum(result, -self.max_value, out=result)
+            result += 0.0
+            if sink is not None:
+                sink.record(self, x, result,
+                            saturated=int(np.count_nonzero(np.isinf(x))),
+                            flushed=0, nan_remapped=0)
+            return result
         # float64 working buffer so tiny formats (large granularity ratios)
         # round exactly; scaling by 2^e with ldexp is bit-identical to
         # multiplying or dividing by the power of two granularity
         quantized = np.abs(x, dtype=np.float64)
-        sink = self.stats_sink
         if sink is not None:
             # NaN > x is False, so saturated counts finite overflow and ±inf
             saturated = int(np.count_nonzero(quantized > self.max_value))
@@ -96,12 +111,12 @@ class FloatingPoint(NumberFormat):
         if sink is not None:
             flushed = int(np.count_nonzero(
                 (quantized == 0.0) & (x != 0.0) & np.isfinite(x)))
-        if x.size and np.isnan(x.max()):
+        if has_nan:
             # a NaN keeps whichever sign the float64 sign-times-NaN product
             # gives, which depends on numpy's loop; replay that product
             result = (np.sign(x.astype(np.float64)) * quantized).astype(np.float32)
         else:
-            # sign(-0.0) is +0, so -0.0 stays +0.0 while a negative value
+            # sign(-0.0) is +0, so -0.0 becomes +0.0 while a negative value
             # flushed to zero becomes -0.0
             result = quantized.astype(np.float32)
             result *= np.sign(x)

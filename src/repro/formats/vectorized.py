@@ -14,7 +14,9 @@ single-pass numpy implementation of the same semantics — the QPyTorch-style
   sign/mantissa arithmetic under each element's block register;
 * :class:`~repro.formats.fp.FloatingPoint` /
   :class:`~repro.formats.afp.AdaptivFloat` — bulk field extraction
-  (sign/exponent/mantissa) in int64, one packed XOR, bulk decode;
+  (sign/exponent/mantissa) in int64, one packed XOR, bulk decode; a
+  binary32 ``FloatingPoint`` (e8m23 with denormals) takes the FP32 fabric's
+  XOR instead whenever every victim is finite and no result is NaN;
 * :class:`~repro.formats.intq.IntegerQuant` /
   :class:`~repro.formats.fxp.FixedPoint` — bulk two's-complement codes,
   one packed XOR, sign-extend, rescale;
@@ -226,6 +228,12 @@ def _flip_fused(fmt: NumberFormat | None, values: np.ndarray, masks,
     if isinstance(fmt, FloatingPoint):
         if not np.isfinite(fmt.max_value):
             return None  # extreme exponent widths overflow the float64 path
+        if fmt.binary32:
+            # the encoder saturates ±inf and the decoder canonicalises NaN;
+            # on every other lane encode → flip → decode is the fabric's
+            out = _flip_fp32_fabric(values, masks, op)
+            if np.isfinite(values).all() and not np.isnan(out).any():
+                return out
         return _flip_fp(fmt, values, masks, op)
     if isinstance(fmt, AdaptivFloat):
         if fmt.exp_bits > 9:

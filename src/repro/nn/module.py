@@ -139,8 +139,13 @@ class Module:
     # train/eval and grads
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        for module in self.modules():
-            module.training = mode
+        # runs on every replayed forward: walk without building dotted
+        # names, and store the plain flag past __setattr__'s registry checks
+        stack = [self]
+        while stack:
+            module = stack.pop()
+            module.__dict__["training"] = mode
+            stack.extend(module._modules.values())
         return self
 
     def eval(self) -> "Module":

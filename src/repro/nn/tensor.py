@@ -175,9 +175,11 @@ class Tensor:
     # autograd machinery
     # ------------------------------------------------------------------
     def _make(self, data: np.ndarray, parents: Iterable["Tensor"]) -> "Tensor":
-        parents = tuple(p for p in parents if isinstance(p, Tensor))
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if not _GRAD_ENABLED:
+            return out
+        parents = tuple(p for p in parents if isinstance(p, Tensor))
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
         return out
@@ -490,9 +492,9 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
         out = self._make(self.data.transpose(axes), (self,))
         if out.requires_grad:
+            inverse = np.argsort(axes)
 
             def _backward():
                 self._accumulate(out.grad.transpose(inverse))

@@ -1,11 +1,13 @@
-"""Frozen reference copies of three hot numpy kernels, used as test oracles.
+"""Frozen reference copies of hot numpy kernels, used as test oracles.
 
 These are the straightforward implementations the library's fewer-pass
 kernels replaced: BFP and FP ``real_to_format_tensor`` (float64 working
-copies, one full-tensor temporary per step) and the NCHW ``as_strided``
-im2col.  ``tests/test_kernel_oracles.py`` checks that the library kernels
-return the same bits, metadata and numeric-health counts as these.  Do not
-optimise them: their value is that they are obviously the algorithm.
+copies, one full-tensor temporary per step), the NCHW ``as_strided``
+im2col, and the per-sample cross-entropy and prediction terms of outcome
+scoring (full softmax, ``nan_to_num`` before every argmax).
+``tests/test_kernel_oracles.py`` checks that the library kernels return the
+same bits, metadata and numeric-health counts as these.  Do not optimise
+them: their value is that they are obviously the algorithm.
 """
 
 from __future__ import annotations
@@ -112,3 +114,37 @@ def im2col(x: np.ndarray, kernel, stride, padding):
     )
     cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
     return np.ascontiguousarray(cols), (oh, ow)
+
+
+def softmax_probs(logits: np.ndarray) -> np.ndarray:
+    """Reference row-wise softmax (+inf saturates, NaN gets probability 0)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(logits).all():
+        shifted = np.where(np.isposinf(logits), 0.0, shifted)
+        shifted = np.where(np.isnan(shifted), -np.inf, shifted)
+    e = np.exp(shifted)
+    denom = e.sum(axis=-1, keepdims=True)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    return e / denom
+
+
+def cross_entropy_values(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Reference per-sample cross-entropy (non-finite logits clipped to ±1e4)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    finite = np.isfinite(logits)
+    if not finite.all():
+        big = 1e4
+        logits = np.where(np.isnan(logits), -big, logits)
+        logits = np.clip(logits, -big, big)
+    probs = softmax_probs(logits)
+    picked = probs[np.arange(len(labels)), labels]
+    return -np.log(np.maximum(picked, 1e-300))
+
+
+def predictions(logits: np.ndarray) -> np.ndarray:
+    """Reference per-sample argmax (NaN → -inf, ±inf → ±largest finite)."""
+    with np.errstate(invalid="ignore"):
+        return np.nan_to_num(logits, nan=-np.inf).argmax(axis=-1)

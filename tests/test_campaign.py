@@ -1,8 +1,11 @@
 """Tests for the injection-campaign runner and the 8-site catalogue."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.analysis import profile_resilience
 from repro.core import (
     GoldenEye,
     INJECTION_SITES,
@@ -263,6 +266,28 @@ class TestCampaignRobustness:
             result = run_campaign(ge, *data, layers=["conv1"],
                                   injections_per_layer=2)
             assert set(result.per_layer) == {"conv1"}
+
+    @pytest.mark.parametrize("images_rows,labels_of", [
+        (8, lambda labels: labels[:, None]),  # used to broadcast to 8x8
+        (8, lambda labels: labels[:7]),
+        (0, lambda labels: labels[:0]),
+    ], ids=["column-labels", "seven-labels", "empty-batch"])
+    def test_labels_that_do_not_fit_the_batch_fail_fast(self, model,
+                                                        images_rows,
+                                                        labels_of):
+        rng = np.random.default_rng(0)  # leaves the session rng to others
+        images = rng.standard_normal((8, 3, 8, 8)).astype(np.float32)
+        images, labels = images[:images_rows], labels_of(
+            rng.integers(0, 4, size=8))
+        shapes = rf"{re.escape(str(labels.shape))}.*" \
+                 rf"{re.escape(str(images.shape))}"
+        with GoldenEye(model, "fp32") as ge:
+            with pytest.raises(ValueError, match=shapes):
+                run_campaign(ge, images, labels, injections_per_layer=2,
+                             seed=0)
+        with pytest.raises(ValueError, match=shapes):
+            profile_resilience(model, "simple_cnn", "fp32", images, labels,
+                               injections_per_layer=2, seed=0)
 
     def test_resume_cache_released_when_injection_raises(self, model, data,
                                                          monkeypatch):

@@ -255,7 +255,8 @@ class TestVectorizedFlipParity:
     bit-for-bit for every format family (it is what the neuron hot path
     now runs)."""
 
-    SPECS = [None, "fp16", "fp8", "int8", "fxp_1_3_4", "afp_e5m2", "posit8"]
+    SPECS = [None, "fp32", "fp16", "fp8", "int8", "fxp_1_3_4", "afp_e5m2",
+             "posit8"]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_scalar_kernel(self, spec, rng):
@@ -324,7 +325,8 @@ class TestVectorizedFlipParity:
         nan_both = np.isnan(vec) & np.isnan(ref)
         assert (same | nan_both).all(), context
 
-    @pytest.mark.parametrize("spec", [None, "fp16", "fp8", "int8", "posit8"])
+    @pytest.mark.parametrize("spec", [None, "fp32", "fp16", "fp8", "int8",
+                                      "posit8"])
     def test_special_value_parity_pins(self, spec):
         """-0.0, ±inf and mixed-payload NaN victims flip bit-identically to
         the scalar kernel (regression: the BFP vector path used ``value < 0``
@@ -459,7 +461,8 @@ class TestFlipValuesBatched:
 
     LANE_BITS = [(0,), (1,), (0, 2), (3,)]
 
-    @pytest.mark.parametrize("spec", [None, "fp16", "fp8", "int8", "posit8"])
+    @pytest.mark.parametrize("spec", [None, "fp32", "fp16", "fp8", "int8",
+                                      "posit8"])
     def test_matches_per_lane_flip_values(self, spec, rng):
         from repro.formats import flip_values, flip_values_batched, make_format
 

@@ -1,10 +1,11 @@
-"""Bit-exactness of the fewer-pass format kernels and im2col against oracles.
+"""Bit-exactness of the fast format, im2col and scoring kernels.
 
 ``tests/kernel_oracles.py`` keeps the straightforward implementations the
-library kernels replaced.  Every check here is exact: outputs are compared
-as ``uint32``/``uint64`` bit patterns (so signed zeros and NaN payloads
-count), BFP exponent registers must match, and the numeric-health counts
-reported to a stats sink must match.
+library kernels replaced; the binary32 flip is checked against the scalar
+:func:`~repro.formats.vectorized.flip_value`.  Every check here is exact:
+outputs are compared as ``uint32``/``uint64`` bit patterns (so signed zeros
+and NaN payloads count), BFP exponent registers must match, and the
+numeric-health counts reported to a stats sink must match.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import nn
-from repro.formats import BlockFloatingPoint, FloatingPoint, make_format
+from repro.core import metrics as M
+from repro.formats import (BlockFloatingPoint, FloatingPoint, flip_value,
+                           flip_values, make_format)
+from repro.formats import vectorized
 from repro.nn import functional as F
 
 from tests import kernel_oracles as K
@@ -56,6 +61,11 @@ def _corpus() -> list[np.ndarray]:
         np.concatenate([np.zeros(16, np.float32), base]),
         np.array([np.nan, np.inf, 0.0, -np.inf] * 4, dtype=np.float32),
         np.zeros(0, dtype=np.float32),
+        # a lone negative NaN, alone and last after 8 or 16 values where
+        # numpy's vector loops leave it to their scalar remainder: the sign
+        # of its sign-times-NaN product depends on that position
+        *(np.concatenate([np.full(n, -1.5, np.float32), _bits(p)])
+          for n in (0, 8, 16) for p in (0xFFC00000, 0xFF800001)),
         rng.standard_normal((4, 3, 5, 7)).astype(np.float32),
         (rng.standard_normal(1000) * 1e3).astype(np.float32),
     ]
@@ -201,3 +211,132 @@ class TestIm2colOracle:
         want = run()
         for g, r in zip(got, want):
             np.testing.assert_array_equal(_uint_view(g), _uint_view(r))
+
+
+def _flip_victims() -> np.ndarray:
+    """The corpus, 2^127 (whose flip can land on ±inf) and 2000 random words."""
+    random = np.random.default_rng(17).integers(
+        0, 1 << 32, size=2000, dtype=np.uint64).astype(np.uint32)
+    return np.concatenate([np.array(CORPUS_VALUES, dtype=np.float32),
+                           _bits(0x7F000000, 0xFF000000),
+                           random.view(np.float32)])
+
+
+@pytest.fixture
+def general_fp_columns(monkeypatch):
+    """Counts the columns the general FloatingPoint flip kernel takes."""
+    calls = []
+    real = vectorized._flip_fp
+    monkeypatch.setattr(vectorized, "_flip_fp",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _scalar_flips(fmt, victims, lane_bits, op) -> np.ndarray:
+    lane = len(victims) // len(lane_bits)
+    return np.array([flip_value(fmt, float(v), lane_bits[i // lane], op=op)
+                     for i, v in enumerate(victims)], dtype=np.float32)
+
+
+class TestBinary32FlipOracle:
+    """``flip_values`` on ``fp32`` equals the scalar kernel bit for bit.
+
+    The fabric XOR serves a column only when every victim is finite and no
+    result is NaN; any other column takes the general FP kernel.
+    """
+
+    @pytest.mark.parametrize("op", ["xor", "set", "clear"])
+    def test_every_bit_matches_scalar_kernel(self, op, general_fp_columns):
+        # columns of 8, as a campaign flips them: most take the XOR, the
+        # ones holding a non-finite victim or a NaN result do not
+        fmt = make_format("fp32")
+        victims = _flip_victims()
+        results = []
+        for bit in range(32):
+            want = _scalar_flips(fmt, victims, [(bit,)], op)
+            with np.errstate(invalid="ignore"):  # signalling-NaN victims
+                got = np.concatenate([
+                    flip_values(fmt, victims[i:i + 8], (bit,), op=op)
+                    for i in range(0, victims.size, 8)])
+            np.testing.assert_array_equal(_uint_view(got), _uint_view(want),
+                                          err_msg=f"{op} bit {bit}")
+            results.append(want)
+        columns = 32 * -(-victims.size // 8)
+        assert 0 < len(general_fp_columns) < columns // 2  # both paths ran
+        results = np.concatenate(results)
+        assert np.isnan(results).any()
+        if op != "clear":  # clearing a bit never reaches an all-ones exponent
+            assert np.isposinf(results).any() and np.isneginf(results).any()
+
+    @pytest.mark.parametrize("op", ["xor", "set", "clear"])
+    def test_per_lane_masks_match_scalar_kernel(self, op, general_fp_columns):
+        fmt = make_format("fp32")
+        victims = np.random.default_rng(3).standard_normal(32).astype(
+            np.float32)
+        safe_bits = [(0,), (8,), (9,), (31,)]  # sign, exponent LSB, mantissa
+        with_inf = victims.copy()
+        with_inf[13] = np.inf
+        nan_result = victims.copy()
+        nan_result[5] = 1.5  # exponent 127: setting its MSB makes a NaN
+        cases = [(victims, safe_bits, False), (with_inf, safe_bits, True),
+                 (nan_result, [(1,), (0,), (9,), (31,)], op != "clear")]
+        for column, lane_bits, general in cases:
+            before = len(general_fp_columns)
+            got = vectorized.flip_values_batched(fmt, column, lane_bits, op=op)
+            want = _scalar_flips(fmt, column, lane_bits, op)
+            np.testing.assert_array_equal(_uint_view(got), _uint_view(want))
+            assert (len(general_fp_columns) > before) == general
+
+
+#: logits where the scoring kernels could plausibly diverge: every
+#: non-finite value, the ±1e4 clip bounds, the float32 extremes and
+#: repeated values (ties), as float64 and float32 arrays
+_LOGITS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32]),
+    st.tuples(st.integers(1, 6), st.integers(1, 5)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e4, -1e4,
+                         3.4028234663852886e38, -3.4028234663852886e38,
+                         np.inf, -np.inf, np.nan]),
+        st.floats(-1e6, 1e6, width=32)))
+
+
+def _draw_labels(logits: np.ndarray, data) -> np.ndarray:
+    return data.draw(hnp.arrays(np.int64, logits.shape[:1],
+                                elements=st.integers(0, logits.shape[1] - 1)))
+
+
+class TestScoringOracle:
+    """Outcome scoring equals the frozen full-softmax kernels bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=_LOGITS, data=st.data())
+    def test_cross_entropy_and_predictions(self, logits, data):
+        labels = _draw_labels(logits, data)
+        with np.errstate(all="ignore"):
+            got = M.cross_entropy_values(logits, labels)
+            want = K.cross_entropy_values(logits, labels)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(M._predictions(logits),
+                                      K.predictions(logits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(faulty=_LOGITS, data=st.data())
+    def test_compare_outcomes(self, faulty, data):
+        labels = _draw_labels(faulty, data)
+        golden = data.draw(hnp.arrays(np.float32, faulty.shape,
+                                      elements=st.floats(-10, 10, width=32)))
+        with np.errstate(all="ignore"):
+            got = M.compare_outcomes(
+                M.InferenceOutcome(logits=golden, labels=labels),
+                M.InferenceOutcome(logits=faulty, labels=labels))
+            gaps = np.abs(K.cross_entropy_values(faulty, labels)
+                          - K.cross_entropy_values(golden, labels))
+        want_delta = np.float64(np.mean(gaps))
+        assert np.float64(got["delta_loss"]).view(np.uint64) == \
+            want_delta.view(np.uint64)
+        assert got["faulty_accuracy"] == float(
+            np.mean(K.predictions(faulty) == labels))
+        assert got["golden_accuracy"] == float(
+            np.mean(K.predictions(golden) == labels))

@@ -154,21 +154,28 @@ class TestOutcomes:
         assert result["golden_accuracy"] == pytest.approx(2 / 3)
 
     def test_compare_outcomes_equals_uncached_metrics(self):
-        """The cached golden terms give exactly the per-call metrics,
-        including all-NaN rows, +/-inf logits and label-0 rows."""
+        """The cached golden terms give exactly the per-call metrics, on
+        all-finite faulty logits (what most injections produce) and on
+        all-NaN rows, +/-inf logits and label-0 rows, in float64 and
+        float32."""
         rng = np.random.default_rng(21)
-        for trial in range(60):
-            logits = rng.standard_normal((5, 4)) * 10
+        finite_trials = 0
+        for trial in range(120):
+            dtype = np.float64 if trial < 60 else np.float32
+            logits = (rng.standard_normal((5, 4)) * 10).astype(dtype)
             if trial % 3 == 0:
                 logits[0] = np.nan  # golden NaN row: raw argmax picks it
             labels = np.zeros(5, dtype=np.int64) if trial % 2 else \
                 rng.integers(0, 4, size=5)
             golden = M.InferenceOutcome(logits=logits, labels=labels)
-            for _ in range(3):
-                faulty = logits + rng.standard_normal(logits.shape) * 5
-                faulty[rng.integers(5)] = np.nan
-                faulty[rng.integers(5), rng.integers(4)] = rng.choice(
-                    [np.inf, -np.inf, np.nan])
+            for k in range(4):
+                faulty = (logits + rng.standard_normal(logits.shape) * 5
+                          ).astype(dtype)
+                if k:
+                    faulty[rng.integers(5)] = np.nan
+                    faulty[rng.integers(5), rng.integers(4)] = rng.choice(
+                        [np.inf, -np.inf, np.nan])
+                finite_trials += bool(np.isfinite(faulty).all())
                 result = M.compare_outcomes(
                     golden, M.InferenceOutcome(logits=faulty, labels=labels))
                 counts = M.sdc_classify(logits, faulty, labels)
@@ -181,6 +188,7 @@ class TestOutcomes:
                 assert mismatches == M.mismatch_count(logits, faulty)
                 fresh = M.InferenceOutcome(logits=faulty, labels=labels)
                 assert result["faulty_accuracy"] == fresh.accuracy
+        assert finite_trials == 80
 
     def test_golden_terms_are_computed_once(self, golden, monkeypatch):
         logits, labels = golden
