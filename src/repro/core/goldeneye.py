@@ -15,6 +15,7 @@ is supported (§V-B).
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from ..obs.telemetry import get_registry
 from ..obs.tracing import get_tracer
 from .detector import RangeDetector
 from .injection import InjectionEngine, ValueInjection
-from .resume import DEFAULT_CACHE_BUDGET, ResumeSession, _BatchedReplay
+from .resume import DEFAULT_CACHE_BUDGET, ResumeSession
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.numerics import NumericHealthMonitor
@@ -81,8 +82,7 @@ class LayerState:
     pre_hook_handle: nn.HookHandle | None = None
 
 
-def _metadata_snapshot(fmt: NumberFormat) -> Any:
-    meta = fmt.metadata
+def _copy_metadata(meta: Any) -> Any:
     return meta.copy() if hasattr(meta, "copy") and not np.isscalar(meta) else meta
 
 
@@ -272,7 +272,7 @@ class GoldenEye:
             state.original_weights[pname] = param.data.copy()
             param.data[...] = fmt.real_to_format_tensor(param.data)
             if pname == "weight":
-                weight_metadata = _metadata_snapshot(fmt)
+                weight_metadata = _copy_metadata(fmt.metadata)
         # the main weight tensor's metadata is the injectable register; keep it
         # captured even though other params (bias) were converted afterwards
         if weight_metadata is not None:
@@ -292,19 +292,13 @@ class GoldenEye:
             if prof is not None:
                 # books the `compute` phase (pre-hook stamp -> hook entry)
                 t_prev = prof.begin_postprocess(state.name, module, data)
-            fmt = state.neuron_format
-            if fmt is not None:
-                quantized = fmt.real_to_format_tensor(data)
-                state.neuron_golden_metadata = _metadata_snapshot(fmt)
-            else:
-                quantized = data.copy()
+            quantized = self._quantize(state, data)
             if prof is not None:
                 now = time.perf_counter()
                 prof.record_phase(state.name, "quantize", now - t_prev,
                                   quantized.size)
                 t_prev = now
-            state.last_output_shape = quantized.shape
-            quantized = self.injector.apply_neuron_injections(state, quantized)
+            quantized = self._inject(state, quantized)
             if prof is not None:
                 now = time.perf_counter()
                 prof.record_phase(state.name, "inject", now - t_prev,
@@ -320,8 +314,38 @@ class GoldenEye:
 
         return hook
 
-    def _lane_postprocess(self, state: LayerState,
-                          data: np.ndarray) -> np.ndarray:
+    def _quantize(self, state: LayerState, data: np.ndarray,
+                  resumed: bool = False) -> np.ndarray:
+        """Quantize one layer output and capture its golden neuron metadata.
+
+        A ``resumed`` output is the layer's cached golden output, already
+        quantized: the metadata the golden pass captured for it becomes the
+        live register again (a fresh copy, since a metadata injection
+        mutates the live register in place).
+        """
+        fmt = state.neuron_format
+        if resumed:
+            golden = self.resume_session.neuron_metadata[state.name]
+            fmt.metadata = _copy_metadata(golden)
+            quantized = data
+        elif fmt is not None:
+            quantized = fmt.real_to_format_tensor(data)
+            golden = _copy_metadata(fmt.metadata)
+        else:
+            return data.copy()
+        state.neuron_golden_metadata = golden
+        return quantized
+
+    def _inject(self, state: LayerState, quantized: np.ndarray,
+                lane: int | None = None) -> np.ndarray:
+        """Apply the armed neuron corruptions (lane ``lane``'s only, if set)."""
+        state.last_output_shape = quantized.shape
+        if lane is None:
+            return self.injector.apply_neuron_injections(state, quantized)
+        return self.injector.apply_lane_injection(state, quantized, lane)
+
+    def _lane_postprocess(self, state: LayerState, data: np.ndarray,
+                          resumed: bool = False) -> np.ndarray:
         """Quantize + inject a fault-axis batched layer output.
 
         The tensor stacks ``lanes`` replicas of the evaluation batch along
@@ -331,7 +355,8 @@ class GoldenEye:
         with tensor-global metadata (scale / bias / block registers) must
         quantize each replica separately — the registers the K=1 pass would
         capture — with that lane's corruption applied while its metadata is
-        live.
+        live.  A ``resumed`` stack tiles the layer's cached output, already
+        quantized (see :meth:`_quantize`).
         """
         lanes, batch = self._fault_lanes
         fmt = state.neuron_format
@@ -339,22 +364,22 @@ class GoldenEye:
             quantized = np.empty(data.shape, dtype=np.float32)
             for k in range(lanes):
                 lane = slice(k * batch, (k + 1) * batch)
-                lane_q = fmt.real_to_format_tensor(data[lane])
-                state.neuron_golden_metadata = _metadata_snapshot(fmt)
-                state.last_output_shape = lane_q.shape
-                quantized[lane] = self.injector.apply_lane_injection(
-                    state, lane_q, k)
+                lane_q = self._quantize(state, data[lane], resumed)
+                quantized[lane] = self._inject(state, lane_q, k)
         else:
-            if fmt is not None:
-                quantized = fmt.real_to_format_tensor(data)
-            else:
-                quantized = data.copy()
+            quantized = data if resumed else self._quantize(state, data)
             state.last_output_shape = (batch,) + quantized.shape[1:]
             quantized = self.injector.apply_lane_injections(
                 state, quantized, lanes)
         if self.detector is not None:
             quantized = self.detector.clamp(state.name, quantized)
         return quantized
+
+    def _resume_output(self, state: LayerState, cached: np.ndarray) -> np.ndarray:
+        """Serve ``state``'s layer call from its cached golden output."""
+        if self._fault_lanes is not None:
+            return self._lane_postprocess(state, cached, resumed=True)
+        return self._inject(state, self._quantize(state, cached, resumed=True))
 
     # ------------------------------------------------------------------
     # checkpoint-and-resume partial execution (see core/resume.py)
@@ -370,7 +395,7 @@ class GoldenEye:
         return self.resume_session
 
     def clear_resume(self) -> None:
-        """Drop the resume session and release its cached activations."""
+        """Drop the resume session, its cached activations and metadata."""
         self.resume_session = None
 
     def capture_golden(self, images: np.ndarray) -> np.ndarray:
@@ -391,14 +416,63 @@ class GoldenEye:
                 with self.resume_session.recording():
                     logits = self.model.forward_from(
                         self.resume_session, Tensor(np.asarray(images, dtype=np.float32)))
+        # the hook's snapshots: injections read them, never mutate them
+        self.resume_session.neuron_metadata.update(
+            (name, state.neuron_golden_metadata)
+            for name, state in self.layers.items())
         return logits.data.copy()
+
+    def _resume_point(self, state: LayerState):
+        """Where a resumed pass for ``state``'s layer starts, and how.
+
+        Returns ``(start, resume)``.  ``start`` is the earliest recorded
+        position among the layer and the layer of every armed plan (None
+        when there is no usable recording: run a full forward).  ``resume``
+        serves the call at ``start`` from the layer's cached output, or is
+        None when that call must recompute: see :meth:`forward_from`.
+        """
+        session = self.resume_session
+        if session is None or not session.recorded:
+            return None, None
+        sites = self.injector.armed_sites()
+        starts = [session.start_index_for(self.layers[name].module)
+                  for name in {state.name} | {layer for layer, _ in sites}]
+        if None in starts:
+            return None, None
+        fmt, module = state.neuron_format, state.module
+        if (sites <= {(state.name, "neuron")}
+                and self.detector is None
+                and fmt is not None and fmt.stats_sink is None
+                and state.hook_handle is not None
+                and not module._forward_pre_hooks
+                and list(module._forward_hooks) == [state.hook_handle.id]
+                and state.name in session.neuron_metadata
+                and session.runs_once(module)):
+            return min(starts), functools.partial(self._resume_output, state)
+        return min(starts), None
 
     def forward_from(self, layer: str, images: np.ndarray) -> np.ndarray:
         """Resume inference from ``layer``, replaying the cached prefix.
 
         Every leaf module that executed before ``layer``'s first appearance
-        in the recorded golden pass returns its cached output; ``layer`` and
-        everything downstream re-execute (applying any armed injections).
+        in the recorded golden pass returns its cached output, and
+        everything downstream of ``layer`` re-executes, applying any armed
+        injections.  A plan armed at an earlier layer moves the resume
+        point back to that layer, so no armed plan is skipped.
+
+        ``layer`` itself is served from its own cached output when every
+        armed plan is a neuron plan (value or metadata) at ``layer``: its
+        golden neuron metadata is restored and the armed corruption applied
+        to the cached tensor, so its compute and quantizer do not run.  That
+        needs the cached tensor to be the pre-injection value and nothing to
+        observe the call: no range detector, no stats sink on the layer's
+        neuron format, no pre-hook or foreign forward hook on its module
+        (a :class:`~repro.obs.profiler.LayerProfiler` installs one), and a
+        module that ran once in the recorded pass.  Otherwise, or when its
+        cache entry is missing, ``layer`` recomputes on its replayed inputs.
+        A call served from its own output counts as a cache hit and as
+        ``replayed`` in the session's stats.
+
         Falls back to a full forward pass — still bit-exact — when no valid
         recording exists for this batch.  ``images`` must be the batch given
         to :meth:`capture_golden`.
@@ -406,18 +480,15 @@ class GoldenEye:
         state = self.layers.get(layer)
         if state is None:
             raise KeyError(f"layer {layer!r} is not instrumented")
-        session = self.resume_session
-        start = None
-        if session is not None and session.recorded:
-            start = session.start_index_for(state.module)
+        start, resume = self._resume_point(state)
         x = Tensor(np.asarray(images, dtype=np.float32))
         self.model.eval()
         with nn.no_grad(), np.errstate(over="ignore", invalid="ignore"):
             if start is None:
                 logits = self.model(x)  # fallback: full forward
             else:
-                with session.replaying(start):
-                    logits = self.model.forward_from(session, x)
+                with self.resume_session.replaying(start, resume=resume):
+                    logits = self.model.forward_from(self.resume_session, x)
         return logits.data.copy()
 
     def forward_from_batched(self, layer: str, plans,
@@ -430,7 +501,10 @@ class GoldenEye:
         (every lane's flip lands in a single
         :func:`~repro.formats.vectorized.flip_values_batched` call for
         stateless formats).  When a golden recording exists the cached
-        prefix is tiled instead of recomputed.  Returns logits of shape
+        prefix is tiled instead of recomputed, and ``layer`` is served from
+        its tiled cached output under :meth:`forward_from`'s conditions
+        (metadata formats restore the golden metadata once per lane).
+        Returns logits of shape
         ``(K, batch, ...)``: ``out[k]`` is bit-identical to
         ``forward_from(layer, images)`` with ``plans[k]`` armed alone
         (GEMMs are lane-chunked — :mod:`repro.nn.lanes` — so BLAS sees the
@@ -454,13 +528,10 @@ class GoldenEye:
                     f"plan targets layer {plan.layer!r}, expected {layer!r}")
         images = np.asarray(images, dtype=np.float32)
         lanes, batch = len(plans), images.shape[0]
-        session = self.resume_session
-        start = None
-        if session is not None and session.recorded:
-            start = session.start_index_for(state.module)
         tiled = np.tile(images, (lanes,) + (1,) * (images.ndim - 1))
         self.model.eval()
         with self.injector.armed(*plans):
+            start, resume = self._resume_point(state)
             self._fault_lanes = (lanes, batch)
             try:
                 with nn.no_grad(), np.errstate(over="ignore", invalid="ignore"), \
@@ -468,8 +539,10 @@ class GoldenEye:
                     if start is None:
                         logits = self.model(Tensor(tiled))
                     else:
-                        replay = _BatchedReplay(session, start, lanes)
-                        logits = self.model.forward_from(replay, Tensor(tiled))
+                        with self.resume_session.replaying(
+                                start, lanes=lanes, resume=resume):
+                            logits = self.model.forward_from(
+                                self.resume_session, Tensor(tiled))
             finally:
                 self._fault_lanes = None
         out = logits.data.copy()

@@ -191,6 +191,14 @@ class InjectionEngine:
     def active(self) -> bool:
         return bool(self._neuron_plans or self._restores)
 
+    def armed_sites(self) -> set[tuple[str, str]]:
+        """``(layer, location)`` of every armed plan.
+
+        An armed weight plan has already been applied; its restore marks it.
+        """
+        return ({(p.layer, "neuron") for p in self._neuron_plans}
+                | {(r.layer, "weight") for r in self._restores})
+
     # ------------------------------------------------------------------
     # neuron-side application (called from the GoldenEye forward hook)
     # ------------------------------------------------------------------

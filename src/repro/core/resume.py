@@ -14,9 +14,20 @@ optimisation for GoldenEye:
   :meth:`repro.core.goldeneye.GoldenEye.forward_from`, which re-runs the
   model under the session in *replay* mode: every leaf call that executed
   before L's first appearance returns its cached golden output (skipping the
-  layer's compute, quantization hook and injection check entirely), while L
-  and everything downstream execute normally — with the armed corruption
+  layer's compute, quantization hook and injection check entirely), while
+  everything downstream of L executes normally — with the armed corruption
   applied by the usual hook machinery.
+
+L itself is served one of two ways.  A fault in L's output neurons or in
+their metadata registers cannot change L's own compute, so when the
+platform hands :meth:`ResumeSession.replaying` a ``resume`` callback, L's
+call returns ``resume(cached)``: the platform restores L's golden metadata
+and applies the armed corruption to L's cached output, and L's GEMM or
+convolution and its quantizer never run.  The platform offers the callback
+only when the cached tensor is exactly the pre-injection value and nothing
+observes L's call (see :meth:`~repro.core.goldeneye.GoldenEye.forward_from`);
+otherwise, or when L's entry is missing, L recomputes on its replayed
+inputs.
 
 Correctness does not depend on the cache being complete: a cache miss (LRU
 eviction, budget-skipped tensor) simply recomputes that one module with the
@@ -28,6 +39,11 @@ therefore always bit-identical to a full forward under the same plans.
 Weight injections resume from the victim layer too: a corrupted weight (or
 weight-metadata register) only affects the victim layer's own computation
 and its downstream consumers, so the upstream prefix replays unchanged.
+
+A fault-axis batched pass (:meth:`~repro.core.goldeneye.GoldenEye.
+forward_from_batched`) runs the model once over K stacked replicas of the
+evaluation batch; ``replaying(start, lanes=K)`` tiles every cached entry K
+times along axis 0, one copy per lane, so the same controller serves both.
 
 Forked workers
 --------------
@@ -87,7 +103,7 @@ class CacheStats:
     evictions: int = 0
     skipped: int = 0  # tensors larger than the whole budget, never stored
     replayed: int = 0  # leaf calls answered from cache during replay
-    recomputed: int = 0  # leaf calls before the start index that had to re-run
+    recomputed: int = 0  # leaf calls the replay wanted from cache that re-ran
     diverged: int = 0  # replay passes that fell back to full execution
 
     FIELDS = ("hits", "misses", "evictions", "skipped",
@@ -104,7 +120,7 @@ class CacheStats:
 
     @property
     def replay_rate(self) -> float:
-        """Fraction of pre-start leaf calls answered from cache."""
+        """Fraction of the leaf calls the replay wanted that cache answered."""
         total = self.replayed + self.recomputed
         return self.replayed / total if total else 0.0
 
@@ -273,7 +289,8 @@ class ResumeSession:
     the recorded pass.  Position matching makes weight-shared modules (one
     module object executing several times) resume correctly — the start
     index of a layer is its module's **first** execution, so every execution
-    of the victim recomputes.
+    of the victim recomputes.  A module that ran once may instead be served
+    its own cached output through ``replaying``'s ``resume`` callback.
 
     The session is only valid for the exact inputs of the recorded pass;
     record a new pass (``recording()``) whenever the evaluation batch
@@ -292,9 +309,15 @@ class ResumeSession:
         self.order: list[int] = []
         #: id(module) -> first execution position
         self._first_index: dict[int, int] = {}
+        #: instrumented-layer name -> golden neuron metadata, kept by the
+        #: platform after a recording (plain data, so forked workers inherit
+        #: it; a shared-memory cache publishes activation arrays only)
+        self.neuron_metadata: dict[str, object] = {}
         self._mode = "idle"  # "idle" | "record" | "replay"
         self._pos = 0
         self._start = 0
+        self._lanes = 1
+        self._resume = None
         self._pass_diverged = False
         #: pid of the process that recorded (or adopted) this session
         self.owner_pid = os.getpid()
@@ -364,6 +387,10 @@ class ResumeSession:
         """First recorded execution position of ``module`` (None if absent)."""
         return self._first_index.get(id(module))
 
+    def runs_once(self, module: Module) -> bool:
+        """True when ``module`` executed exactly once in the recorded pass."""
+        return self.order.count(id(module)) == 1
+
     def publish_metrics(self, registry: MetricsRegistry | None = None,
                         prefix: str = "resume") -> dict:
         """Publish this session's cache counters as registry gauges."""
@@ -380,7 +407,7 @@ class ResumeSession:
             return COMPUTE
         pos = self._pos
         self._pos += 1
-        if pos >= self._start:
+        if pos > self._start or (pos == self._start and self._resume is None):
             return COMPUTE
         if pos >= len(self.order) or self.order[pos] != id(module):
             # model structure changed since the recording: stop trusting the
@@ -393,6 +420,10 @@ class ResumeSession:
             self.cache.stats.recomputed += 1
             return COMPUTE  # evicted / skipped: recompute with exact inputs
         self.cache.stats.replayed += 1
+        if self._lanes > 1:
+            cached = np.tile(cached, (self._lanes,) + (1,) * (cached.ndim - 1))
+        if pos == self._start:
+            return Tensor(self._resume(cached))
         return Tensor(cached)
 
     def record(self, module: Module, inputs, output) -> None:
@@ -420,6 +451,7 @@ class ResumeSession:
         self.cache.clear()  # shared read-only caches refuse here
         self.order.clear()
         self._first_index.clear()
+        self.neuron_metadata.clear()
         self._mode, self._pos = "record", 0
         try:
             yield self
@@ -427,64 +459,23 @@ class ResumeSession:
             self._mode = "idle"
 
     @contextlib.contextmanager
-    def replaying(self, start_index: int):
-        """Scope one resumed pass: replay leaf calls before ``start_index``."""
+    def replaying(self, start_index: int, lanes: int = 1, resume=None):
+        """Scope one resumed pass: replay leaf calls before ``start_index``.
+
+        ``lanes`` > 1 replays each cached entry as its ``lanes``-fold tile
+        along axis 0, for a fault-axis batched pass over that many replicas
+        of the recorded batch.  ``resume``, when given, serves the call at
+        ``start_index`` too: it receives that call's cached (tiled) output
+        and returns the array the call yields.  Every served call counts as
+        a hit and as ``replayed``; a missing entry recomputes.
+        """
         self._require_owner("replay from")
         if not self.recorded:
             raise RuntimeError("no golden pass recorded; use recording() first")
         self._mode, self._pos, self._start = "replay", 0, int(start_index)
+        self._lanes, self._resume = int(lanes), resume
         self._pass_diverged = False
         try:
             yield self
         finally:
-            self._mode = "idle"
-
-
-class _BatchedReplay:
-    """Replay controller that tiles the cached golden prefix across K lanes.
-
-    A fault-axis batched pass (:meth:`repro.core.goldeneye.GoldenEye.
-    forward_from_batched`) runs the model once over K stacked replicas of
-    the evaluation batch.  Every replica shares the same golden prefix, so a
-    cached activation recorded for the B-sample batch is replayed as its
-    K-fold tile along axis 0 — one copy per lane, recorded once.  Replay
-    decisions (position counting, start index, order checking, cache-miss
-    recomputation) are exactly :meth:`ResumeSession.intercept`'s, and all
-    counters fold into the owning session's :class:`CacheStats`, so one
-    batched pass books the same hits/replays a single K=1 pass would.
-    """
-
-    def __init__(self, session: ResumeSession, start_index: int, lanes: int):
-        session._require_owner("replay from")
-        if not session.recorded:
-            raise RuntimeError("no golden pass recorded; use recording() first")
-        self._session = session
-        self._start = int(start_index)
-        self._lanes = int(lanes)
-        self._pos = 0
-        self._diverged = False
-
-    def intercept(self, module: Module, inputs):
-        session = self._session
-        if self._diverged:
-            return COMPUTE
-        if id(module) not in session._leaf_ids:
-            return COMPUTE
-        pos = self._pos
-        self._pos += 1
-        if pos >= self._start:
-            return COMPUTE
-        if pos >= len(session.order) or session.order[pos] != id(module):
-            self._diverged = True
-            session.cache.stats.diverged += 1
-            return COMPUTE
-        cached = session.cache.get(pos)
-        if cached is None:
-            session.cache.stats.recomputed += 1
-            return COMPUTE  # evicted / skipped: recompute with exact inputs
-        session.cache.stats.replayed += 1
-        tiled = np.tile(cached, (self._lanes,) + (1,) * (cached.ndim - 1))
-        return Tensor(tiled)
-
-    def record(self, module: Module, inputs, output) -> None:
-        return None  # injected passes never re-record golden state
+            self._mode, self._lanes, self._resume = "idle", 1, None

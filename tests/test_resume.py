@@ -5,25 +5,34 @@ from L with the cached golden prefix must produce logits *bit-identical* to a
 full forward pass under the same armed plans — on the CNN and the DeiT
 transformer alike — and every degraded mode (evicted cache entries, missing
 recording, structural divergence) must fall back gracefully while keeping
-that equivalence.
+that equivalence.  A neuron fault at L is applied to L's own cached output
+(L's compute and quantizer skipped) whenever nothing observes L's call;
+otherwise L recomputes, and either way the logits must not move by a bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (
     ActivationCache,
     GoldenEye,
     MetadataInjection,
+    RangeDetector,
     ResumeSession,
     ValueInjection,
     run_campaign,
 )
 from repro.core.campaign import golden_inference
-from repro.models import simple_cnn
+from repro.models import simple_cnn, simple_mlp
 from repro.models.deit import deit_tiny
+from repro.obs import LayerProfiler
+from repro.obs.numerics import NumericHealthMonitor, summarize_numerics
+from repro.obs.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +55,42 @@ def deit():
     model = deit_tiny(num_classes=6, seed=0)
     model.eval()
     return model
+
+
+@pytest.fixture()
+def mlp():
+    model = simple_mlp(num_classes=6, seed=0)
+    model.eval()
+    return model
+
+
+def _full(ge, images):
+    """Logits of a full (non-resumed) forward under the armed plans."""
+    return golden_inference(ge, images, np.zeros(len(images), np.int64)).logits
+
+
+def _assert_bits(actual, expected, msg=""):
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual, np.float32).view(np.uint32),
+        np.ascontiguousarray(expected, np.float32).view(np.uint32),
+        err_msg=msg)
+
+
+@contextlib.contextmanager
+def _counted_quantizer(fmt):
+    """Count the calls of ``fmt``'s tensor quantizer inside the block."""
+    calls = []
+    original = fmt.real_to_format_tensor
+
+    def counted(tensor):
+        calls.append(1)
+        return original(tensor)
+
+    fmt.real_to_format_tensor = counted
+    try:
+        yield calls
+    finally:
+        del fmt.real_to_format_tensor
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +326,191 @@ class TestFallbacks:
         ge.capture_golden(images)
         ge.detach()
         assert ge.resume_session is None
+
+
+# ----------------------------------------------------------------------
+# a plan armed upstream of the resume layer still applies
+# ----------------------------------------------------------------------
+class TestUpstreamPlans:
+    @pytest.mark.parametrize("location", ["neuron", "weight"])
+    def test_plan_upstream_of_resume_layer_is_applied(self, mlp, batch,
+                                                      location):
+        images, _ = batch
+        with GoldenEye(mlp, "fp32") as ge:
+            ge.enable_resume()
+            golden = ge.capture_golden(images)
+            with ge.injector.armed(ValueInjection("fc1", location, 3, (1,))):
+                full = _full(ge, images)
+                resumed = ge.forward_from("fc2", images)
+        assert not np.array_equal(full, golden)
+        _assert_bits(resumed, full)
+
+
+# ----------------------------------------------------------------------
+# output resume: a neuron fault at L is applied to L's cached output
+# ----------------------------------------------------------------------
+ORACLE_FORMATS = ["fp32", "fp16", "bfp_e5m5_b16", "int8", "afp_e5m2", "posit8"]
+
+
+class _TwiceMLP(nn.Module):
+    """Applies ``shared`` twice, so its module has two recorded positions."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.flatten = nn.Flatten(1)
+        self.fc_in = nn.Linear(3 * 32 * 32, 16, rng=rng)
+        self.act = nn.ReLU()
+        self.shared = nn.Linear(16, 16, rng=rng)
+        self.head = nn.Linear(16, 6, rng=rng)
+
+    def forward(self, x):
+        x = self.act(self.fc_in(self.flatten(x)))
+        return self.head(self.shared(self.act(self.shared(x))))
+
+
+class TestOutputResume:
+    @pytest.mark.parametrize("spec", ORACLE_FORMATS)
+    @pytest.mark.parametrize("model_name", ["mlp", "cnn", "deit"])
+    def test_resumed_output_matches_full_forward(self, model_name, spec,
+                                                 request, batch):
+        """Every layer, value and metadata plans, K=1 and K=4 lanes.
+
+        The layers run in sequence, so a layer's live metadata comes from
+        the faulty passes before it: a value plan's resumed pass runs first
+        (after an upstream fault), a metadata plan's runs after its full
+        pass (which left the register corrupted), and the lanes run after
+        that.  Each resumed pass must restore the golden metadata itself.
+        """
+        model = request.getfixturevalue(model_name)
+        images, _ = batch
+        rng = np.random.default_rng(17)
+        with GoldenEye(model, spec) as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            for layer in ge.layer_names():
+                fmt = ge.layers[layer].neuron_format
+                plan = ge.injector.sample_value_injection(rng, layer=layer)
+                with ge.injector.armed(plan):
+                    with _counted_quantizer(fmt) as calls:
+                        resumed = ge.forward_from(layer, images)
+                    full = _full(ge, images)
+                assert not calls, layer
+                _assert_bits(resumed, full, f"{layer} {plan}")
+                if fmt.has_metadata:
+                    plan = ge.injector.sample_metadata_injection(rng, layer=layer)
+                    with ge.injector.armed(plan):
+                        full = _full(ge, images)
+                        with _counted_quantizer(fmt) as calls:
+                            resumed = ge.forward_from(layer, images)
+                    assert not calls, layer
+                    _assert_bits(resumed, full, f"{layer} {plan}")
+                plans = [ge.injector.sample_value_injection(rng, layer=layer)
+                         for _ in range(4)]
+                with _counted_quantizer(fmt) as calls:
+                    lanes = ge.forward_from_batched(layer, plans, images)
+                assert not calls, layer
+                for k, plan in enumerate(plans):
+                    with ge.injector.armed(plan):
+                        full = _full(ge, images)
+                    _assert_bits(lanes[k], full, f"{layer} lane {k} {plan}")
+
+    def test_resumed_position_counts_as_replayed_hit(self, cnn, batch):
+        images, _ = batch
+        with GoldenEye(cnn, "fp16") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            layer = ge.layer_names()[-1]
+            start = session.start_index_for(ge.layers[layer].module)
+            ge.forward_from(layer, images)
+            assert session.stats.replayed == session.stats.hits == start + 1
+            assert session.stats.misses == 0
+
+
+class TestOutputResumeFallbacks:
+    """Each condition of the output resume broken on purpose: the layer
+    recomputes (its quantizer runs as often as in a full forward) and the
+    logits stay bit-exact."""
+
+    @staticmethod
+    def _check(ge, layer, images, *extra):
+        plan = ge.injector.sample_value_injection(np.random.default_rng(23),
+                                                  layer=layer)
+        fmt = ge.layers[layer].neuron_format
+        with ge.injector.armed(plan, *extra):
+            with _counted_quantizer(fmt) as resumed_calls:
+                resumed = ge.forward_from(layer, images)
+            with _counted_quantizer(fmt) as full_calls:
+                full = _full(ge, images)
+        assert len(resumed_calls) == len(full_calls) > 0, layer
+        _assert_bits(resumed, full, layer)
+
+    @pytest.mark.parametrize("observer", ["detector", "numerics", "profiler"])
+    def test_observed_layer_recomputes(self, cnn, batch, observer):
+        images, _ = batch
+        detector = RangeDetector() if observer == "detector" else None
+        with GoldenEye(cnn, "bfp_e5m5_b16", range_detector=detector,
+                       numerics=(NumericHealthMonitor(MetricsRegistry())
+                                 if observer == "numerics" else None),
+                       profiler=(LayerProfiler() if observer == "profiler"
+                                 else None)) as ge:
+            if detector is not None:
+                _full(ge, images)  # profile the ranges, then protect
+                detector.active = True
+            ge.enable_resume()
+            ge.capture_golden(images)
+            for layer in ge.layer_names():
+                self._check(ge, layer, images)
+
+    def test_armed_weight_plan_recomputes(self, cnn, batch):
+        images, _ = batch
+        rng = np.random.default_rng(29)
+        with GoldenEye(cnn, "bfp_e5m5_b16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            for layer in ge.layer_names():
+                weight = ge.injector.sample_value_injection(
+                    rng, layer=layer, location="weight")
+                self._check(ge, layer, images, weight)
+
+    def test_evicted_entry_recomputes(self, cnn, batch):
+        images, _ = batch
+        with GoldenEye(cnn, "bfp_e5m5_b16") as ge:
+            session = ge.enable_resume(budget_bytes=64 * 1024)
+            ge.capture_golden(images)
+            layer = ge.layer_names()[0]  # its output is over the budget
+            assert session.start_index_for(cnn.conv1) not in session.cache
+            self._check(ge, layer, images)
+
+    def test_module_called_twice_recomputes(self, batch):
+        images, _ = batch
+        with GoldenEye(_TwiceMLP(), "bfp_e5m5_b16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            self._check(ge, "shared", images)
+
+    def test_observer_counts_unchanged(self, cnn, batch):
+        """A serial value + metadata campaign with every observer attached
+        books the counts it booked before the output resume existed."""
+        images, labels = batch
+        registry = MetricsRegistry()
+        detector = RangeDetector()
+        profiler = LayerProfiler()
+        with GoldenEye(cnn, "bfp_e5m5_b16", range_detector=detector,
+                       profiler=profiler,
+                       numerics=NumericHealthMonitor(registry)) as ge:
+            golden_inference(ge, images, labels)  # profile the ranges
+            detector.active = True
+            for kind in ("value", "metadata"):
+                run_campaign(ge, images, labels, kind=kind,
+                             injections_per_layer=5, seed=2)
+        tensors = {layer: int(roles["neuron"]["tensors"])
+                   for layer, roles in summarize_numerics(registry).items()}
+        assert tensors == {"conv1": 13, "conv2": 23, "fc": 33}
+        assert detector.detections == {"conv1": 16, "conv2": 18, "fc": 13}
+        compute = {layer: profiler.phase_stats(layer, "compute").calls
+                   for layer in profiler.layers}
+        assert compute == {"conv1": 13, "conv2": 23, "fc": 33}
 
 
 # ----------------------------------------------------------------------
