@@ -23,13 +23,12 @@ Set ``BENCH_QUICK=1`` to shrink the sweep.
 from __future__ import annotations
 
 import os
-import time
 
-from repro.core import GoldenEye, run_campaign
+from repro.core import GoldenEye
 from repro.models import simple_mlp
 from repro.obs import write_bench_json
 
-from .conftest import print_block
+from .conftest import print_block, timed_campaign
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -41,20 +40,6 @@ INJECTIONS_PER_LAYER = 8 if QUICK else 24
 #: it ignores the injection budget)
 SAMPLED_MODELS = ("single", "burst2", "burst4", "stuck0", "stuck1",
                   "temporal2")
-
-
-def _timed_campaign(ge, images, labels, **kwargs):
-    start = time.perf_counter()
-    result = run_campaign(ge, images, labels,
-                          injections_per_layer=INJECTIONS_PER_LAYER,
-                          seed=SEED, **kwargs)
-    wall = time.perf_counter() - start
-    total = sum(r.injections for r in result.per_layer.values())
-    sdc = (sum(r.sdc_rate * r.injections for r in result.per_layer.values())
-           / total if total else 0.0)
-    return {"wall_s": wall, "injections": total,
-            "injections_per_sec": total / wall if wall > 0 else 0.0,
-            "sdc_rate": sdc, "result": result}
 
 
 def test_fault_model_cost_and_severity():
@@ -72,14 +57,16 @@ def test_fault_model_cost_and_severity():
 
     # --- sampled fault models, one seeded campaign each -------------------
     runs: dict[str, dict] = {}
+    common = dict(injections_per_layer=INJECTIONS_PER_LAYER, seed=SEED)
     with GoldenEye(model, SPEC) as ge:
         for fault in SAMPLED_MODELS:
-            runs[fault] = _timed_campaign(ge, images, labels,
-                                          fault_model=fault)
-        exhaustive = _timed_campaign(ge, images, labels,
-                                     fault_model="exhaustive",
-                                     layers=["fc3"])
-        protected = _timed_campaign(ge, images, labels, protect="secded")
+            runs[fault] = timed_campaign(ge, images, labels,
+                                         fault_model=fault, **common)
+        exhaustive = timed_campaign(ge, images, labels,
+                                    fault_model="exhaustive",
+                                    layers=["fc3"], **common)
+        protected = timed_campaign(ge, images, labels, protect="secded",
+                                   **common)
 
     payload["models"] = {
         fault: {"wall_s": run["wall_s"],

@@ -11,8 +11,8 @@ records streamed back in batched frames.  Three things are measured here:
   identically in the serial loop and in every worker).  On a many-core
   host the raw section below shows real CPU scaling; on a 1-core CI box
   only the latency-dominated regime can demonstrate executor scaling
-  honestly, so this section is what the CI regression gate reads
-  (``speedup_at_4 >= 1.3`` and monotone through 8 workers);
+  honestly, so this section is the gated one (``speedup_at_4 >= 1.5``
+  and monotone through 8 workers);
 * **raw throughput** — CPU-bound injections/second on the ResNet18
   analogue for the same sweep.  ``cpu_count`` is recorded alongside:
   with fewer cores than workers these speedups legitimately drop below
@@ -23,24 +23,22 @@ records streamed back in batched frames.  Three things are measured here:
   asserted: parallelism must never change the science.
 
 Set ``BENCH_QUICK=1`` to skip the CPU-bound ResNet sweep and shrink the
-latency-emulated sweep — the mode CI's ``parallel-scaling`` job uses for
-its 8-worker smoke run.
+latency-emulated sweep — the mode CI's ``bench-gates`` job runs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 
 import pytest
 
-from repro.core import GoldenEye, run_campaign
+from repro.core import GoldenEye
 from repro.exec import ExecConfig
 from repro.models import simple_mlp
 from repro.obs import write_bench_json
 
-from .conftest import print_block
+from .conftest import assert_bit_identical, print_block, timed_campaign
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -53,32 +51,6 @@ RAW_INJECTIONS_PER_LAYER = 4
 # executor-scaling section: latency-dominated MLP campaign
 EXEC_INJECTIONS_PER_LAYER = 8 if QUICK else 16
 EXEC_LATENCY_S = 0.04 if QUICK else 0.05
-
-
-def _timed_campaign(ge, images, labels, injections_per_layer, seed,
-                    **kwargs):
-    start = time.perf_counter()
-    result = run_campaign(ge, images, labels,
-                          injections_per_layer=injections_per_layer,
-                          seed=seed, **kwargs)
-    wall = time.perf_counter() - start
-    total = sum(r.injections for r in result.per_layer.values())
-    return {"wall_s": wall, "injections": total,
-            "injections_per_sec": total / wall if wall > 0 else 0.0,
-            "result": result}
-
-
-def _assert_bit_identical(serial, run, context):
-    result = run["result"]
-    assert not result.interrupted and not result.quarantined, context
-    assert result.per_layer.keys() == serial.per_layer.keys(), context
-    for layer in serial.per_layer:
-        assert result.per_layer[layer].delta_losses == \
-            serial.per_layer[layer].delta_losses, (context, layer)
-        assert result.per_layer[layer].mismatch_rate == \
-            serial.per_layer[layer].mismatch_rate, (context, layer)
-        assert result.per_layer[layer].sdc_rate == \
-            serial.per_layer[layer].sdc_rate, (context, layer)
 
 
 def _pool_payload(runs, serial_wall):
@@ -95,22 +67,25 @@ def _sweep(ge, images, labels, injections_per_layer, latency):
     runs: dict[int, dict] = {}
     runs_noshm: dict[int, dict] = {}
     serial_cfg = ExecConfig(workers=1, injection_latency=latency)
-    runs[1] = _timed_campaign(ge, images, labels, injections_per_layer,
-                              seed=0, exec_config=serial_cfg)
+    runs[1] = timed_campaign(ge, images, labels,
+                             injections_per_layer=injections_per_layer,
+                             seed=0, exec_config=serial_cfg)
     for workers in POOL_SIZES[1:]:
-        runs[workers] = _timed_campaign(
-            ge, images, labels, injections_per_layer, seed=0,
+        runs[workers] = timed_campaign(
+            ge, images, labels, injections_per_layer=injections_per_layer,
+            seed=0,
             exec_config=ExecConfig(workers=workers,
                                    injection_latency=latency))
-        runs_noshm[workers] = _timed_campaign(
-            ge, images, labels, injections_per_layer, seed=0,
+        runs_noshm[workers] = timed_campaign(
+            ge, images, labels, injections_per_layer=injections_per_layer,
+            seed=0,
             exec_config=ExecConfig(workers=workers, shared_cache=False,
                                    injection_latency=latency))
     serial = runs[1]["result"]
     for workers, run in runs.items():
-        _assert_bit_identical(serial, run, ("shm", workers))
+        assert_bit_identical(serial, run, ("shm", workers))
     for workers, run in runs_noshm.items():
-        _assert_bit_identical(serial, run, ("noshm", workers))
+        assert_bit_identical(serial, run, ("noshm", workers))
     return runs, runs_noshm
 
 
@@ -175,10 +150,11 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
                                          RAW_INJECTIONS_PER_LAYER,
                                          latency=0.0)
             # journal overhead: the 2-worker campaign, write-ahead journaled
-            journaled = _timed_campaign(
-                ge, images, labels, RAW_INJECTIONS_PER_LAYER, seed=0,
+            journaled = timed_campaign(
+                ge, images, labels,
+                injections_per_layer=RAW_INJECTIONS_PER_LAYER, seed=0,
                 workers=2, journal=str(tmp_path / "bench.jsonl"))
-        _assert_bit_identical(raw_runs[1]["result"], journaled,
+        assert_bit_identical(raw_runs[1]["result"], journaled,
                               ("journaled", 2))
         journal_overhead = journaled["wall_s"] / raw_runs[2]["wall_s"] - 1.0
         payload["raw"] = {
@@ -201,9 +177,8 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
     print_block("\n".join(lines))
     write_bench_json("parallel_campaign", payload)
 
-    # the acceptance surface the CI gate reads (soft here: report-only on
-    # oversubscribed machines would flake, but the latency-dominated mode
-    # is robust even on one core, so assert it)
+    # the gated surface: raw CPU scaling would flake on oversubscribed
+    # machines, but the latency-dominated mode is robust even on one core
     scaling = payload["executor_scaling"]
     assert scaling["speedup_at_4"] >= 1.5, scaling
     assert scaling["monotone_to_8"], scaling

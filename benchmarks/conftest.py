@@ -12,9 +12,12 @@ training.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core import run_campaign
 from repro.data import SyntheticImageNet, get_pretrained
 
 #: the standard experiment dataset (the "ImageNet validation set" stand-in)
@@ -60,3 +63,32 @@ def print_block(text: str) -> None:
     print("\n" + "=" * 72)
     print(text)
     print("=" * 72)
+
+
+def timed_campaign(ge, images, labels, **kwargs) -> dict:
+    """One ``run_campaign`` call: its wall time, injection count,
+    throughput, injection-weighted SDC rate and the result itself."""
+    start = time.perf_counter()
+    result = run_campaign(ge, images, labels, **kwargs)
+    wall = time.perf_counter() - start
+    layers = result.per_layer.values()
+    total = sum(r.injections for r in layers)
+    sdc = sum(r.sdc_rate * r.injections for r in layers)
+    return {"wall_s": wall, "injections": total,
+            "injections_per_sec": total / wall if wall > 0 else 0.0,
+            "sdc_rate": sdc / total if total else 0.0, "result": result}
+
+
+def assert_bit_identical(serial, run, context) -> None:
+    """``run`` (a :func:`timed_campaign`) completed and aggregates bit for
+    bit like the ``serial`` :class:`~repro.core.campaign.CampaignResult`."""
+    result = run["result"]
+    assert not result.interrupted and not result.quarantined, context
+    assert result.per_layer.keys() == serial.per_layer.keys(), context
+    for layer in serial.per_layer:
+        assert result.per_layer[layer].delta_losses == \
+            serial.per_layer[layer].delta_losses, (context, layer)
+        assert result.per_layer[layer].mismatch_rate == \
+            serial.per_layer[layer].mismatch_rate, (context, layer)
+        assert result.per_layer[layer].sdc_rate == \
+            serial.per_layer[layer].sdc_rate, (context, layer)

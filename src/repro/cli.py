@@ -525,8 +525,8 @@ def cmd_report(args) -> int:
     """Assemble a campaign health report from metrics/trace artifacts.
 
     ``--ledger RUN_ID`` regenerates the report for a ledgered run instead:
-    the run's linked artifacts are used when they still exist, otherwise
-    the per-layer section comes from the ledger's own aggregates.
+    its per-layer rows and totals are the ledger's own, and the run's
+    linked artifacts, when they still exist, add the other sections.
     """
     if args.ledger is not None:
         with _open_ledger(args, path_attr="ledger_db") as ledger:
@@ -871,9 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the report to FILE instead of stdout")
     p.add_argument("--ledger", metavar="RUN_ID", type=int, default=None,
-                   help="regenerate the report for a ledgered run (its "
-                        "linked artifacts when present, the ledger's own "
-                        "aggregates otherwise)")
+                   help="regenerate the report for a ledgered run (rows "
+                        "from the ledger; numerics, cache and execution "
+                        "from its linked artifacts when present)")
     p.add_argument("--ledger-db", metavar="DB", default=None,
                    help="campaign ledger to read for --ledger "
                         "(default: $REPRO_LEDGER)")

@@ -1063,32 +1063,34 @@ def _execute_campaign(platform: GoldenEye, images, labels,
 
             # ---- write-ahead journal: load completed work ----------------
             sink = RecordSink(kind, location, progress=progress)
-            if journal is not None:
-                from ..exec.journal import CampaignJournal
-                sink.journal, completed = CampaignJournal.open(
-                    journal, fingerprint, plan=plan_sizes)
-                sink.prefill(
-                    rec for (layer, seq), rec in completed.items()
-                    if layer in sampling
-                    and seq < len(sampling[layer].plans)
-                    and record_matches_plan(rec, sampling[layer].plans[seq]))
-            journal_skipped = len(sink.records)
-            if journal_skipped:
-                registry.counter(
-                    "campaign.journal_skipped_total",
-                    help="injections satisfied from the write-ahead "
-                         "journal instead of re-executing").inc(journal_skipped)
-                logger.info("journal %s: resuming past %d completed "
-                            "injections", journal, journal_skipped)
-
-            # ---- stage 2: execute outstanding plans ----------------------
-            from ..exec.worker import WorkerPayload
-            payload = WorkerPayload(
-                platform=platform, golden=golden, images=images,
-                plans={name: lp.plans for name, lp in sampling.items()},
-                config=cfg, fault_spec=spec.fault_model,
-                protection=protection)
             try:
+                if journal is not None:
+                    from ..exec.journal import CampaignJournal
+                    sink.journal, completed = CampaignJournal.open(
+                        journal, fingerprint, plan=plan_sizes)
+                    sink.prefill(
+                        rec for (layer, seq), rec in completed.items()
+                        if layer in sampling
+                        and seq < len(sampling[layer].plans)
+                        and record_matches_plan(rec,
+                                                sampling[layer].plans[seq]))
+                journal_skipped = len(sink.records)
+                if journal_skipped:
+                    registry.counter(
+                        "campaign.journal_skipped_total",
+                        help="injections satisfied from the write-ahead "
+                             "journal instead of re-executing"
+                    ).inc(journal_skipped)
+                    logger.info("journal %s: resuming past %d completed "
+                                "injections", journal, journal_skipped)
+
+                # ---- stage 2: execute outstanding plans ------------------
+                from ..exec.worker import WorkerPayload
+                payload = WorkerPayload(
+                    platform=platform, golden=golden, images=images,
+                    plans={name: lp.plans for name, lp in sampling.items()},
+                    config=cfg, fault_spec=spec.fault_model,
+                    protection=protection)
                 if workers >= 2:
                     from ..exec.supervisor import run_parallel_campaign
                     outcome = run_parallel_campaign(payload, sampling, sink)
@@ -1098,6 +1100,7 @@ def _execute_campaign(platform: GoldenEye, images, labels,
                 else:
                     _run_serial(payload, sampling, sink)
             finally:
+                # closing releases the journal's lock, whatever went wrong
                 if sink.journal is not None:
                     sink.journal.close()
 

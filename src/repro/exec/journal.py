@@ -53,6 +53,12 @@ Properties:
 * **Quarantine events are advisory.**  They document abandoned shards for
   post-mortems; a resumed run re-attempts those seqs (the fault may have
   been transient).
+* **Exclusive.**  An open journal holds an exclusive ``flock`` on its file
+  until :meth:`CampaignJournal.close`, so a second campaign on the same
+  path fails fast with :class:`repro.core.campaign.CampaignError` instead
+  of interleaving records.  A forked child (a ``--workers`` worker) lets
+  go of every journal its parent holds right after the fork, so a parent
+  killed before it reaps its workers leaves the journal free to resume.
 
 Durability note: ``flush()`` per line survives *process* death (the data
 lives in the OS page cache); pass ``fsync_every`` to also survive machine
@@ -64,7 +70,13 @@ from __future__ import annotations
 import json
 import os
 import time
+import weakref
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts journal unlocked
+    fcntl = None
 
 __all__ = ["CampaignJournal", "JournalMismatch", "load_journal",
            "KNOWN_RECORD_KINDS"]
@@ -168,6 +180,53 @@ def _fold_record(records: dict, entry: dict) -> bool:
     return True
 
 
+def _lock_exclusive(fh, path: Path) -> None:
+    """Take a non-blocking exclusive lock on the journal open as ``fh``.
+
+    A ``flock``, not a POSIX record lock: it belongs to ``fh``'s open file
+    description, so :func:`load_journal` opening and closing the same file
+    cannot drop it, and a second open of the path — in this process or
+    another — conflicts.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX hosts
+        return
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        from ..core.campaign import CampaignError
+        raise CampaignError(
+            f"journal {path} is held by another running campaign; wait for "
+            "it to finish or pass a different --journal path") from None
+
+
+#: the journals open in this process (a forked child lets go of them)
+_OPEN: "weakref.WeakSet[CampaignJournal]" = weakref.WeakSet()
+
+
+def _release_in_child() -> None:
+    """Drop every inherited journal in a freshly forked child.
+
+    A ``flock`` lasts while any descriptor of its open file description
+    does, so a child keeping its copy would hold the parent's journal
+    locked after the parent closed it, or died.  The child never writes
+    the parent's journal: the copy is pointed at ``/dev/null`` (the number
+    stays valid until the inherited file object closes it) and closed.
+    """
+    for journal in list(_OPEN):
+        fh, journal._fh = journal._fh, None
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fh.fileno())
+        finally:
+            os.close(devnull)
+        fh.close()
+    _OPEN.clear()
+
+
+if fcntl is not None:
+    os.register_at_fork(after_in_child=_release_in_child)
+
+
 class CampaignJournal:
     """Append-only write-ahead journal bound to one campaign fingerprint."""
 
@@ -190,38 +249,47 @@ class CampaignJournal:
         Returns the journal plus the records already completed by previous
         runs.  A fresh file gets a header (carrying ``plan``, the per-layer
         planned injection counts, when given); an existing file must carry
-        a matching fingerprint (:class:`JournalMismatch` otherwise).
+        a matching fingerprint (:class:`JournalMismatch` otherwise).  A
+        journal another open journal holds raises
+        :class:`repro.core.campaign.CampaignError` naming the path.
         """
         path = Path(path)
-        completed: dict[tuple[str, int], dict] = {}
-        if path.exists() and path.stat().st_size > 0:
-            header, completed, corrupt, _skipped = load_journal(path)
-            if header is None:
-                if completed:
-                    raise JournalMismatch(
-                        f"journal {path} has injection records but no "
-                        "readable header; refusing to resume from it")
-                # nothing salvageable (e.g. a single torn header line):
-                # start over
-                path.unlink()
-            else:
-                recorded = header.get("fingerprint")
-                if recorded != fingerprint:
-                    raise JournalMismatch(
-                        f"journal {path} was written by a different campaign:\n"
-                        f"  journal:  {recorded}\n"
-                        f"  current:  {fingerprint}\n"
-                        "pass a fresh --journal path (or delete the old file) "
-                        "to start over")
-                if corrupt:
-                    import logging
-                    logging.getLogger("repro.exec").warning(
-                        "journal %s: skipped %d torn/corrupt line(s)",
-                        path, corrupt)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not path.exists() or path.stat().st_size == 0
         fh = open(path, "a", encoding="utf-8")
+        completed: dict[tuple[str, int], dict] = {}
+        try:
+            _lock_exclusive(fh, path)
+            if path.stat().st_size > 0:
+                header, completed, corrupt, _skipped = load_journal(path)
+                if header is None:
+                    if completed:
+                        raise JournalMismatch(
+                            f"journal {path} has injection records but no "
+                            "readable header; refusing to resume from it")
+                    # nothing salvageable (e.g. a single torn header line):
+                    # start over in the locked file
+                    fh.truncate(0)
+                else:
+                    recorded = header.get("fingerprint")
+                    if recorded != fingerprint:
+                        raise JournalMismatch(
+                            f"journal {path} was written by a different "
+                            f"campaign:\n"
+                            f"  journal:  {recorded}\n"
+                            f"  current:  {fingerprint}\n"
+                            "pass a fresh --journal path (or delete the old "
+                            "file) to start over")
+                    if corrupt:
+                        import logging
+                        logging.getLogger("repro.exec").warning(
+                            "journal %s: skipped %d torn/corrupt line(s)",
+                            path, corrupt)
+        except BaseException:
+            fh.close()
+            raise
+        fresh = path.stat().st_size == 0
         journal = cls(path, fingerprint, _fh=fh, fsync_every=fsync_every)
+        _OPEN.add(journal)
         if fresh:
             header = {"type": "header", "version": JOURNAL_VERSION,
                       "fingerprint": fingerprint, "created": time.time()}
@@ -287,6 +355,7 @@ class CampaignJournal:
                 pass
             self._fh.close()
             self._fh = None
+            _OPEN.discard(self)
 
     def __enter__(self) -> "CampaignJournal":
         return self

@@ -10,15 +10,18 @@ quarantine summaries.
 
 The per-layer rows are the campaign's own fold
 (:func:`repro.core.campaign.fold_layer`) over the trace's
-``campaign.injection`` events, taken in ``seq`` order (a stable sort, so
-events from traces that predate ``seq`` keep their arrival order) — the
-same numbers :class:`~repro.core.campaign.CampaignResult` reported, bit
-for bit, whichever executor wrote the trace.
+``campaign.injection`` events, one row per ``(layer, kind)`` — ``repro
+campaign`` traces a value and a metadata campaign into one file — taken
+in ``seq`` order (a stable sort, so events from traces that predate
+``seq`` keep their arrival order): the same numbers
+:class:`~repro.core.campaign.CampaignResult` reported, bit for bit,
+whichever executor wrote the trace.
 
 The report is a plain dict (:func:`build_report`) with a stable
-``repro.report/v1`` schema (checked by :func:`validate_report`, which CI
-runs on every smoke campaign), rendered as markdown (:func:`render_markdown`)
-or a self-contained HTML page (:func:`render_html`).
+``repro.report/v1`` schema (checked by :func:`validate_report`, which
+``repro report`` runs on every report it renders), rendered as markdown
+(:func:`render_markdown`) or a self-contained HTML page
+(:func:`render_html`).
 
 Because the parallel executor streams worker metric deltas and trace events
 back to the supervisor, the same artifacts — and therefore the same report —
@@ -104,19 +107,25 @@ def build_report(metrics: dict | None = None,
     metrics = metrics if metrics is not None else {}
     events = events if events is not None else []
     numerics = summarize_collected(metrics)
-    by_layer: dict[str, list[dict]] = {name: [] for name in numerics}
+    by_row: dict[tuple[str, str], list[dict]] = {}
     for event in events:
         if event.get("name") == "campaign.injection":
-            by_layer.setdefault(str(event.get("layer", "?")), []).append(event)
+            key = (str(event.get("layer", "?")),
+                   str(event.get("kind", "value")))
+            by_row.setdefault(key, []).append(event)
+    injected = {layer for layer, _ in by_row}
+    for name in numerics.keys() - injected:  # numeric health alone
+        by_row[(name, "value")] = []
 
     layers = []
-    for name in sorted(by_layer):
+    for name, kind in sorted(by_row):
         # a stable sort: events of traces that predate seq keep arrival order
-        ordered = sorted(by_layer[name], key=lambda e: e.get("seq", 0))
+        ordered = sorted(by_row[(name, kind)], key=lambda e: e.get("seq", 0))
         inj = fold_layer(name, {i: normalized_record(event)
                                 for i, event in enumerate(ordered)})
         layers.append({
             "layer": name,
+            "kind": kind,
             "injections": inj.injections,
             "mean_delta_loss": inj.mean_delta_loss,
             "max_delta_loss": inj.max_delta_loss,
@@ -174,12 +183,14 @@ def build_report(metrics: dict | None = None,
 def build_report_from_ledger(ledger, run_id: int) -> dict:
     """Regenerate a campaign report from a ledger row (``--ledger RUN_ID``).
 
-    Loads the run's linked ``--metrics-json`` / ``--trace`` artifacts when
-    they still exist on disk and builds the usual joined report from them.
-    When the artifacts are gone (or were never exported) the per-layer and
-    campaign sections are synthesized from the ledger's own ``run_layers``
-    rows, so a report can always be regenerated from the ledger alone.
-    Raises ``KeyError`` when the run id does not exist.
+    The per-layer rows and the campaign totals are the run's own ledger
+    rows (``run_layers`` and ``runs``), so the report is the run's, even
+    when its linked artifacts also hold other campaigns: ``repro campaign``
+    writes the value and the metadata campaign into one trace and one
+    metrics file.  The linked ``--metrics-json`` / ``--trace`` artifacts,
+    when they still exist on disk, add the numeric-health, cache,
+    execution and quarantine sections.  Raises ``KeyError`` when the run id
+    does not exist.
     """
     run = ledger.get_run(run_id)
     if run is None:
@@ -207,31 +218,21 @@ def build_report_from_ledger(ledger, run_id: int) -> dict:
         "format": run.get("format"),
         "fault_model": run.get("fault_model"),
     }
-
-    # fall back to the ledger's own aggregates where artifacts are missing
-    if not report["layers"]:
-        report["layers"] = [{
-            "layer": row["layer"],
-            "injections": int(row["injections"] or 0),
-            "mean_delta_loss": float(row["mean_delta_loss"] or 0.0),
-            "max_delta_loss": float(row["max_delta_loss"] or 0.0),
-            "mismatch_rate": float(row["mismatch_rate"] or 0.0),
-            "sdc_rate": float(row["sdc_rate"] or 0.0),
-            "sdc_ci": [float(row["sdc_lo"] or 0.0),
-                       float(row["sdc_hi"] or 1.0)],
-            "numerics": {},
-        } for row in run["layers_detail"]]
-    campaign = report["campaign"]
-    if not campaign.get("injections"):
-        campaign["injections"] = int(run.get("injections") or 0)
-    if not campaign.get("injections_per_sec"):
-        campaign["injections_per_sec"] = float(
-            run.get("injections_per_sec") or 0.0)
-    if not campaign.get("wall_seconds"):
-        campaign["wall_seconds"] = float(run.get("wall_seconds") or 0.0)
-    cache = report["cache"]
-    if not cache and run.get("resume_hit_rate") is not None:
-        cache["hit_rate"] = float(run["resume_hit_rate"])
+    numerics = {row["layer"]: row["numerics"] for row in report["layers"]}
+    report["layers"] = [{
+        "layer": row["layer"],
+        "kind": run["kind"],
+        "injections": row["injections"],
+        "mean_delta_loss": row["mean_delta_loss"],
+        "max_delta_loss": row["max_delta_loss"],
+        "mismatch_rate": row["mismatch_rate"],
+        "sdc_rate": row["sdc_rate"],
+        "sdc_ci": [row["sdc_lo"], row["sdc_hi"]],
+        "numerics": numerics.get(row["layer"], {}),
+    } for row in run["layers_detail"]]
+    report["campaign"] = {"injections": run["injections"],
+                          "injections_per_sec": run["injections_per_sec"],
+                          "wall_seconds": run["wall_seconds"]}
     return report
 
 
@@ -273,7 +274,7 @@ def _fmt(value: float, spec: str = ".4g") -> str:
 
 
 def _layer_rows(report: dict) -> tuple[list[str], list[list[str]]]:
-    header = ["layer", "inj", "ΔLoss", "mismatch", "SDC",
+    header = ["layer", "kind", "inj", "ΔLoss", "mismatch", "SDC",
               "sat rate", "flush rate", "NaN", "ulp err", "range dB"]
     rows = []
     for row in report["layers"]:
@@ -282,6 +283,7 @@ def _layer_rows(report: dict) -> tuple[list[str], list[list[str]]]:
         stream = num.get("neuron") or num.get("weight") or {}
         rows.append([
             str(row["layer"]),
+            str(row["kind"]),
             str(row["injections"]),
             _fmt(row["mean_delta_loss"]),
             _fmt(row["mismatch_rate"]),
@@ -311,8 +313,9 @@ def render_markdown(report: dict) -> str:
         f"- injections: **{c['injections']}** "
         f"({_fmt(c['injections_per_sec'], '.1f')}/s, "
         f"wall {_fmt(c['wall_seconds'], '.2f')}s)",
-        f"- bit flips applied: {_fmt(c.get('flips_total', 0), '.0f')}",
     ]
+    if "flips_total" in c:  # trace-built reports; the ledger stores none
+        lines.append(f"- bit flips applied: {_fmt(c['flips_total'], '.0f')}")
     if report["cache"]:
         hits = report["cache"].get("hits", 0.0)
         misses = report["cache"].get("misses", 0.0)

@@ -1,5 +1,15 @@
 """Tests for the command-line interface (python -m repro ...)."""
 
+import contextlib
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -118,12 +128,13 @@ class TestExtendedCommands:
 
 
 class TestObservabilityCLI:
-    def test_campaign_writes_trace_and_metrics(self, tmp_path, capsys):
-        import json
+    @pytest.mark.parametrize("extra", [[], ["--workers", "2", "--numerics"]],
+                             ids=["serial", "workers2-numerics"])
+    def test_campaign_writes_trace_and_metrics(self, tmp_path, capsys, extra):
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
         code = main(["campaign", *CHEAP, "--format", "int8",
-                     "--injections", "3", "--batch", "8",
+                     "--injections", "3", "--batch", "8", *extra,
                      "--trace", str(trace), "--metrics-json", str(metrics)])
         assert code == 0
         out = capsys.readouterr().out
@@ -139,10 +150,9 @@ class TestObservabilityCLI:
         assert len([e for e in injections if e["kind"] == "value"]) == 9
         assert len([e for e in injections if e["kind"] == "metadata"]) == 9
         for e in injections:
-            for key in ("layer", "site", "bits", "delta_loss", "dur_s"):
+            for key in ("layer", "seq", "site", "bits", "delta_loss", "dur_s"):
                 assert key in e, f"missing {key} in injection event"
         assert any(e["name"] == "campaign.run" for e in events)
-        assert any(e["name"] == "campaign.layer" for e in events)
 
         payload = json.loads(metrics.read_text())
         names = set(payload["metrics"])
@@ -150,6 +160,12 @@ class TestObservabilityCLI:
         assert "campaign.injections_per_sec" in names
         assert "resume.hit_rate" in names
         assert "profile.phase_seconds" in names
+        if extra:  # worker spans and numeric-health deltas reach the parent
+            shards = [e for e in events if e["name"] == "exec.worker_shard"]
+            assert shards and all("worker_id" in e for e in shards)
+            assert any(name.startswith("numerics.") for name in names)
+        else:
+            assert any(e["name"] == "campaign.layer" for e in events)
 
     def test_campaign_metrics_prom_export(self, tmp_path):
         prom = tmp_path / "metrics.prom"
@@ -259,3 +275,215 @@ class TestFaultModelCLI:
         report = _json.loads(out_path.read_text())
         assert validate_hardening_report(report) == report
         assert report["protection"] == "secded"
+
+
+def _repro(*argv):
+    """The argv of a ``python -m repro`` child process."""
+    return [sys.executable, "-m", "repro", *argv]
+
+
+def _env():
+    """A child's environment: this process's, with its import path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+def _run(argv, timeout=600, **kwargs):
+    return subprocess.run(argv, timeout=timeout, env=_env(), **kwargs)
+
+
+class TestCampaignProcess:
+    """`repro campaign` driven as a child process: interrupted by SIGINT,
+    resumed from its journal, and served live while it runs."""
+
+    ARGS = ["campaign", "--model", "simple_cnn", "--classes", "4",
+            "--samples", "80", "--eval-samples", "16", "--epochs", "1",
+            "--data-seed", "3", "--format", "fp16"]
+
+    def test_sigint_then_resume_matches_an_uninterrupted_run(self, tmp_path):
+        from repro.exec.journal import load_journal
+        from repro.exec.shmcache import live_segments
+
+        args = _repro(*self.ARGS, "--injections", "400", "--batch", "8",
+                      "--workers", "2", "-v")
+        run, fresh = tmp_path / "run.jsonl", tmp_path / "fresh.jsonl"
+
+        def records(path):
+            """(layer, seq) -> comparable record tuple, as the code reads
+            the journal (injection and batch lines, torn tail skipped)."""
+            if not path.exists():
+                return {}
+            return {key: (r["site"], tuple(r["bits"]), r["delta_loss"],
+                          r["mismatch_rate"], r["sdc_rate"])
+                    for key, r in load_journal(path)[1].items()}
+
+        # 1. warm the model cache so later invocations are cheap/identical
+        _run(args + ["--injections", "1", "--workers", "1"], check=True)
+
+        # 2. start the campaign, SIGINT it once the journal shows progress
+        proc = subprocess.Popen(args + ["--journal", str(run)], env=_env())
+        try:
+            deadline = time.time() + 540
+            while len(records(run)) < 10:
+                assert proc.poll() is None, (
+                    "campaign finished before it could be interrupted; "
+                    "raise --injections")
+                assert time.time() < deadline, \
+                    "campaign never made journaled progress"
+                time.sleep(0.2)
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+        partial = records(run)
+        assert partial, "no records survived the interrupt"
+        assert live_segments() == []
+
+        # 3. resume with the identical command + journal
+        _run(args + ["--journal", str(run)], check=True)
+        resumed = records(run)
+        assert len(resumed) > len(partial), "resume executed no new work"
+        for key in partial:
+            assert resumed[key] == partial[key], f"resume rewrote {key}"
+        assert live_segments() == []
+
+        # 4. uninterrupted reference run into a fresh journal
+        _run(args + ["--journal", str(fresh)], check=True)
+        assert resumed == records(fresh), (
+            "resumed aggregate differs from uninterrupted run")
+
+    def test_resumes_after_its_supervisor_is_killed(self, tmp_path):
+        """A SIGKILLed supervisor cannot reap its workers, and they stay
+        blocked; they must not keep the journal locked against the resume."""
+        from repro.exec.journal import load_journal
+        from repro.exec.shmcache import SEGMENT_PREFIX, live_segments
+
+        run = tmp_path / "run.jsonl"
+        args = _repro(*self.ARGS, "--injections", "400", "--batch", "8",
+                      "--workers", "2", "--journal", str(run))
+
+        def records():
+            return load_journal(run)[1] if run.exists() else {}
+
+        # its own process group, so its orphaned workers can be killed too
+        proc = subprocess.Popen(args, env=_env(), start_new_session=True)
+        try:
+            deadline = time.time() + 540
+            while not records():
+                assert proc.poll() is None, \
+                    "campaign finished before it could be killed"
+                assert time.time() < deadline, \
+                    "campaign never made journaled progress"
+                time.sleep(0.2)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+            partial = records()
+
+            resumed = _run(args, capture_output=True, text=True)
+            assert resumed.returncode == 0, resumed.stderr[-2000:]
+            assert len(records()) > len(partial), "resume executed no new work"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            # the killed supervisor never unlinked its golden-cache segment
+            for name in live_segments():
+                if name.startswith(f"{SEGMENT_PREFIX}{proc.pid}-"):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(os.path.join("/dev/shm", name))
+
+    def test_served_campaign_answers_live_endpoints(self, tmp_path):
+        from repro.obs.live import validate_progress
+
+        with socket.socket() as probe:  # a free port for the server
+            probe.bind(("127.0.0.1", 0))
+            host, port = probe.getsockname()
+        addr = f"{host}:{port}"
+        url = f"http://{addr}"
+        journal = str(tmp_path / "live.jsonl")
+        # warm the model cache so the served run reaches injections fast
+        _run(_repro(*self.ARGS, "--injections", "1", "--workers", "1"),
+             check=True)
+
+        # a budget the checks can never outrun: the SIGINT step ends the
+        # campaign, not injection exhaustion
+        proc = subprocess.Popen(
+            _repro(*self.ARGS, "--injections", "5000", "--batch", "8",
+                   "--workers", "2", "--journal", journal, "--serve", addr,
+                   "-v"), env=_env())
+        try:
+            # 1. wait for a running /progress document
+            deadline = time.time() + 540
+            while True:
+                assert proc.poll() is None, \
+                    "campaign exited before serving progress"
+                assert time.time() < deadline, \
+                    "no /progress with done >= 5 before deadline"
+                try:
+                    with urllib.request.urlopen(url + "/progress",
+                                                timeout=5) as resp:
+                        doc = json.load(resp)
+                    if doc["done"] >= 5:
+                        break
+                except OSError:
+                    pass
+                time.sleep(0.2)
+
+            # 2. schema-validate the live document
+            validate_progress(doc)
+            assert doc["state"] == "running", doc["state"]
+            assert doc["total"] > 0 and doc["layers"], "empty plan served"
+            for layer, entry in doc["layers"].items():
+                lo, hi = entry["sdc_ci95"]
+                assert 0.0 <= lo <= hi <= 1.0, (layer, entry)
+
+            # 3. /metrics and /healthz answer while records flow
+            with urllib.request.urlopen(url + "/metrics", timeout=5) as resp:
+                metrics = resp.read().decode()
+            assert "campaign_injections_total" in metrics, metrics[:400]
+            with urllib.request.urlopen(url + "/healthz", timeout=5) as resp:
+                health = json.load(resp)
+            assert health["status"] == "ok", health
+
+            # 4. the SSE stream delivers at least one campaign event
+            events = 0
+            with urllib.request.urlopen(url + "/events",
+                                        timeout=30) as stream:
+                deadline = time.time() + 60
+                while time.time() < deadline and events < 1:
+                    if stream.readline().startswith(b"event: campaign."):
+                        events += 1
+            assert events >= 1, "no campaign.* SSE event observed"
+
+            # 5. the terminal dashboard renders one frame from the URL
+            watch = _run(_repro("watch", addr, "--once"), timeout=60,
+                         capture_output=True, text=True)
+            assert watch.returncode == 0, watch.stderr
+            assert "SDC" in watch.stdout, watch.stdout
+
+            # 6. SIGINT: campaign seals, server shuts down cleanly
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+
+        for _ in range(50):
+            try:
+                socket.create_connection((host, port), timeout=1).close()
+                time.sleep(0.2)
+            except OSError:
+                break
+        else:
+            pytest.fail("live server port still accepting after shutdown")
+
+        # 7. the journal survives and the offline dashboard reads it
+        assert os.path.exists(journal), "journal missing"
+        watch = _run(_repro("watch", journal, "--once"), timeout=60,
+                     capture_output=True, text=True)
+        assert watch.returncode == 0, watch.stderr
+        assert "journal" in watch.stdout, watch.stdout

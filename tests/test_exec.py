@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import signal
 import struct
 import time
@@ -28,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import CampaignSpec, GoldenEye, run_campaign
+from repro.core import CampaignError, CampaignSpec, GoldenEye, run_campaign
 from repro.exec import (
     CampaignJournal,
     ExecConfig,
@@ -156,6 +157,44 @@ class TestJournal:
         journal2, completed2 = CampaignJournal.open(path, self.FP)
         journal2.close()
         assert set(completed2) == {("l", 0)}
+
+    def test_a_held_journal_refuses_a_second_open(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        other = {"kind": "value", "seed": 1}
+        with CampaignJournal.open(path, self.FP)[0] as journal:
+            journal.append_record({"layer": "l", "seq": 0, "delta_loss": 1.0})
+        # the resuming open reads the records back while holding the lock
+        journal, completed = CampaignJournal.open(path, self.FP)
+        assert set(completed) == {("l", 0)}
+        for fingerprint in (self.FP, other):
+            with pytest.raises(CampaignError, match=re.escape(str(path))):
+                CampaignJournal.open(path, fingerprint)
+        journal.append_record({"layer": "l", "seq": 1, "delta_loss": 2.0})
+        journal.close()
+        with pytest.raises(JournalMismatch):  # a refused open keeps no lock
+            CampaignJournal.open(path, other)
+        journal, completed = CampaignJournal.open(path, self.FP)
+        journal.close()
+        assert set(completed) == {("l", 0), ("l", 1)}
+
+    @needs_fork
+    def test_a_forked_child_does_not_hold_the_lock(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal, _ = CampaignJournal.open(path, self.FP)
+        ctx = multiprocessing.get_context("fork")
+        release = ctx.Event()
+        child = ctx.Process(target=release.wait, args=(60,))
+        child.start()
+        try:
+            journal.close()
+            # the child outlives its parent's handle, and holds no lock
+            journal, _ = CampaignJournal.open(path, self.FP)
+            journal.close()
+        finally:
+            release.set()
+            child.join(60)
+        assert child.exitcode == 0
+        assert len(path.read_text().splitlines()) == 1  # the header alone
 
     def test_last_record_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"

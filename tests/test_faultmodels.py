@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import wilson_interval
 from repro.core import (
     BURST_LENGTHS,
     Burst,
@@ -506,6 +507,21 @@ def test_exhaustive_covers_the_whole_site_space(fault_baselines):
     (layer, result), = serial.result.per_layer.items()
     assert layer == "fc3"
     assert result.injections == 64  # 4 outputs x 16 bits, none sampled away
+
+
+def test_sampled_estimate_covers_the_exhaustive_truth(fault_baselines):
+    """The sampled estimator's Wilson interval on fc3 covers the ground
+    truth of the exhaustive sweep of the same layer (an exhaustive sweep
+    visits every site whatever its seed)."""
+    model, (images, labels), serial = fault_baselines["exhaustive"]
+    with GoldenEye(model, "fp16") as ge:
+        sampled = run_campaign(ge, images, labels, layers=["fc3"],
+                               injections_per_layer=32, seed=3)
+    truth, est = serial.result.per_layer["fc3"], sampled.per_layer["fc3"]
+    assert truth.injections == 64
+    lo, hi = wilson_interval(round(est.sdc_rate * est.injections),
+                             est.injections)
+    assert lo <= truth.sdc_rate <= hi, (lo, hi, truth.sdc_rate)
 
 
 # ----------------------------------------------------------------------

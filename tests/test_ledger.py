@@ -411,10 +411,13 @@ class TestHistory:
 
     def test_history_lists_runs_and_trend(self, tmp_path):
         with CampaignLedger(str(tmp_path / "h.sqlite")) as ledger:
-            for rate in (0.1, 0.2, 0.4):
-                _record_fake(ledger, {"fc": _FakeLayer(100, rate)})
+            run_ids = [_record_fake(ledger, {"fc": _FakeLayer(100, rate)})
+                       for rate in (0.1, 0.2, 0.4)]
             text = render_history(ledger)
-        assert "fp16" in text and "SDC trend" in text
+        leading = {line.split()[0] for line in text.splitlines()
+                   if line.strip()}
+        assert {str(run_id) for run_id in run_ids} <= leading
+        assert "fp16" in text and "SDC trend per format" in text
         assert "▁" in text and "█" in text  # a real rising sparkline
         assert "0.1000 → 0.4000" in text
 
@@ -654,6 +657,47 @@ class TestLedgerCLI:
         assert report["sources"]["trace"]  # the linked trace was loaded
         assert report["campaign"]["injections"] == sum(
             r.injections for r in out.result.per_layer.values())
+
+    def test_report_rows_are_each_runs_own(self, tmp_path, capsys,
+                                           monkeypatch):
+        """`repro campaign` on int8 ledgers a value and a metadata run that
+        share one trace: each run's report is its own ``run_layers``, and
+        the trace's report splits its rows by kind with the same numbers."""
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        db, trace = str(tmp_path / "l.db"), str(tmp_path / "t.jsonl")
+        assert main(["campaign", "--model", "simple_cnn", "--classes", "4",
+                     "--samples", "80", "--eval-samples", "32",
+                     "--epochs", "1", "--data-seed", "3", "--format", "int8",
+                     "--injections", "3", "--batch", "8", "--trace", trace,
+                     "--ledger", db]) == 0
+        fields = ("injections", "mean_delta_loss", "max_delta_loss",
+                  "mismatch_rate", "sdc_rate")
+
+        def report(*argv):
+            capsys.readouterr()
+            assert main(["report", *argv, "--render", "json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        def rows(layers):
+            return {row["layer"]: tuple(row[f] for f in fields)
+                    for row in layers}
+
+        traced = report("--from-trace", trace)["layers"]
+        with CampaignLedger(db) as ledger:
+            runs = [ledger.get_run(run_id) for run_id in (1, 2)]
+        assert [run["kind"] for run in runs] == ["value", "metadata"]
+        assert len(traced) == sum(len(run["layers_detail"]) for run in runs)
+        for run in runs:
+            own = rows(run["layers_detail"])
+            assert own and all(n == 3 for n, *_ in own.values())
+            ledgered = report("--ledger", str(run["run_id"]),
+                              "--ledger-db", db)
+            assert rows(ledgered["layers"]) == own
+            assert {row["kind"] for row in ledgered["layers"]} == \
+                {run["kind"]}
+            assert ledgered["campaign"]["injections"] == run["injections"]
+            assert rows(r for r in traced if r["kind"] == run["kind"]) == own
 
     def test_report_missing_ledger_run_exits_2(self, seeded_db, capsys):
         from repro.cli import main
