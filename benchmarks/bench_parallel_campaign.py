@@ -63,10 +63,16 @@ def _pool_payload(runs, serial_wall):
 
 
 def _sweep(ge, images, labels, injections_per_layer, latency):
-    """1/2/4/8-worker sweep with and without the shared golden cache."""
+    """1/2/4/8-worker sweep with and without the shared golden cache.
+
+    Every side pins ``fault_batch=1``: the emulated latency is slept once
+    per chunk, so the sweep models the same per-injection sleep in the
+    serial loop and in every worker only when a chunk is one injection.
+    """
     runs: dict[int, dict] = {}
     runs_noshm: dict[int, dict] = {}
-    serial_cfg = ExecConfig(workers=1, injection_latency=latency)
+    serial_cfg = ExecConfig(workers=1, injection_latency=latency,
+                            fault_batch=1)
     runs[1] = timed_campaign(ge, images, labels,
                              injections_per_layer=injections_per_layer,
                              seed=0, exec_config=serial_cfg)
@@ -75,12 +81,12 @@ def _sweep(ge, images, labels, injections_per_layer, latency):
             ge, images, labels, injections_per_layer=injections_per_layer,
             seed=0,
             exec_config=ExecConfig(workers=workers,
-                                   injection_latency=latency))
+                                   injection_latency=latency, fault_batch=1))
         runs_noshm[workers] = timed_campaign(
             ge, images, labels, injections_per_layer=injections_per_layer,
             seed=0,
             exec_config=ExecConfig(workers=workers, shared_cache=False,
-                                   injection_latency=latency))
+                                   injection_latency=latency, fault_batch=1))
     serial = runs[1]["result"]
     for workers, run in runs.items():
         assert_bit_identical(serial, run, ("shm", workers))

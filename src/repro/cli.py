@@ -759,10 +759,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not publish the golden activation cache to "
                             "shared memory; each worker keeps its "
                             "fork-inherited copy-on-write cache")
-    group.add_argument("--fault-batch", type=int, default=1,
+    group.add_argument("--fault-batch", type=_positive_int("--fault-batch"),
+                       default=None,
                        help="independent neuron-value faults evaluated per "
                             "forward pass (fault-axis batching); records "
-                            "stay bit-identical to --fault-batch 1")
+                            "stay bit-identical to --fault-batch 1 "
+                            "(default: automatic, sized from the golden "
+                            "recording; it resolves to 1 here because this "
+                            "command always attaches a layer profiler)")
     group.add_argument("--serve", metavar="HOST:PORT", default=None,
                        help="serve live observability while the campaign "
                             "runs: /metrics (Prometheus), /progress "

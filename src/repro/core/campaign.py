@@ -117,6 +117,8 @@ __all__ = [
     "sample_layer_plans",
     "execute_injection",
     "execute_chunks",
+    "lane_count",
+    "LANE_BYTES",
     "RecordSink",
     "aggregate_layer",
     "fold_layer",
@@ -127,6 +129,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.campaign")
+
+#: bytes the fault lanes of one automatic chunk may materialise (see
+#: :func:`lane_count`); a lane costs one evaluation batch plus one copy of
+#: the golden recording
+LANE_BYTES = 4 * 1024 * 1024
 
 
 class CampaignError(RuntimeError):
@@ -525,6 +532,35 @@ def _compose_temporal(faulty_logits, golden_logits, persist: int):
     return composed
 
 
+def _lane_records(golden: InferenceOutcome, lanes, plans, verdicts,
+                  fault_spec, t_start: float) -> list[dict]:
+    """Score a ``(K, batch, ...)`` stack of faulty logits in one pass.
+
+    Lane ``k`` ran ``plans[k]`` alone; its record is the one a solo run
+    of that plan returns.  ``dur_s`` splits the time since ``t_start``
+    evenly across the K plans.
+    """
+    for k, plan in enumerate(plans):
+        if getattr(plan, "persist", 0):
+            lanes[k] = _compose_temporal(lanes[k], golden.logits, plan.persist)
+    metrics = compare_outcomes(golden, InferenceOutcome(logits=lanes,
+                                                        labels=golden.labels))
+    delta_loss = metrics["delta_loss"].tolist()
+    mismatch_rate = metrics["mismatch_rate"].tolist()
+    sdc_rate = metrics["sdc_rate"].tolist()
+    dur = (time.perf_counter() - t_start) / len(plans)
+    return [_stamp_fault_fields({
+        "kind": plan_kind(plan),
+        "site": plan_site(plan),
+        "bits": list(plan.bits),
+        "delta_loss": delta_loss[k],
+        "mismatch_rate": mismatch_rate[k],
+        "sdc_rate": sdc_rate[k],
+        "dur_s": dur,
+    }, plan, fault_spec, verdict)
+        for k, (plan, verdict) in enumerate(zip(plans, verdicts))]
+
+
 def _protected_record(plan, verdict: str, fault_spec, dur: float) -> dict:
     """Record for a fault the ECC corrected/detected: the golden outcome."""
     return _stamp_fault_fields({
@@ -573,21 +609,8 @@ def execute_injection(
         else:
             faulty_logits = golden_inference(platform, images,
                                              golden.labels).logits
-    faulty = InferenceOutcome(
-        logits=_compose_temporal(faulty_logits, golden.logits,
-                                 getattr(plan, "persist", 0)),
-        labels=golden.labels,
-    )
-    metrics = compare_outcomes(golden, faulty)
-    return _stamp_fault_fields({
-        "kind": plan_kind(plan),
-        "site": plan_site(plan),
-        "bits": list(plan.bits),
-        "delta_loss": float(metrics["delta_loss"]),
-        "mismatch_rate": float(metrics["mismatch_rate"]),
-        "sdc_rate": float(metrics["sdc_rate"]),
-        "dur_s": time.perf_counter() - t_inj,
-    }, plan, fault_spec, verdict)
+    return _lane_records(golden, faulty_logits[None], [plan], [verdict],
+                         fault_spec, t_inj)[0]
 
 
 def plan_kind(plan) -> str:
@@ -611,6 +634,28 @@ def plans_can_batch(plans) -> bool:
                for p in plans)
 
 
+def lane_count(platform: GoldenEye, images, plans, config) -> int:
+    """Faults one forward pass evaluates for one layer's ``plans``: K.
+
+    An explicit ``config.fault_batch`` is returned as given.  Automatic
+    (None) resolves K = ``LANE_BYTES // (images.nbytes + recording bytes)``,
+    the bytes one lane materialises, capped at the plan count.  K is 1
+    when the plans cannot share a pass (:func:`plans_can_batch`), when
+    there is no golden recording (``resume=False``), and when the platform
+    carries a profiler or a numerics monitor: a lane pass books neither
+    the profiler's phases nor the per-lane tensors K single passes book.
+    """
+    if config.fault_batch is not None:
+        return config.fault_batch
+    session = platform.resume_session
+    if (not config.resume or session is None or not session.recorded
+            or platform.profiler is not None or platform.numerics is not None
+            or not plans_can_batch(plans)):
+        return 1
+    lane = np.asarray(images, dtype=np.float32).nbytes + session.cache.nbytes
+    return max(1, min(len(plans), LANE_BYTES // lane))
+
+
 def execute_injection_batch(
     platform: GoldenEye,
     golden: InferenceOutcome,
@@ -624,10 +669,12 @@ def execute_injection_batch(
 
     Record ``k`` is bit-identical to :func:`execute_injection` for
     ``plans[k]`` (the batched forward is lane-exact — see
-    :meth:`repro.core.goldeneye.GoldenEye.forward_from_batched`) except for
-    ``dur_s``, which amortizes the shared forward across the K plans.
-    Falls back to the sequential per-plan loop when the plans cannot share
-    a pass (metadata/weight plans, mixed layers) or when K == 1.
+    :meth:`repro.core.goldeneye.GoldenEye.forward_from_batched` — and the
+    K lanes are scored in one :func:`~repro.core.metrics.compare_outcomes`
+    call) except for ``dur_s``, which splits the shared forward and
+    scoring across the K plans.  Falls back to the sequential per-plan
+    loop when the plans cannot share a pass (metadata/weight plans, mixed
+    layers) or when K == 1.
 
     ECC-corrected/-detected plans are partitioned out before the forward —
     only the live (silent/unprotected) plans share the batched pass — and
@@ -677,22 +724,11 @@ def _execute_injection_batch(
     t_batch = time.perf_counter()
     lane_logits = platform.forward_from_batched(live_plans[0].layer,
                                                 live_plans, images)
-    dur = (time.perf_counter() - t_batch) / len(live_plans)
-    for k, (i, plan, verdict) in enumerate(live):
-        faulty = InferenceOutcome(
-            logits=_compose_temporal(lane_logits[k], golden.logits,
-                                     getattr(plan, "persist", 0)),
-            labels=golden.labels)
-        metrics = compare_outcomes(golden, faulty)
-        out[i] = _stamp_fault_fields({
-            "kind": plan_kind(plan),
-            "site": plan_site(plan),
-            "bits": list(plan.bits),
-            "delta_loss": float(metrics["delta_loss"]),
-            "mismatch_rate": float(metrics["mismatch_rate"]),
-            "sdc_rate": float(metrics["sdc_rate"]),
-            "dur_s": dur,
-        }, plan, fault_spec, verdict)
+    records = _lane_records(golden, lane_logits, live_plans,
+                            [verdict for _, _, verdict in live], fault_spec,
+                            t_batch)
+    for (i, _, _), record in zip(live, records):
+        out[i] = record
     return out
 
 
@@ -700,14 +736,16 @@ def execute_chunks(payload, layer: str, seqs):
     """Execute ``layer``'s plans at ``seqs``; yield each chunk's records.
 
     ``payload`` is the campaign's :class:`repro.exec.worker.WorkerPayload`.
-    Chunks hold ``config.fault_batch`` plans (one batched forward each);
-    records are stamped with ``layer`` and ``seq``, and the emulated device
-    latency is slept once per chunk, after the caller took its records.
+    Chunks hold the layer's resolved lane count of plans
+    (``payload.lanes``, see :func:`lane_count`; one batched forward
+    each); records are stamped with ``layer`` and ``seq``, and the
+    emulated device latency is slept once per chunk, after the caller
+    took its records.
     """
     config = payload.config
     plans = payload.plans[layer]
     seqs = list(seqs)
-    chunk = max(1, int(config.fault_batch))
+    chunk = payload.lanes[layer]
     latency = float(config.injection_latency or 0.0)
     for i in range(0, len(seqs), chunk):
         group = seqs[i:i + chunk]
@@ -743,24 +781,37 @@ def record_matches_plan(record: dict, plan) -> bool:
             and list(record.get("bits", ())) == list(plan.bits))
 
 
-def emit_injection_telemetry(record: dict, kind: str, location: str) -> None:
-    """Publish one executed record to the registry + tracer (parent side)."""
+def emit_injection_telemetry(records, kind: str, location: str) -> None:
+    """Publish executed records to the registry + tracer (parent side).
+
+    One call per accepted chunk: the counter moves once and each layer's
+    histogram is looked up once, then observes its records in order, so
+    sums and buckets equal per-record publication.  Tracing emits one
+    ``campaign.injection`` event per record.
+    """
     registry = get_registry()
     registry.counter("campaign.injections_total",
                      help="injected inferences executed",
-                     kind=kind, location=location).inc()
-    registry.histogram("campaign.injection_seconds",
-                       help="wall-clock per injected inference",
-                       layer=record["layer"]).observe(record["dur_s"])
+                     kind=kind, location=location).inc(len(records))
+    histograms = {}
+    for record in records:
+        layer = record["layer"]
+        histogram = histograms.get(layer)
+        if histogram is None:
+            histogram = histograms[layer] = registry.histogram(
+                "campaign.injection_seconds",
+                help="wall-clock per injected inference", layer=layer)
+        histogram.observe(record["dur_s"])
     tracer = get_tracer()
     if tracer.enabled:
-        tracer.event("campaign.injection", layer=record["layer"], kind=kind,
-                     location=location, seq=int(record["seq"]),
-                     site=int(record["site"]),
-                     bits=list(record["bits"]),
-                     delta_loss=record["delta_loss"],
-                     mismatch_rate=record["mismatch_rate"],
-                     sdc_rate=record["sdc_rate"], dur_s=record["dur_s"])
+        for record in records:
+            tracer.event("campaign.injection", layer=record["layer"],
+                         kind=kind, location=location, seq=int(record["seq"]),
+                         site=int(record["site"]),
+                         bits=list(record["bits"]),
+                         delta_loss=record["delta_loss"],
+                         mismatch_rate=record["mismatch_rate"],
+                         sdc_rate=record["sdc_rate"], dur_s=record["dur_s"])
 
 
 class RecordSink:
@@ -798,13 +849,14 @@ class RecordSink:
             self.journal.append_batch(fresh)
         for record in fresh:
             self.records[(record["layer"], record["seq"])] = record
-            if not prefill:
-                emit_injection_telemetry(record, self.kind, self.location)
-            if self.progress is not None:
+        if not prefill:
+            emit_injection_telemetry(fresh, self.kind, self.location)
+        if self.progress is not None:
+            for record in fresh:
                 self.progress.record(record["layer"], record["seq"],
                                      record["sdc_rate"], prefill=prefill)
-        if self.progress is not None and not prefill:
-            self.progress.maybe_log()
+            if not prefill:
+                self.progress.maybe_log()
 
     def prefill(self, records) -> None:
         """Adopt records a previous run already journaled."""
@@ -1089,8 +1141,10 @@ def _execute_campaign(platform: GoldenEye, images, labels,
                 payload = WorkerPayload(
                     platform=platform, golden=golden, images=images,
                     plans={name: lp.plans for name, lp in sampling.items()},
-                    config=cfg, fault_spec=spec.fault_model,
-                    protection=protection)
+                    config=cfg,
+                    lanes={name: lane_count(platform, images, lp.plans, cfg)
+                           for name, lp in sampling.items()},
+                    fault_spec=spec.fault_model, protection=protection)
                 if workers >= 2:
                     from ..exec.supervisor import run_parallel_campaign
                     outcome = run_parallel_campaign(payload, sampling, sink)
@@ -1150,7 +1204,7 @@ def _execute_campaign(platform: GoldenEye, images, labels,
             "injections_per_sec": throughput,
             "sampling_retries": retries_total,
             "workers": workers,
-            "fault_batch": cfg.fault_batch,
+            "fault_batch": max(payload.lanes.values(), default=1),
             "journal_skipped": journal_skipped,
             "quarantined_shards": len(quarantined),
             "per_layer": {

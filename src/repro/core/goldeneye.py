@@ -139,10 +139,10 @@ class GoldenEye:
         self.detector = range_detector
         self.profiler = profiler
         self.numerics = numerics
-        self.injector = InjectionEngine(self)
         self._attached = False
         self._format_spec = number_format
         self.layers: dict[str, LayerState] = {}
+        self.injector = InjectionEngine(self.layers)
         #: checkpoint-and-resume session (see :meth:`enable_resume`)
         self.resume_session: ResumeSession | None = None
         #: (lanes, per_replica_batch) while a fault-axis batched pass runs

@@ -35,7 +35,7 @@ from ..formats.vectorized import flip_value, flip_values, flip_values_batched
 from ..obs.telemetry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .goldeneye import GoldenEye, LayerState
+    from .goldeneye import LayerState
 
 __all__ = ["ValueInjection", "MetadataInjection", "InjectionEngine",
            "InjectionError", "per_sample_numel"]
@@ -144,10 +144,15 @@ class _WeightRestore:
 
 
 class InjectionEngine:
-    """Arms, applies, and reverses injection plans over a GoldenEye instance."""
+    """Arms, applies, and reverses injection plans over a GoldenEye's layers.
 
-    def __init__(self, platform: "GoldenEye"):
-        self._platform = platform
+    ``layers`` is the platform's own ``name -> LayerState`` map, shared,
+    not copied.  The engine keeps no reference to the platform itself, so
+    a dropped platform is freed at once instead of by the cyclic collector.
+    """
+
+    def __init__(self, layers: "dict[str, LayerState]"):
+        self._layers = layers
         self._neuron_plans: list[ValueInjection | MetadataInjection] = []
         self._restores: list[_WeightRestore] = []
         #: number of individual corruptions actually performed
@@ -303,9 +308,8 @@ class InjectionEngine:
         per_sample[rows, cols] = flip_values_batched(
             state.neuron_format, column, [p.bits for p in plans],
             op=plans[0].op)
-        for _ in plans:
-            self.injections_applied += 1
-            self._count_flip("value", "neuron")
+        self.injections_applied += len(plans)
+        self._count_flip("value", "neuron", len(plans))
         return out
 
     def _corrupt_neuron_metadata(self, state: "LayerState", plan: MetadataInjection,
@@ -446,27 +450,27 @@ class InjectionEngine:
     # helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _count_flip(kind: str, location: str) -> None:
-        """Telemetry: count one performed corruption in the registry."""
+    def _count_flip(kind: str, location: str, count: int = 1) -> None:
+        """Telemetry: count ``count`` performed corruptions in the registry."""
         get_registry().counter(
             "injection.flips_total",
             help="bit-flip corruptions performed, by plan kind and location",
-            kind=kind, location=location).inc()
+            kind=kind, location=location).inc(count)
 
     def _layer_state(self, name: str) -> "LayerState":
         try:
-            return self._platform.layers[name]
+            return self._layers[name]
         except KeyError:
             raise InjectionError(
                 f"layer {name!r} is not instrumented; "
-                f"known layers: {', '.join(self._platform.layers)}"
+                f"known layers: {', '.join(self._layers)}"
             ) from None
 
     def _pick_layer(self, rng: np.random.Generator, layer: str | None) -> "LayerState":
         if layer is not None:
             return self._layer_state(layer)
-        names = list(self._platform.layers)
-        return self._platform.layers[names[int(rng.integers(len(names)))]]
+        names = list(self._layers)
+        return self._layers[names[int(rng.integers(len(names)))]]
 
     def _validate_neuron_plan(self, state: "LayerState",
                               plan: ValueInjection | MetadataInjection) -> None:

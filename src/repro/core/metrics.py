@@ -56,19 +56,25 @@ def cross_entropy_values(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample cross-entropy loss values (the quantity behind ΔLoss).
 
     NaN/inf logits (possible after an injected fault) produce the maximal
-    loss contribution rather than propagating NaN into campaign averages.
+    loss contribution rather than propagating NaN into campaign averages:
+    logits holding one are clipped to ±1e4, with NaN as -1e4.
+
+    ``logits`` may also stack K runs of the batch, ``(K, B, C)``.  Each
+    lane then gets the values it gets on its own: only a lane holding a
+    non-finite logit is clipped, never a finite lane beside it.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if not np.isfinite(logits).all():
-        # replace non-finite entries with the most pessimistic finite values
+    finite = np.isfinite(logits)
+    if not finite.all():
         big = 1e4
-        logits = np.where(np.isnan(logits), -big, logits)
-        logits = np.clip(logits, -big, big)
+        clipped = np.clip(np.where(np.isnan(logits), -big, logits), -big, big)
+        dirty = ~finite.all(axis=(-2, -1), keepdims=True)
+        logits = np.where(dirty, clipped, logits)
     # softmax_probs on finite logits, with only the picked entries divided:
     # its non-finite branch and zero-denominator guard cannot fire here
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    picked = e[np.arange(len(labels)), labels] / e.sum(axis=-1)
+    picked = e[..., np.arange(len(labels)), labels] / e.sum(axis=-1)
     return -np.log(np.maximum(picked, 1e-300))
 
 
@@ -118,9 +124,10 @@ def sdc_classify(golden_logits: np.ndarray, faulty_logits: np.ndarray,
     never "correct", so it lands in ``sdc`` (matching :func:`mismatch_count`).
     """
     faulty = np.asarray(faulty_logits)
-    return _classify(np.asarray(golden_logits).argmax(axis=-1),
-                     _predictions(faulty), _all_nan_rows(faulty),
-                     np.asarray(labels))
+    counts = _classify(np.asarray(golden_logits).argmax(axis=-1),
+                       _predictions(faulty), _all_nan_rows(faulty),
+                       np.asarray(labels))
+    return {key: int(count) for key, count in counts.items()}
 
 
 def _predictions(logits: np.ndarray) -> np.ndarray:
@@ -140,13 +147,14 @@ def _all_nan_rows(logits: np.ndarray) -> np.ndarray:
     return np.isnan(logits.astype(np.float64, copy=False)).all(axis=-1)
 
 
-def _classify(golden_pred, faulty_pred, all_nan, labels) -> dict[str, int]:
+def _classify(golden_pred, faulty_pred, all_nan, labels) -> dict:
+    """Outcome counts over the last axis: one per lane of a stack."""
     changed = (golden_pred != faulty_pred) | all_nan
     correct = (faulty_pred == labels) & ~all_nan
     return {
-        "masked": int(np.count_nonzero(~changed)),
-        "sdc": int(np.count_nonzero(changed & ~correct)),
-        "benign_flip": int(np.count_nonzero(changed & correct)),
+        "masked": np.count_nonzero(~changed, axis=-1),
+        "sdc": np.count_nonzero(changed & ~correct, axis=-1),
+        "benign_flip": np.count_nonzero(changed & correct, axis=-1),
     }
 
 
@@ -187,24 +195,38 @@ class InferenceOutcome:
         return float(np.mean(self.losses))
 
 
-def compare_outcomes(golden: InferenceOutcome, faulty: InferenceOutcome) -> dict[str, float]:
+def compare_outcomes(golden: InferenceOutcome, faulty: InferenceOutcome) -> dict:
     """All supported metrics between a golden and a faulty run.
 
     Equal to combining :func:`sdc_classify` and :func:`delta_loss` on the
     logits, with the golden side's terms taken from its cache.  The faulty
     outcome is scored against the golden labels.
+
+    ``faulty.logits`` may instead stack K faulty runs of the golden batch
+    along a new leading axis (one *lane* per fault, as a fault-axis batched
+    pass returns them).  All lanes are scored in one pass, and every value
+    but ``golden_accuracy`` becomes a length-K array whose entry ``k`` is,
+    bit for bit, what scoring lane ``k`` alone returns.
     """
-    faulty_logits = np.asarray(faulty.logits)
-    counts = _classify(golden.raw_argmax, faulty.predictions,
-                       _all_nan_rows(faulty_logits), np.asarray(golden.labels))
-    faulty_losses = cross_entropy_values(faulty_logits, golden.labels)
-    gaps = np.abs(faulty_losses - golden.losses)
-    total = len(golden.labels)
-    return {
-        "mismatches": float(counts["sdc"] + counts["benign_flip"]),
-        "mismatch_rate": (counts["sdc"] + counts["benign_flip"]) / total,
-        "delta_loss": float(gaps.sum() / gaps.size),  # np.mean, bit for bit
+    logits = np.asarray(faulty.logits)
+    stacked = logits.ndim == np.ndim(golden.logits) + 1
+    lanes = logits if stacked else logits[None]
+    labels = np.asarray(golden.labels)
+    predictions = _predictions(lanes)
+    counts = _classify(golden.raw_argmax, predictions, _all_nan_rows(lanes),
+                       labels)
+    mismatches = counts["sdc"] + counts["benign_flip"]
+    gaps = np.abs(cross_entropy_values(lanes, labels) - golden.losses)
+    total = len(labels)
+    values = {
+        "mismatches": mismatches.astype(np.float64),
+        "mismatch_rate": mismatches / total,
+        "delta_loss": gaps.sum(axis=-1) / total,  # np.mean, bit for bit
         "sdc_rate": counts["sdc"] / total,
-        "faulty_accuracy": faulty.accuracy,
-        "golden_accuracy": golden.accuracy,
+        "faulty_accuracy": np.count_nonzero(predictions == labels,
+                                            axis=-1) / total,
     }
+    if not stacked:
+        values = {key: float(value[0]) for key, value in values.items()}
+    values["golden_accuracy"] = golden.accuracy
+    return values

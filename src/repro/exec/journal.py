@@ -353,6 +353,10 @@ class CampaignJournal:
                 self.flush(fsync=True)
             except (OSError, ValueError):  # pragma: no cover - teardown race
                 pass
+            if fcntl is not None:
+                # a child forked a moment ago may not have dropped its copy
+                # of the descriptor yet; unlocking frees the lock for all
+                fcntl.flock(self._fh, fcntl.LOCK_UN)
             self._fh.close()
             self._fh = None
             _OPEN.discard(self)

@@ -123,12 +123,17 @@ class ExecConfig:
     #: executor-scaling bench uses it to measure orchestration overhead
     #: independently of host core count)
     injection_latency: float = 0.0
-    #: independent faults evaluated per forward pass (fault-axis batching);
-    #: 1 = the classic one-injection-per-forward loop.  Per-plan records,
-    #: seq ordering and telemetry stay bit-identical to K=1 — only
-    #: wall-clock and serial journal framing (one line per chunk) change
-    #: (see core/campaign.py ``execute_chunks``)
-    fault_batch: int = 1
+    #: independent faults evaluated per forward pass (fault-axis batching,
+    #: K).  None resolves K per layer from the bytes one lane materialises
+    #: (:func:`repro.core.campaign.lane_count`): ``LANE_BYTES // (images +
+    #: golden recording)``, capped at the layer's plan count, and 1 for
+    #: metadata or weight plans, without a recording, or under a profiler
+    #: or numerics monitor.  An int >= 1 is used as given; 1 is the
+    #: classic one-injection-per-forward loop.  Per-plan records, seq
+    #: ordering and telemetry stay bit-identical to K=1 — only wall-clock
+    #: and serial journal framing (one line per chunk) change.
+    #: ``telemetry["fault_batch"]`` records the resolved K
+    fault_batch: int | None = None
     #: checkpoint-and-resume: capture the golden pass once and replay each
     #: injection from its victim layer over the cached prefix, instead of
     #: re-running the whole network (see :mod:`repro.core.resume`)
@@ -143,6 +148,12 @@ class ExecConfig:
     #: test hook, runs **in the parent** after each accepted record:
     #: ``on_record(total_records)`` — e.g. deliver a signal mid-campaign
     on_record: Callable | None = None
+
+    def __post_init__(self):
+        if self.fault_batch is not None and self.fault_batch < 1:
+            raise ValueError(
+                f"fault_batch must be None (automatic) or >= 1, got "
+                f"{self.fault_batch}")
 
 
 @dataclass

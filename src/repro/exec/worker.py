@@ -51,11 +51,15 @@ are bit-identical, so nothing observable changes.
 SIGINT is ignored in workers: a Ctrl-C in the foreground is delivered to
 the whole process group, and shutdown must be coordinated by the
 supervisor (flush the journal first), not by workers dying mid-record.
+An idle worker whose supervisor died without reaping it (SIGKILL, OOM)
+notices within a second that it was re-parented and exits through its
+normal cleanup, releasing its shared-cache reference.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import time
 from dataclasses import dataclass
@@ -87,6 +91,9 @@ class WorkerPayload:
     plans: dict  # layer -> list of injection plans, indexed by seq
     #: how the campaign runs (a :class:`repro.exec.ExecConfig`)
     config: object
+    #: layer -> plans per chunk, resolved once in the parent
+    #: (:func:`repro.core.campaign.lane_count`)
+    lanes: dict
     #: shared-memory golden cache published by the supervisor (None = the
     #: worker keeps its fork-inherited private copy)
     shm_cache: object | None = None
@@ -132,6 +139,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     # workers mid-record (the supervisor terminates us after the journal
     # is flushed)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    supervisor_pid = os.getppid()
     config = payload.config
     limit_blas_threads((os.cpu_count() or 1) // max(1, config.workers))
 
@@ -175,7 +183,12 @@ def worker_main(worker_id: int, payload: WorkerPayload,
                    time.time()))
     try:
         while True:
-            task = task_queue.get()
+            try:
+                task = task_queue.get(timeout=1.0)
+            except queue.Empty:
+                if os.getppid() != supervisor_pid:
+                    return  # orphaned: the supervisor died without us
+                continue
             if task is None:
                 stats = session.stats.as_dict() if session is not None else None
                 results.send(("exit", worker_id, stats, time.time()))

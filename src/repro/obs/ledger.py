@@ -192,9 +192,11 @@ class CampaignLedger:
         """Insert (or, for a resumed journal, update) one campaign row.
 
         ``result`` is a :class:`repro.core.campaign.CampaignResult`: the
-        campaign's identity comes from its ``fingerprint``, its worker and
-        fault-batch configuration from its ``telemetry``, and each layer's
-        SDC interval is the fold's own ``sdc_ci95``.  A row with the same
+        campaign's identity comes from its ``fingerprint``, its worker count
+        and resolved fault-batch lane count (the largest chunk any layer
+        ran, 1 when nothing batched; see ``ExecConfig.fault_batch``) from
+        its ``telemetry``, and each layer's SDC interval is the fold's own
+        ``sdc_ci95``.  A row with the same
         ``fingerprint_sha`` *and* the same journal path is the same logical
         run resumed — it is updated in place (``resumes`` incremented) so
         interrupt/resume cycles never duplicate history.  Runs without a

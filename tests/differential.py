@@ -47,12 +47,17 @@ __all__ = ["MODES", "DifferentialOutcome", "layer_stats",
            "injection_multiset", "counter_totals", "run_mode",
            "surface_rows"]
 
-#: every execution mode the harness can drive.  A ``-kN`` suffix runs the
-#: same campaign with fault-axis batching (``fault_batch=N``): K independent
-#: neuron faults share one K-lane forward pass, and the contract extends to
+#: every execution mode the harness can drive.  Every mode but the
+#: ``default`` ones pins ``fault_batch``: 1, or N under a ``-kN`` suffix,
+#: which runs the same campaign with fault-axis batching (K independent
+#: neuron faults share one K-lane forward pass); the contract extends to
 #: it — batched records must be bit-identical to the K=1 loop.
+#: ``default`` is a serial run of ``ExecConfig()`` as shipped, whose lane
+#: count is resolved per layer from the golden recording, and
+#: ``parallel2-default`` the same on two workers.
 MODES = ("serial", "parallel2", "parallel4", "parallel2-noshm", "resumed",
-         "serial-k4", "serial-k8", "parallel2-k4", "resumed-k4")
+         "serial-k4", "serial-k8", "parallel2-k4", "resumed-k4", "default",
+         "parallel2-default")
 
 #: counter families that are deterministic under every mode (numerics.*
 #: conversion counts legitimately differ between resume and full re-run)
@@ -176,13 +181,18 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
     ``resumed`` mode always journals).
     """
     label, fault_batch = mode, 1
-    if "-k" in mode:
+    if mode in ("default", "parallel2-default"):
+        mode = "serial" if mode == "default" else "parallel2"
+        fault_batch = None
+    elif "-k" in mode:
         mode, _, k = mode.rpartition("-k")
         fault_batch = int(k)
     common = dict(kind="value", location="neuron",
                   injections_per_layer=injections_per_layer, seed=seed,
-                  fault_batch=fault_batch, fault_model=fault_model,
-                  protect=protect, layers=layers, ledger=ledger)
+                  fault_model=fault_model, protect=protect, layers=layers,
+                  ledger=ledger)
+    if fault_batch is not None:
+        common["fault_batch"] = fault_batch
     if journal and mode != "resumed":
         common["journal"] = str(tmp_path / f"{label}.journal.jsonl")
     server = None

@@ -3,8 +3,9 @@
 These are the straightforward implementations the library's fewer-pass
 kernels replaced: BFP and FP ``real_to_format_tensor`` (float64 working
 copies, one full-tensor temporary per step), the NCHW ``as_strided``
-im2col, and the per-sample cross-entropy and prediction terms of outcome
-scoring (full softmax, ``nan_to_num`` before every argmax).
+im2col, the per-sample cross-entropy and prediction terms of outcome
+scoring (full softmax, ``nan_to_num`` before every argmax), and scoring
+one faulty run at a time.
 ``tests/test_kernel_oracles.py`` checks that the library kernels return the
 same bits, metadata and numeric-health counts as these.  Do not optimise
 them: their value is that they are obviously the algorithm.
@@ -148,3 +149,29 @@ def predictions(logits: np.ndarray) -> np.ndarray:
     """Reference per-sample argmax (NaN → -inf, ±inf → ±largest finite)."""
     with np.errstate(invalid="ignore"):
         return np.nan_to_num(logits, nan=-np.inf).argmax(axis=-1)
+
+
+def compare_outcomes(golden_logits: np.ndarray, faulty_logits: np.ndarray,
+                     labels: np.ndarray) -> dict[str, float]:
+    """Reference scoring of one faulty run against the golden run.
+
+    The golden prediction is the raw argmax (a NaN wins); an all-NaN faulty
+    row always counts as changed and never as correct.
+    """
+    faulty = np.asarray(faulty_logits)
+    golden_pred = np.asarray(golden_logits).argmax(axis=-1)
+    faulty_pred = predictions(faulty)
+    all_nan = np.isnan(faulty.astype(np.float64)).all(axis=-1)
+    changed = (golden_pred != faulty_pred) | all_nan
+    correct = (faulty_pred == labels) & ~all_nan
+    mismatches = int(np.count_nonzero(changed))
+    total = len(labels)
+    gaps = np.abs(cross_entropy_values(faulty, labels)
+                  - cross_entropy_values(golden_logits, labels))
+    return {
+        "mismatches": float(mismatches),
+        "mismatch_rate": mismatches / total,
+        "delta_loss": float(np.mean(gaps)),
+        "sdc_rate": int(np.count_nonzero(changed & ~correct)) / total,
+        "faulty_accuracy": float(np.mean(faulty_pred == labels)),
+    }

@@ -297,7 +297,8 @@ class TestCampaignRobustness:
         def boom(*args, **kwargs):
             raise RuntimeError("injection exploded")
 
-        monkeypatch.setattr(campaign_mod, "execute_injection", boom)
+        # every chunk, batched or not, executes through this call
+        monkeypatch.setattr(campaign_mod, "execute_injection_batch", boom)
         with GoldenEye(model, "fp16") as ge:
             with pytest.raises(RuntimeError, match="injection exploded"):
                 run_campaign(ge, *data, injections_per_layer=2, seed=0)
@@ -390,3 +391,107 @@ class TestCampaignSettings:
                                                                 "seed"}
         assert (value["kind"], value["seed"]) == ("value", 4)
         assert (metadata["kind"], metadata["seed"]) == ("metadata", 5)
+
+
+class TestLaneCount:
+    """``ExecConfig.fault_batch=None`` resolves K per layer (``lane_count``)."""
+
+    @staticmethod
+    def _chunks(monkeypatch):
+        """Spy on the chunk sizes ``execute_chunks`` hands to the batch call."""
+        import repro.core.campaign as campaign_mod
+
+        sizes: list[int] = []
+        inner = campaign_mod.execute_injection_batch
+
+        def spy(platform, golden, images, plans, *args, **kwargs):
+            sizes.append(len(plans))
+            return inner(platform, golden, images, plans, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "execute_injection_batch", spy)
+        return sizes
+
+    def test_automatic_k_is_the_lane_budget_over_one_lane(self, model, data,
+                                                          monkeypatch):
+        import repro.core.campaign as campaign_mod
+
+        images, labels = data
+        with GoldenEye(model, "fp16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            lane = images.nbytes + ge.resume_session.cache.nbytes
+            ge.clear_resume()
+            # a small model: the plan count caps K
+            assert campaign_mod.LANE_BYTES // lane > 40
+            sizes = self._chunks(monkeypatch)
+            capped = run_campaign(ge, images, labels, injections_per_layer=40,
+                                  seed=0)
+            assert capped.telemetry["fault_batch"] == 40
+            assert sizes == [40] * len(capped.per_layer)
+            sizes.clear()
+            monkeypatch.setattr(campaign_mod, "LANE_BYTES", 3 * lane + 1)
+            budgeted = run_campaign(ge, images, labels,
+                                    injections_per_layer=40, seed=0)
+        assert budgeted.telemetry["fault_batch"] == 3
+        assert sizes == ([3] * 13 + [1]) * len(budgeted.per_layer)
+        for layer, stats in capped.per_layer.items():
+            assert stats.delta_losses == budgeted.per_layer[layer].delta_losses
+
+    def test_an_explicit_k_is_honoured(self, model, data, monkeypatch):
+        from repro.exec import ExecConfig
+
+        sizes = self._chunks(monkeypatch)
+        with GoldenEye(model, "fp16") as ge:
+            result = run_campaign(ge, *data, injections_per_layer=7, seed=0,
+                                  exec_config=ExecConfig(fault_batch=3))
+        assert result.telemetry["fault_batch"] == 3
+        assert sizes == [3, 3, 1] * len(result.per_layer)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_fault_batch_below_one_raises(self, model, data, value):
+        from repro.cli import build_parser
+        from repro.exec import ExecConfig
+
+        with pytest.raises(ValueError, match="fault_batch"):
+            ExecConfig(fault_batch=value)
+        with GoldenEye(model, "fp16") as ge:
+            with pytest.raises(ValueError, match="fault_batch"):
+                run_campaign(ge, *data, injections_per_layer=2,
+                             fault_batch=value)
+        argv = ["campaign", "--model", "simple_cnn"]
+        assert build_parser().parse_args(argv).fault_batch is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--fault-batch", str(value)])
+
+    def test_k_is_one_without_a_recording(self, model, data, monkeypatch):
+        sizes = self._chunks(monkeypatch)
+        with GoldenEye(model, "fp16") as ge:
+            result = run_campaign(ge, *data, injections_per_layer=4, seed=0,
+                                  resume=False)
+        assert result.telemetry["fault_batch"] == 1
+        assert set(sizes) == {1}
+
+    @pytest.mark.parametrize("observer", ["profiler", "numerics"])
+    def test_k_is_one_under_an_observer(self, model, data, monkeypatch,
+                                        observer):
+        from repro.obs import LayerProfiler, NumericHealthMonitor
+
+        attach = ({"profiler": LayerProfiler()} if observer == "profiler"
+                  else {"numerics": NumericHealthMonitor()})
+        sizes = self._chunks(monkeypatch)
+        with GoldenEye(model, "fp16", **attach) as ge:
+            result = run_campaign(ge, *data, injections_per_layer=4, seed=0)
+        assert result.telemetry["fault_batch"] == 1
+        assert set(sizes) == {1}
+
+    @pytest.mark.parametrize("kind,location", [("metadata", "neuron"),
+                                               ("value", "weight")])
+    def test_k_is_one_for_plans_that_cannot_batch(self, model, data,
+                                                  monkeypatch, kind,
+                                                  location):
+        sizes = self._chunks(monkeypatch)
+        with GoldenEye(model, "int8") as ge:
+            result = run_campaign(ge, *data, kind=kind, location=location,
+                                  injections_per_layer=4, seed=0)
+        assert result.telemetry["fault_batch"] == 1
+        assert sizes and set(sizes) == {1}

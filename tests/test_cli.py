@@ -291,6 +291,32 @@ def _run(argv, timeout=600, **kwargs):
     return subprocess.run(argv, timeout=timeout, env=_env(), **kwargs)
 
 
+def _group_members(pgid: int) -> list[int]:
+    """Pids of the processes of group ``pgid`` that are not zombies.
+
+    Without ``/proc`` a signal-0 probe stands in, zombies included.
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                # "pid (comm) state ppid pgrp ...": comm may hold spaces
+                state, _ppid, pgrp = fh.read().rpartition(")")[2].split()[:3]
+        except (OSError, ValueError):
+            continue  # exited while the table was read
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 class TestCampaignProcess:
     """`repro campaign` driven as a child process: interrupted by SIGINT,
     resumed from its journal, and served live while it runs."""
@@ -354,8 +380,9 @@ class TestCampaignProcess:
             "resumed aggregate differs from uninterrupted run")
 
     def test_resumes_after_its_supervisor_is_killed(self, tmp_path):
-        """A SIGKILLed supervisor cannot reap its workers, and they stay
-        blocked; they must not keep the journal locked against the resume."""
+        """A SIGKILLed supervisor cannot reap its workers.  They must not
+        keep the journal locked against the resume, and they exit on their
+        own, so the killed run's shared-memory segment goes with them."""
         from repro.exec.journal import load_journal
         from repro.exec.shmcache import SEGMENT_PREFIX, live_segments
 
@@ -380,6 +407,17 @@ class TestCampaignProcess:
             proc.wait(timeout=60)
             partial = records()
 
+            # the orphaned workers (and the resource tracker, which unlinks
+            # the segment they held) leave without being killed
+            deadline = time.time() + 60
+            while _group_members(proc.pid) or any(
+                    name.startswith(f"{SEGMENT_PREFIX}{proc.pid}-")
+                    for name in live_segments()):
+                assert time.time() < deadline, (
+                    f"left behind: processes {_group_members(proc.pid)}, "
+                    f"segments {live_segments()}")
+                time.sleep(0.2)
+
             resumed = _run(args, capture_output=True, text=True)
             assert resumed.returncode == 0, resumed.stderr[-2000:]
             assert len(records()) > len(partial), "resume executed no new work"
@@ -387,9 +425,9 @@ class TestCampaignProcess:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=60)
+            # a fallback: the run above asserts neither is needed
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-            # the killed supervisor never unlinked its golden-cache segment
             for name in live_segments():
                 if name.startswith(f"{SEGMENT_PREFIX}{proc.pid}-"):
                     with contextlib.suppress(FileNotFoundError):

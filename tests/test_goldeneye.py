@@ -99,6 +99,23 @@ class TestAttachDetach:
         with ge:
             assert len(model.conv1._forward_hooks) == 0
 
+    def test_detached_platform_needs_no_cyclic_collector(self, model, x):
+        """Dropping a detached platform frees it, and its per-layer format
+        metadata, at once: nothing it owns points back at it."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            ge = GoldenEye(model, "bfp_e5m5_b16")
+            with ge, nn.no_grad():
+                model(x)
+            platform = weakref.ref(ge)
+            del ge
+            assert platform() is None
+        finally:
+            gc.enable()
+
     def test_describe_mentions_layers_and_format(self, model):
         text = GoldenEye(model, "bfp_e5m5_b16").describe()
         assert "conv1" in text and "bfp" in text

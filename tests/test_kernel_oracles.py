@@ -340,3 +340,95 @@ class TestScoringOracle:
             np.mean(K.predictions(faulty) == labels))
         assert got["golden_accuracy"] == float(
             np.mean(K.predictions(golden) == labels))
+
+
+def _lane_corpus():
+    """(golden, lanes, labels): one batch of 6 and a stack of lanes over it.
+
+    The lanes cover NaN and ±inf logits, an all-NaN row, argmax ties, a
+    lane equal to golden, a temporal lane whose samples past ``persist=2``
+    are golden, and a finite lane with two logits above the ±1e4 clip
+    bound beside a NaN lane (clipped, its ΔLoss would change).
+    """
+    rng = np.random.default_rng(19)
+    golden = rng.standard_normal((6, 5)).astype(np.float32)
+    labels = np.array([0, 1, 2, 3, 4, 0])
+
+    def lane(**rows):
+        out = rng.standard_normal((6, 5)).astype(np.float32)
+        for row, values in rows.items():
+            out[int(row[1:])] = values
+        return out
+
+    big = lane(r0=[3.0e4, 2.9999e4, 0.0, 1.0, -1.0])
+    persist = lane()
+    persist[2:] = golden[2:]
+    lanes = [
+        golden.copy(),
+        lane(r1=[0.5, np.nan, 0.25, 2.0, -1.0]),
+        big,
+        lane(r2=[np.inf, 1.0, 2.0, 3.0, 4.0], r3=[-np.inf] * 5),
+        lane(r4=[np.nan] * 5),
+        lane(r0=[1.0] * 5, r5=[7.0, 7.0, 0.0, -1.0, 7.0]),
+        persist,
+        lane(r1=[np.inf, np.inf, np.nan, -np.inf, 0.0]),
+        lane(r3=[1e5, -1e5, 2e5, 0.0, 1.0]),
+    ]
+    return golden, np.stack(lanes), labels
+
+
+class TestLaneScoringOracle:
+    """A stack of lanes scores each lane as one faulty run alone does."""
+
+    @staticmethod
+    def _assert_lanes(golden, lanes, labels):
+        outcome = M.InferenceOutcome(logits=golden, labels=labels)
+        with np.errstate(all="ignore"):
+            got = M.compare_outcomes(
+                outcome, M.InferenceOutcome(logits=lanes, labels=labels))
+            for k, faulty in enumerate(lanes):
+                want = K.compare_outcomes(golden, faulty, labels)
+                for key, value in want.items():
+                    assert got[key].shape == (len(lanes),)
+                    assert np.float64(got[key][k]).view(np.uint64) == \
+                        np.float64(value).view(np.uint64), (k, key)
+
+    def test_corpus(self):
+        self._assert_lanes(*_lane_corpus())
+
+    def test_finite_lane_beside_a_nan_lane_is_not_clipped(self):
+        golden, lanes, labels = _lane_corpus()
+        alone = M.compare_outcomes(
+            M.InferenceOutcome(logits=golden, labels=labels),
+            M.InferenceOutcome(logits=lanes[2], labels=labels))
+        with np.errstate(all="ignore"):
+            stacked = M.compare_outcomes(
+                M.InferenceOutcome(logits=golden, labels=labels),
+                M.InferenceOutcome(logits=lanes[1:3], labels=labels))
+            clipped = K.compare_outcomes(golden, np.clip(lanes[2], -1e4, 1e4),
+                                         labels)
+        assert stacked["delta_loss"][1] == alone["delta_loss"]
+        assert clipped["delta_loss"] != alone["delta_loss"]
+
+    def test_one_run_returns_scalars(self):
+        golden, lanes, labels = _lane_corpus()
+        with np.errstate(all="ignore"):
+            got = M.compare_outcomes(
+                M.InferenceOutcome(logits=golden, labels=labels),
+                M.InferenceOutcome(logits=lanes[1], labels=labels))
+        assert all(np.ndim(value) == 0 for value in got.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 6))
+    def test_random_stacks(self, data, k):
+        lanes = data.draw(hnp.arrays(
+            np.float32, st.tuples(st.just(k), st.integers(1, 6),
+                                  st.integers(1, 5)),
+            elements=st.one_of(
+                st.sampled_from([0.0, 1.0, -1.0, 1e4, -1e4, 3.0e4, 2.9999e4,
+                                 np.inf, -np.inf, np.nan]),
+                st.floats(-1e6, 1e6, width=32))))
+        labels = _draw_labels(lanes[0], data)
+        golden = data.draw(hnp.arrays(np.float32, lanes.shape[1:],
+                                      elements=st.floats(-10, 10, width=32)))
+        self._assert_lanes(golden, lanes, labels)

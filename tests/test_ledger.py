@@ -169,6 +169,29 @@ class TestRecording:
         _, result = recorded
         assert result.telemetry["ledger_seconds"] >= 0.0
 
+    def test_default_config_row_stores_the_resolved_lane_count(
+            self, model, tmp_path, monkeypatch):
+        """A row written under ``ExecConfig()`` as shipped stores the lane
+        count each layer resolved, not the automatic setting."""
+        import repro.core.campaign as campaign_mod
+
+        images, labels = _make_data()
+        db = str(tmp_path / "ledger.sqlite")
+        # three plans per chunk: the budget of three lanes of this batch
+        with GoldenEye(model, "fp16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            lane = images.nbytes + ge.resume_session.cache.nbytes
+            ge.clear_resume()
+            monkeypatch.setattr(campaign_mod, "LANE_BYTES", 3 * lane)
+            result = run_campaign(ge, images, labels,
+                                  injections_per_layer=INJECTIONS, seed=SEED,
+                                  ledger=db)
+        with CampaignLedger(db) as ledger:
+            run = ledger.get_run(result.ledger_run_id)
+        assert result.telemetry["fault_batch"] == 3
+        assert run["fault_batch"] == 3
+
     def test_journal_less_reruns_insert_fresh_rows(self, model, tmp_path):
         db = str(tmp_path / "ledger.sqlite")
         data = _make_data()

@@ -27,6 +27,7 @@ import pytest
 
 from repro.analysis.confidence import wilson_interval
 from repro.core import CampaignError, GoldenEye, run_campaign
+from repro.exec.journal import load_journal
 from repro.models import simple_mlp
 from repro.obs import reset_registry
 from repro.obs.export import export_prometheus
@@ -767,9 +768,8 @@ class TestJournalProgressFaultModels:
                                   injections_per_layer=3, seed=SEED,
                                   journal=journal, fault_model="burst2",
                                   protect="secded")
-        raw = [json.loads(line)
-               for line in open(journal, encoding="utf-8")]
-        records = [e for e in raw if e.get("type") == "injection"]
+        # records arrive one per line or framed in batch lines
+        records = list(load_journal(journal)[1].values())
         assert records and all(r.get("fault") == "burst2" for r in records)
         assert any("ecc" in r for r in records)
         doc = journal_progress(journal)

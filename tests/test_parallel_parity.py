@@ -77,6 +77,35 @@ class TestDifferentialParity:
         else:
             expected = serial.counters
         assert out.counters == expected
+        if mode.endswith("default"):
+            # the shipped default batches this small model's faults: each
+            # layer's plans share one chunk
+            assert out.result.telemetry["fault_batch"] == INJECTIONS
+
+
+@needs_fork
+def test_default_config_keeps_one_lane_on_a_large_recording(tmp_path):
+    """simple_cnn at batch 40 records more than ``LANE_BYTES`` per lane, so
+    the shipped default runs K=1 — serially and on two workers — and
+    matches the serial run."""
+    from repro.core.campaign import LANE_BYTES
+    from repro.models import simple_cnn
+
+    model = simple_cnn(num_classes=4)
+    model.eval()
+    rng = np.random.default_rng(5)
+    data = (rng.standard_normal((40, 3, 32, 32)).astype(np.float32),
+            rng.integers(0, 4, size=40))
+    assert data[0].nbytes < LANE_BYTES
+    serial = run_mode("serial", model, "fp16", data, tmp_path,
+                      injections_per_layer=INJECTIONS, seed=SEED)
+    for mode in ("default", "parallel2-default"):
+        out = run_mode(mode, model, "fp16", data, tmp_path,
+                       injections_per_layer=INJECTIONS, seed=SEED)
+        assert out.result.telemetry["fault_batch"] == 1
+        assert out.stats == serial.stats
+        assert out.injections == serial.injections
+        assert out.counters == serial.counters
 
 
 @pytest.mark.parametrize("spec", FORMATS)
