@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import nn
 from ..core.goldeneye import GoldenEye
+from ..core.metrics import check_labels
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .tables import render_table
@@ -102,6 +103,7 @@ def attack_success_by_format(
     targets=("conv", "linear"),
 ) -> list[AttackResult]:
     """Craft an attack on the FP32 model; evaluate it under each format."""
+    check_labels(images, labels)
     if attack == "fgsm":
         adversarial = fgsm_attack(model, images, labels, epsilon=epsilon)
     elif attack == "pgd":

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..core.dse import evaluate_format_accuracy
 from ..core.goldeneye import GoldenEye
+from ..core.metrics import check_labels
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 from .. import nn
@@ -56,6 +57,7 @@ class MixedPrecisionResult:
 
 
 def _native_accuracy(model: Module, images: np.ndarray, labels: np.ndarray) -> float:
+    check_labels(images, labels)
     model.eval()
     with nn.no_grad():
         logits = model(Tensor(images))

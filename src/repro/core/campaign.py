@@ -98,7 +98,7 @@ from .faultmodels import EXHAUSTIVE_SITE_CAP, parse_fault_model
 from .goldeneye import GoldenEye
 from .injection import InjectionError, MetadataInjection, ValueInjection, \
     per_sample_numel
-from .metrics import InferenceOutcome, compare_outcomes
+from .metrics import InferenceOutcome, check_labels, compare_outcomes
 
 # repro.exec (multiprocessing, shared memory) loads on a campaign's first
 # use, which keeps it out of the cost of importing repro.core
@@ -1026,11 +1026,7 @@ def run_campaign(
             raise ValueError(
                 f"unknown layer(s) {unknown!r} in layers=; "
                 f"instrumented layers: {', '.join(all_layers)}")
-    image_shape, label_shape = np.shape(images), np.shape(labels)
-    if not image_shape or not image_shape[0] or label_shape != image_shape[:1]:
-        raise ValueError(
-            f"labels of shape {label_shape} do not fit images of shape "
-            f"{image_shape}: need a non-empty batch and one label per image")
+    check_labels(images, labels)
 
     from ..obs.live import LiveServer
 

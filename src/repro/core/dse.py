@@ -29,6 +29,7 @@ from ..nn.tensor import Tensor
 from ..obs.telemetry import get_registry
 from ..obs.tracing import get_tracer
 from .goldeneye import GoldenEye
+from .metrics import check_labels
 
 logger = logging.getLogger("repro.dse")
 
@@ -130,6 +131,7 @@ def evaluate_format_accuracy(
     batch_size: int = 64,
 ) -> float:
     """Top-1 accuracy of ``model`` under emulated ``number_format``."""
+    check_labels(images, labels)
     platform = GoldenEye(model, number_format, targets=targets)
     correct = 0
     with platform:
@@ -249,6 +251,7 @@ def _radix_range(family: str, bitwidth: int) -> tuple[int, int]:
 
 def _native_accuracy(model: nn.Module, images: np.ndarray, labels: np.ndarray,
                      batch_size: int = 64) -> float:
+    check_labels(images, labels)
     model.eval()
     correct = 0
     with nn.no_grad():

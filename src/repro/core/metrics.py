@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "check_labels",
     "softmax_probs",
     "cross_entropy_values",
     "mismatch_count",
@@ -28,6 +29,20 @@ __all__ = [
     "InferenceOutcome",
     "compare_outcomes",
 ]
+
+
+def check_labels(images, labels) -> None:
+    """Raise ``ValueError`` unless ``labels`` is one label per image.
+
+    ``images`` must be a non-empty batch ``(B, ...)`` and ``labels`` of
+    shape ``(B,)``: a ``(B, 1)`` label column would broadcast against the
+    ``(B,)`` predictions into a ``(B, B)`` comparison and score nonsense.
+    """
+    image_shape, label_shape = np.shape(images), np.shape(labels)
+    if not image_shape or not image_shape[0] or label_shape != image_shape[:1]:
+        raise ValueError(
+            f"labels of shape {label_shape} do not fit images of shape "
+            f"{image_shape}: need a non-empty batch and one label per image")
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ layer granularity", §IV-C); this package makes them survivable and parallel:
   per-layer / per-chunk work units referencing the deterministically sampled
   plan sequence by ``(layer, seq)``.
 * :mod:`repro.exec.worker` — the fork-based worker loop: adopts the parent's
-  activation cache (the shared-memory copy when one was published), pins its
-  BLAS/OpenMP thread budget, streams completed injections in batched record
-  frames (doubling as heartbeats), and reports failures instead of dying
-  silently.
+  activation cache (the shared-memory copy when one was published), caps
+  the OpenBLAS pool numpy loaded at its share of the CPUs, streams completed
+  injections in batched record frames (doubling as heartbeats), and
+  reports failures instead of dying silently.
 * :mod:`repro.exec.shmcache` — read-only shared-memory publication of the
   golden activation cache: the parent computes the golden prefix once and
   every worker maps the same physical pages (refcounted, unlink-on-last-close,

@@ -21,9 +21,18 @@ workers=N)``:
   whole pool via :mod:`repro.exec.shmcache`; the segment is refcounted
   and force-unlinked at shutdown (``exec.shm_publish_total``,
   ``exec.shm_adopt_total``, ``exec.shm_unlink_total``, ``exec.shm_bytes``).
-* **Per-worker BLAS pinning** — each worker pins its BLAS/OpenMP budget
-  to ``cores // workers`` (floor 1) at fork time so an N-worker pool
-  cannot oversubscribe the host into anti-scaling.
+* **Per-worker BLAS pinning** — each worker caps the OpenBLAS pool that
+  numpy loaded at ``cpus // workers`` threads (floor 1; ``cpus`` is the
+  size of its affinity mask) through the library's own
+  ``set_num_threads``, called with :mod:`ctypes`
+  (:func:`repro.exec.worker.limit_blas_threads`), so an N-worker pool does
+  not run N parent-wide pools on the same cores; the supervisor's own
+  pool is left as it is.  The worker's ``ready`` message carries the
+  count read back from the library; the supervisor sets the
+  ``exec.blas_threads`` gauge from it and writes one
+  ``exec.worker_ready`` trace event per worker.  A BLAS it cannot reach
+  (no ``/proc``, or no OpenBLAS entry point) keeps its own pool, sets no
+  gauge and shows ``blas_threads: null`` in the event.
 * **Timeout → retry → quarantine** — a shard attempt that exceeds
   ``shard_timeout`` gets its worker killed (and replaced); the shard is
   retried with exponential backoff up to ``max_retries`` times and then
@@ -49,9 +58,11 @@ workers=N)``:
 Supervision telemetry is parent-side: ``exec.shards_total``,
 ``exec.shard_retries_total``, ``exec.shard_timeouts_total``,
 ``exec.shards_quarantined_total``, ``exec.worker_deaths_total``,
-``exec.heartbeats_total``, the ``exec.workers`` gauge and the
-``exec.shard_seconds`` histogram, plus one ``exec.shard`` trace event per
-settled shard and one ``exec.quarantine`` event per abandoned one.
+``exec.heartbeats_total``, the ``exec.workers`` and ``exec.blas_threads``
+gauges and the ``exec.shard_seconds`` histogram, plus one
+``exec.worker_ready`` trace event per started worker, one ``exec.shard``
+event per settled shard and one ``exec.quarantine`` event per abandoned
+one.
 Worker-side observability is **streamed, not lost**: each shard attempt
 sends a ``telemetry`` message carrying its metric
 :meth:`~repro.obs.telemetry.RunScope` delta and buffered trace events,
@@ -433,10 +444,18 @@ class CampaignSupervisor:
             shard_id, _attempt, records = body
             self._accept_records(shard_id, records)
         elif mtype == "ready":
-            if isinstance(body, dict) and body.get("shm_adopted"):
+            if body.get("shm_adopted"):
                 self._registry.counter(
                     "exec.shm_adopt_total",
                     help="workers that adopted the shared golden cache").inc()
+            if body.get("blas_threads") is not None:
+                self._registry.gauge(
+                    "exec.blas_threads",
+                    help="BLAS threads per worker, read back from the "
+                         "loaded library").set(float(body["blas_threads"]))
+            if self._tracer.enabled:
+                self._tracer.event("exec.worker_ready", worker_id=worker_id,
+                                   **body)
         elif mtype == "start":
             shard_id, attempt = body
             entry = self._inflight.get(shard_id)

@@ -10,17 +10,20 @@ instead of its inherited private copy — every worker then replays the same
 physical pages read-only (:meth:`repro.core.resume.ResumeSession.adopt_shared`),
 so the golden prefix is computed once per campaign, not once per worker.
 
-At startup each worker **pins its BLAS/OpenMP thread budget** to
-``cores // workers`` (floor 1): N workers each spinning a full-width BLAS
-pool oversubscribe the machine into anti-scaling, which is exactly what the
-pre-batching executor measured (0.82x at 4 workers).
+At startup each worker **caps the BLAS pool numpy loaded** at
+``cpus // workers`` threads (floor 1; ``cpus`` counts the CPUs this process
+may run on): N workers each driving a BLAS pool as wide as the machine
+oversubscribe its cores, and every worker phase slows (see
+:func:`limit_blas_threads`).
 
 Protocol (messages on the worker's own result pipe, all ``(type, worker_id,
 payload, timestamp)`` tuples, written synchronously by the worker's main
 thread — no feeder thread, no lock shared with other workers):
 
-* ``("ready", wid, {"pid", "shm_adopted"}, t)`` — worker is up and adopted
-  the (shared or private) resume cache;
+* ``("ready", wid, {"pid", "shm_adopted", "blas_threads"}, t)`` — worker
+  is up, adopted the (shared or private) resume cache and runs its BLAS at
+  ``blas_threads`` threads (read back from the runtime; None when no
+  runtime was reached);
 * ``("start", wid, (shard_id, attempt), t)`` — shard attempt began;
 * ``("records", wid, (shard_id, attempt, (record, ...)), t)`` — a **batch**
   of completed injections.  Batches are flushed when they reach
@@ -58,6 +61,7 @@ normal cleanup, releasing its shared-cache reference.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue
 import signal
@@ -66,13 +70,13 @@ from dataclasses import dataclass
 
 __all__ = ["WorkerPayload", "worker_main", "limit_blas_threads"]
 
-#: environment knobs honoured by every BLAS/OpenMP runtime we may meet
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
+#: OpenBLAS thread-count (setter, getter) pairs: numpy 2 wheels bundle
+#: scipy-openblas, whose symbols carry a prefix and the ILP64 suffix; a
+#: system OpenBLAS exports the plain names (with the suffix when ILP64)
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
 
@@ -110,23 +114,93 @@ class WorkerPayload:
     trace_parent: str | None = None
 
 
-def limit_blas_threads(n: int) -> None:
-    """Best-effort cap of this process's BLAS/OpenMP thread pools at ``n``.
+def _mapped_blas_libraries() -> list[str]:
+    """Files named like a BLAS library that are mapped into this process.
 
-    Environment variables cover runtimes that initialise lazily after the
-    fork; for an OpenBLAS already loaded by numpy we additionally call its
-    ``openblas_set_num_threads`` through ``threadpoolctl`` when available.
-    Everything is advisory — a runtime we cannot reach simply keeps its
-    defaults (correctness never depends on this, only scaling).
+    Read from ``/proc/self/maps``; empty where that file does not exist.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    return sorted(p for p in paths if "blas" in os.path.basename(p))
+
+
+def _openblas_thread_calls() -> list[tuple]:
+    """Thread controls of each loaded OpenBLAS.
+
+    One ``(set_num_threads, get_num_threads, stop_helpers)`` per library;
+    ``stop_helpers`` is its ``blas_thread_shutdown_``, or None where the
+    library does not export one.
+    """
+    calls = []
+    for path in _mapped_blas_libraries():
+        try:  # RTLD_NOLOAD: a handle to the loaded copy, never a new load
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads = getattr(lib, setter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads = getattr(lib, getter)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if stop is not None:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                calls.append((set_threads, get_threads, stop))
+                break
+    return calls
+
+
+def _blas_thread_budget(workers: int) -> int:
+    """BLAS threads per worker: this process's CPUs split ``workers`` ways.
+
+    The CPUs are those of the affinity mask where the platform has one (a
+    cpuset-limited container sees the host's count in ``os.cpu_count()``,
+    while OpenBLAS sizes its own pool from the mask); floor 1.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // max(1, workers))
+
+
+def limit_blas_threads(n: int) -> int | None:
+    """Cap the thread pool of every OpenBLAS this process loaded at ``n``.
+
+    numpy's BLAS read its thread count from the environment when numpy was
+    imported, so a forked process keeps its parent's pool until the count
+    is set through the library itself: each OpenBLAS mapped into the
+    process (``/proc/self/maps``) whose pool is wider than ``n`` gets its
+    ``set_num_threads`` entry point called through :mod:`ctypes`, and the
+    count is read back with the matching getter.  In a forked process the
+    setter restarts OpenBLAS's helper threads, which spin for about 0.1 s
+    each before they sleep, so they are stopped again right away through
+    ``blas_thread_shutdown_`` (the call OpenBLAS's own fork handler makes);
+    the library starts them on the first GEMM that uses more than one
+    thread, which a pool capped at one never does.  Call it before any
+    other thread of the process runs BLAS.
+
+    Returns the largest count read back, or None when no runtime was
+    reached (no ``/proc``, or a BLAS without these entry points, such as
+    MKL or Accelerate); such a BLAS keeps its own pool.  GEMM results do
+    not depend on the thread count, so correctness never depends on this,
+    only speed.  A parallel campaign reports the returned count as the
+    ``exec.blas_threads`` gauge.
     """
     n = max(1, int(n))
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(n)
-    try:  # optional dependency; the env vars above are the fallback
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except Exception:  # noqa: BLE001 - advisory only
-        pass
+    counts = []
+    for set_threads, get_threads, stop_helpers in _openblas_thread_calls():
+        if get_threads() > n:
+            set_threads(n)
+            if stop_helpers is not None:
+                stop_helpers()
+        counts.append(get_threads())
+    return max(counts, default=None)
 
 
 def worker_main(worker_id: int, payload: WorkerPayload,
@@ -141,7 +215,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     supervisor_pid = os.getppid()
     config = payload.config
-    limit_blas_threads((os.cpu_count() or 1) // max(1, config.workers))
+    blas_threads = limit_blas_threads(_blas_thread_budget(config.workers))
 
     from ..core.campaign import execute_chunks
     from ..obs.telemetry import get_registry
@@ -179,7 +253,8 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     batch_size = max(1, int(config.batch_records))
 
     results.send(("ready", worker_id,
-                   {"pid": os.getpid(), "shm_adopted": shm_adopted},
+                   {"pid": os.getpid(), "shm_adopted": shm_adopted,
+                    "blas_threads": blas_threads},
                    time.time()))
     try:
         while True:

@@ -96,6 +96,12 @@ class TestStudy:
         with pytest.raises(ValueError, match="unknown attack"):
             attack_success_by_format(model, *data, attack="deepfool")
 
+    def test_column_labels_are_rejected(self, model, data):
+        images, labels = data
+        with pytest.raises(ValueError, match="one label per image"):
+            attack_success_by_format(model, images, labels[:, None],
+                                     formats=("native", "fp16"))
+
     def test_pgd_study(self, model, data):
         results = attack_success_by_format(model, *data, epsilon=0.1,
                                            attack="pgd", formats=("native",))

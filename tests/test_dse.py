@@ -76,6 +76,12 @@ class TestEvaluateFormatAccuracy:
         evaluate_format_accuracy(model, images, labels, "int4")
         np.testing.assert_array_equal(model.conv1.weight.data, before)
 
+    def test_column_labels_are_rejected(self, model, data):
+        # a (B, 1) column used to broadcast against the (B,) predictions
+        images, labels = data
+        with pytest.raises(ValueError, match="one label per image"):
+            evaluate_format_accuracy(model, images, labels[:, None], "fp16")
+
 
 class TestSearch:
     def test_node_budget_respected(self, model, data):
@@ -90,6 +96,11 @@ class TestSearch:
     def test_invalid_threshold(self, model, data):
         with pytest.raises(ValueError, match="threshold"):
             binary_tree_search(model, *data, family="fp", threshold=2.0)
+
+    def test_column_labels_are_rejected(self, model, data):
+        images, labels = data
+        with pytest.raises(ValueError, match="one label per image"):
+            binary_tree_search(model, images, labels[:, None], family="fp")
 
     def test_baseline_reuse_skips_profiling(self, model, data):
         result = binary_tree_search(model, *data, family="int",

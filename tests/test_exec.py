@@ -37,6 +37,7 @@ from repro.exec import (
     Shard,
     plan_shards,
 )
+from repro.exec import worker as worker_mod
 from repro.exec.journal import load_journal
 from repro.models import simple_mlp
 
@@ -866,3 +867,84 @@ class TestSharedCacheCampaign:
             par = run_campaign(ge, *data, injections_per_layer=5, seed=4,
                                workers=2, batch_records=1)
         assert layer_stats(par) == layer_stats(serial)
+
+
+# ----------------------------------------------------------------------
+# per-worker BLAS pool cap
+# ----------------------------------------------------------------------
+needs_openblas = pytest.mark.skipif(
+    not worker_mod._openblas_thread_calls(),
+    reason="no OpenBLAS thread-count entry point is reachable here")
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class TestBlasPinning:
+    def test_budget_splits_the_affinity_mask(self, monkeypatch):
+        # a cpuset-limited container: 3 usable CPUs on a 64-CPU host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 5, 6},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        budget = worker_mod._blas_thread_budget
+        assert [budget(w) for w in (1, 2, 3, 4)] == [3, 1, 1, 1]
+
+    def test_budget_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        budget = worker_mod._blas_thread_budget
+        assert [budget(w) for w in (1, 2, 3, 16)] == [8, 4, 2, 1]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert budget(2) == 1
+
+    @needs_fork
+    @needs_openblas
+    def test_a_forked_child_reads_its_cap_back(self):
+        limit = worker_mod.limit_blas_threads
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        # the second call is a cap too: it must not widen the pool again
+        child = ctx.Process(target=lambda: writer.send((limit(1), limit(64))))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the child sent no thread count"
+            assert reader.recv() == (1, 1)
+        finally:
+            child.join(60)
+        assert child.exitcode == 0
+
+    @needs_fork
+    @needs_openblas
+    def test_parallel_campaign_reports_the_capped_pool(self, model, data,
+                                                       tmp_path):
+        from repro.obs import NULL_TRACER, configure_tracing, \
+            reset_registry, set_tracer
+        parent_pools = [get() for _, get, _ in
+                        worker_mod._openblas_thread_calls()]
+        registry = reset_registry()
+        tracer = configure_tracing(str(tmp_path / "trace.jsonl"),
+                                   registry=registry)
+        try:
+            with GoldenEye(model, "fp16") as ge:
+                run_campaign(ge, *data, injections_per_layer=4, seed=1,
+                             workers=2)
+        finally:
+            tracer.close()
+            set_tracer(NULL_TRACER)
+            reset_registry()
+        # the workers capped their own pools, not the supervisor's
+        assert [get() for _, get, _ in worker_mod._openblas_thread_calls()] \
+            == parent_pools
+        # a cap never widens a pool (say, one under OPENBLAS_NUM_THREADS=1)
+        expected = min(max(1, _cpus() // 2), max(parent_pools))
+        gauge = registry.get("exec.blas_threads")
+        assert gauge is not None and gauge.value == expected
+        events = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
+        ready = [json.loads(line) for line in events.splitlines()]
+        ready = [e for e in ready if e.get("name") == "exec.worker_ready"]
+        assert sorted(e["worker_id"] for e in ready) == [0, 1]
+        assert all(e["blas_threads"] == expected for e in ready)

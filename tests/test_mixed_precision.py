@@ -69,6 +69,11 @@ class TestAssignment:
         with pytest.raises(ValueError, match="threshold"):
             assign_mixed_precision(model, *data, threshold=0.0)
 
+    def test_column_labels_are_rejected(self, model, data):
+        images, labels = data
+        with pytest.raises(ValueError, match="one label per image"):
+            assign_mixed_precision(model, images, labels[:, None])
+
     def test_table_renders(self, model, data):
         result = assign_mixed_precision(model, *data, threshold=0.9)
         text = result.table()
