@@ -1,10 +1,11 @@
 """Disabled-telemetry overhead: the observability layer's cost contract.
 
-The tracer, profiler, and metric counters sit directly on the campaign hot
-path (one trace event and one histogram observation per injected inference;
-four phase timestamps per instrumented forward).  The contract is that with
-everything **disabled** — the default — a campaign pays <2% wall-clock
-overhead versus the same campaign on a build with no telemetry at all.
+The tracer and metric counters sit directly on the campaign hot path (one
+trace event and one histogram observation per injected inference).  The
+layer profiler is not on it: it wraps calls only while attached, and the
+hook carries no profiler branch.  The contract is that with everything
+**disabled** — the default — a campaign pays <2% wall-clock overhead versus
+the same campaign on a build with no telemetry at all.
 
 We cannot diff against a telemetry-free build, so the budget is measured
 from the inside out:
@@ -12,7 +13,9 @@ from the inside out:
 1. *Micro*: the cost of one ``NULL_TRACER.span()`` / ``.event()`` pair and
    one guarded counter branch, multiplied by the number of hook + injection
    crossings a campaign actually performs, must stay under 2% of that
-   campaign's measured wall-clock.
+   campaign's measured wall-clock.  The hook crossings still count the
+   profiler guard the hook no longer has, which only makes the bound
+   stricter.
 2. *Macro*: two identical campaigns, one under the null tracer and one with
    tracing to ``/dev/null``-equivalent sink, bound how much the *enabled*
    path costs (informational; the contract only covers disabled).

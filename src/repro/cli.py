@@ -412,7 +412,6 @@ def cmd_campaign(args) -> int:
               f"{args.protect}: " + (", ".join(
                   f"{k}={v}" for k, v in sorted(ecc_totals.items()))
                   or "none recorded"))
-    profiler.publish(get_registry())  # per-layer phase timing -> exporters
     if numerics is not None:
         print("\n" + numerics.table())
     if args.verbose:
@@ -477,7 +476,6 @@ def cmd_profile(args) -> int:
             f"{phase} {profiler.total_seconds(phase) / total:.1%}"
             for phase in ("compute", "quantize", "inject", "detect"))
         print(f"\nphase share of instrumented time: {shares}")
-    profiler.publish(get_registry())
     return 0
 
 
@@ -765,8 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "forward pass (fault-axis batching); records "
                             "stay bit-identical to --fault-batch 1 "
                             "(default: automatic, sized from the golden "
-                            "recording; it resolves to 1 here because this "
-                            "command always attaches a layer profiler)")
+                            "recording; 1 under --numerics)")
     group.add_argument("--serve", metavar="HOST:PORT", default=None,
                        help="serve live observability while the campaign "
                             "runs: /metrics (Prometheus), /progress "

@@ -642,15 +642,14 @@ def lane_count(platform: GoldenEye, images, plans, config) -> int:
     the bytes one lane materialises, capped at the plan count.  K is 1
     when the plans cannot share a pass (:func:`plans_can_batch`), when
     there is no golden recording (``resume=False``), and when the platform
-    carries a profiler or a numerics monitor: a lane pass books neither
-    the profiler's phases nor the per-lane tensors K single passes book.
+    carries a numerics monitor: a stacked quantize books one tensor where
+    K single passes book K.
     """
     if config.fault_batch is not None:
         return config.fault_batch
     session = platform.resume_session
     if (not config.resume or session is None or not session.recorded
-            or platform.profiler is not None or platform.numerics is not None
-            or not plans_can_batch(plans)):
+            or platform.numerics is not None or not plans_can_batch(plans)):
         return 1
     lane = np.asarray(images, dtype=np.float32).nbytes + session.cache.nbytes
     return max(1, min(len(plans), LANE_BYTES // lane))

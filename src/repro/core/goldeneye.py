@@ -78,8 +78,6 @@ class LayerState:
     #: shape of the most recent output (for sampling injection sites)
     last_output_shape: tuple[int, ...] | None = None
     hook_handle: nn.HookHandle | None = None
-    #: profiler timestamp pre-hook (installed only when a profiler is set)
-    pre_hook_handle: nn.HookHandle | None = None
 
 
 def _copy_metadata(meta: Any) -> Any:
@@ -108,11 +106,10 @@ class GoldenEye:
         clamps each layer's output to its profiled range *after* injection,
         modelling a low-cost protection mechanism.
     profiler:
-        Optional :class:`~repro.obs.profiler.LayerProfiler`.  When set, every
-        instrumented forward is split into compute / quantize / inject /
-        detect phases with per-layer ns/element and activation-memory
-        accounting; when ``None`` (the default) the hook hot path carries a
-        single ``is not None`` check and no timing calls.
+        Optional :class:`~repro.obs.profiler.LayerProfiler`.  When set,
+        :meth:`attach` lets it wrap the calls behind every instrumented
+        layer's compute / quantize / inject / detect phases, which it books
+        per layer in the metrics registry; the hook itself never sees it.
     numerics:
         Optional :class:`~repro.obs.numerics.NumericHealthMonitor`.  When
         set, :meth:`attach` installs a numeric-health stats sink on every
@@ -210,6 +207,8 @@ class GoldenEye:
             # before weight conversion, so the attach-time weight
             # quantization is part of the numeric-health record
             self.numerics.attach(self)
+        if self.profiler is not None:
+            self.profiler.attach(self)
         with get_tracer().span("goldeneye.attach", format=self.format_name(),
                                layers=len(self.layers)):
             for state in self.layers.values():
@@ -221,9 +220,6 @@ class GoldenEye:
                         help="per-layer attach-time weight conversion",
                         layer=state.name).observe(time.perf_counter() - t0)
                 if state.neuron_format is not None or self.detector is not None:
-                    if self.profiler is not None:
-                        state.pre_hook_handle = state.module.register_forward_pre_hook(
-                            self.profiler.make_pre_hook())
                     state.hook_handle = state.module.register_forward_hook(
                         self._make_hook(state)
                     )
@@ -240,15 +236,14 @@ class GoldenEye:
             if state.hook_handle is not None:
                 state.hook_handle.remove()
                 state.hook_handle = None
-            if state.pre_hook_handle is not None:
-                state.pre_hook_handle.remove()
-                state.pre_hook_handle = None
             for pname, original in state.original_weights.items():
                 np.copyto(getattr(state.module, pname).data, original)
             state.original_weights.clear()
             state.weight_golden_metadata = None
         if self.numerics is not None:
             self.numerics.detach(self)
+        if self.profiler is not None:
+            self.profiler.detach()
         self._attached = False
         # cached activations were produced under the (now removed) hooks
         self.clear_resume()
@@ -288,28 +283,9 @@ class GoldenEye:
             if self._fault_lanes is not None:
                 return _straight_through(output,
                                          self._lane_postprocess(state, data))
-            prof = self.profiler
-            if prof is not None:
-                # books the `compute` phase (pre-hook stamp -> hook entry)
-                t_prev = prof.begin_postprocess(state.name, module, data)
-            quantized = self._quantize(state, data)
-            if prof is not None:
-                now = time.perf_counter()
-                prof.record_phase(state.name, "quantize", now - t_prev,
-                                  quantized.size)
-                t_prev = now
-            quantized = self._inject(state, quantized)
-            if prof is not None:
-                now = time.perf_counter()
-                prof.record_phase(state.name, "inject", now - t_prev,
-                                  quantized.size)
-                t_prev = now
+            quantized = self._inject(state, self._quantize(state, data))
             if self.detector is not None:
                 quantized = self.detector.clamp(state.name, quantized)
-                if prof is not None:
-                    now = time.perf_counter()
-                    prof.record_phase(state.name, "detect", now - t_prev,
-                                      quantized.size)
             return _straight_through(output, quantized)
 
         return hook
@@ -466,9 +442,10 @@ class GoldenEye:
         to the cached tensor, so its compute and quantizer do not run.  That
         needs the cached tensor to be the pre-injection value and nothing to
         observe the call: no range detector, no stats sink on the layer's
-        neuron format, no pre-hook or foreign forward hook on its module
-        (a :class:`~repro.obs.profiler.LayerProfiler` installs one), and a
-        module that ran once in the recorded pass.  Otherwise, or when its
+        neuron format, no pre-hook or foreign forward hook on its module,
+        and a module that ran once in the recorded pass (a
+        :class:`~repro.obs.profiler.LayerProfiler` observes nothing: it
+        books the served call's inject phase).  Otherwise, or when its
         cache entry is missing, ``layer`` recomputes on its replayed inputs.
         A call served from its own output counts as a cache hit and as
         ``replayed`` in the session's stats.

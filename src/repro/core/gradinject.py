@@ -30,6 +30,7 @@ from ..formats.registry import make_format
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .injection import InjectionError
+from .metrics import check_labels
 
 __all__ = ["GradientInjection", "GradientInjector", "train_with_gradient_faults",
            "FaultyTrainingResult"]
@@ -189,6 +190,7 @@ def train_with_gradient_faults(
     """
     if not 0.0 <= fault_probability <= 1.0:
         raise ValueError("fault_probability must be within [0, 1]")
+    check_labels(images, labels)  # the loss and the final accuracy need it
     rng = np.random.default_rng(seed)
     injector = GradientInjector(model, number_format)
     optimizer = nn.Adam(model.parameters(), lr=lr)

@@ -18,6 +18,8 @@ enabled, denormals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import MetadataError, NumberFormat
@@ -31,6 +33,12 @@ from .bitstring import (
 )
 
 __all__ = ["AdaptivFloat"]
+
+
+def _pow2(exponent: int) -> float:
+    """``2.0 ** exponent``, inf past float64: an exponent window that wide
+    (afp e12m3 and up) clips no float32 input."""
+    return math.inf if exponent >= np.finfo(np.float64).maxexp else 2.0 ** exponent
 
 
 class AdaptivFloat(NumberFormat):
@@ -79,7 +87,7 @@ class AdaptivFloat(NumberFormat):
 
     def max_value_for_bias(self, bias: int) -> float:
         _, e_max = self._exp_window(bias)
-        return float((2.0 - 2.0 ** -self.mantissa_bits) * 2.0 ** e_max)
+        return float((2.0 - 2.0 ** -self.mantissa_bits) * _pow2(e_max))
 
     def min_normal_for_bias(self, bias: int) -> float:
         e_min, _ = self._exp_window(bias)
@@ -200,7 +208,7 @@ class AdaptivFloat(NumberFormat):
             e_min, _ = self._exp_window(bias)
             return float(sign * mant_field * 2.0 ** (e_min - self.mantissa_bits))
         mantissa = 1.0 + mant_field / (1 << self.mantissa_bits)
-        return float(sign * mantissa * 2.0 ** (exp_field - bias))
+        return float(sign * mantissa * _pow2(exp_field - bias))
 
     # ------------------------------------------------------------------
     # metadata registers (one shared bias register)

@@ -433,6 +433,10 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def nll_loss(log_probs: Tensor, target: np.ndarray, reduction: str = "mean") -> Tensor:
     """Negative log-likelihood of ``target`` classes under ``log_probs``."""
     target = np.asarray(target, dtype=np.int64)
+    if target.shape != log_probs.shape[:1]:  # a (B, 1) column picks (B, B)
+        raise ValueError(f"target of shape {target.shape} does not fit "
+                         f"log-probabilities of shape {log_probs.shape}: "
+                         "need one class per row")
     picked = log_probs[np.arange(len(target)), target]
     loss = -picked
     if reduction == "mean":

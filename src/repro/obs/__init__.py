@@ -6,9 +6,10 @@ The measurement substrate for the platform's performance claims:
   (Counter / Gauge / Histogram, label sets, scoped per-run views);
 * :mod:`repro.obs.tracing` — span-based tracer with a JSONL event sink
   (one event per injection) and an allocation-free null tracer when off;
-* :mod:`repro.obs.profiler` — hook-based per-layer profiler splitting each
-  instrumented forward into compute / quantize / inject / detect phases
-  (ns/element, activation-memory footprints);
+* :mod:`repro.obs.profiler` — per-layer profiler booking each instrumented
+  layer's compute / quantize / inject / detect phases as registry counters
+  (seconds, elements → ns/element, calls) from wrappers around the calls
+  behind them, plus activation-memory footprints;
 * :mod:`repro.obs.export` — JSON, CSV and Prometheus text exposition of the
   registry, ``BENCH_*.json`` benchmark artifacts and Chrome/Perfetto
   ``trace_event`` timelines built from the hierarchical span trace (all
@@ -54,7 +55,7 @@ from .numerics import (
     NumericStatsSink,
     summarize_numerics,
 )
-from .profiler import LayerProfiler, PhaseStats
+from .profiler import LayerProfiler
 from .report import (
     REPORT_SCHEMA,
     build_report,
@@ -129,7 +130,6 @@ __all__ = [
     "seed_span_context",
     "sink_path",
     "LayerProfiler",
-    "PhaseStats",
     "NumericHealthMonitor",
     "NumericStatsSink",
     "summarize_numerics",

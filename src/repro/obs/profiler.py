@@ -1,200 +1,177 @@
-"""Hook-based per-layer profiler: where does an instrumented forward go?
+"""Per-layer phase profiler: where does an instrumented forward go?
 
 An emulated forward pass through a GoldenEye-instrumented layer has four cost
 phases (§III-A's hook flow):
 
-* ``compute``  — the layer's native FP32 forward (pre-hook → post-hook entry);
-* ``quantize`` — ``real_to_format_tensor`` in the GoldenEye hook;
-* ``inject``   — the armed-plan check / corruption in the injection engine;
-* ``detect``   — the optional range-detector clamp.
+* ``compute``  — the layer module's native FP32 ``forward``;
+* ``quantize`` — its neuron format's ``real_to_format_tensor``;
+* ``inject``   — the injection engine's ``apply_neuron_injections``,
+  ``apply_lane_injection`` and ``apply_lane_injections``;
+* ``detect``   — the optional range detector's ``clamp``.
 
-The profiler stamps a wall-clock at each instrumented module's pre-hook and
-lets the GoldenEye post-hook report the phase splits, accumulating per-layer
-totals, call counts, element counts (→ ns/element, the accelerator-kernel
-figure of merit) and activation-memory footprints (last/peak output bytes).
+:meth:`LayerProfiler.attach`, called by ``GoldenEye.attach``, shadows those
+methods on the platform's own objects with timing wrappers that book seconds,
+elements (→ ns/element, the accelerator-kernel figure of merit) and calls per
+``(layer, phase)`` as counters in the process registry;
+:meth:`~LayerProfiler.detach` deletes the wrappers.  No hook observes a
+layer's call, so the output resume and fault-axis batching run under a
+profiler as without one, and forked campaign workers' bookings reach the
+parent in the :class:`~repro.obs.telemetry.RunScope` deltas the supervisor
+merges.  The readouts report the registry's delta since the first attach.
 
 Usage::
 
     prof = LayerProfiler()
-    platform = GoldenEye(model, "bfp_e5m5_b16", profiler=prof)
-    with platform:
+    with GoldenEye(model, "bfp_e5m5_b16", profiler=prof) as platform:
         run_campaign(platform, images, labels, ...)
     print(prof.table())
-    prof.publish(get_registry())   # gauges for the exporters
-
-The profiler is entirely passive when absent: the GoldenEye hook holds a
-single ``if self.profiler is not None`` branch on the hot path.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-__all__ = ["LayerProfiler", "PhaseStats"]
+from .telemetry import RunScope, get_registry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.goldeneye import GoldenEye
+
+__all__ = ["LayerProfiler"]
 
 PHASES = ("compute", "quantize", "inject", "detect")
 
-
-@dataclass
-class PhaseStats:
-    """Accumulated cost of one phase at one layer."""
-
-    calls: int = 0
-    total_s: float = 0.0
-    elements: int = 0
-
-    def add(self, seconds: float, elements: int) -> None:
-        self.calls += 1
-        self.total_s += seconds
-        self.elements += elements
-
-    @property
-    def ns_per_element(self) -> float:
-        if self.elements == 0:
-            return 0.0
-        return self.total_s * 1e9 / self.elements
-
-    def as_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "elements": self.elements,
-            "ns_per_element": self.ns_per_element,
-        }
-
-
-@dataclass
-class _LayerProfile:
-    phases: dict[str, PhaseStats] = field(
-        default_factory=lambda: {p: PhaseStats() for p in PHASES})
-    last_output_bytes: int = 0
-    peak_output_bytes: int = 0
-    output_shape: tuple[int, ...] | None = None
+#: readout field -> (registry counter each ``(layer, phase)`` books, help)
+_COUNTERS = {
+    "total_s": ("profile.phase_seconds", "wall seconds in the phase"),
+    "elements": ("profile.phase_elements", "tensor elements the phase handled"),
+    "calls": ("profile.phase_calls", "calls of the phase"),
+}
 
 
 class LayerProfiler:
     """Per-layer phase timing + activation-memory accounting."""
 
     def __init__(self):
-        self._layers: dict[str, _LayerProfile] = {}
-        #: pre-hook timestamps, keyed by id(module) (one in flight per module)
-        self._t0: dict[int, float] = {}
-        self.enabled = True
+        self._scope: RunScope | None = None
+        self._wrapped: list[tuple[object, str]] = []
+        #: layer -> (peak output bytes, that output's shape)
+        self._peaks: dict[str, tuple] = {}
+
+    def attach(self, platform: "GoldenEye") -> "LayerProfiler":
+        """Wrap the calls behind the four phases on ``platform``'s objects."""
+        registry = get_registry()
+        if self._scope is None:
+            self._scope = registry.run_scope("profile").__enter__()
+        counters = {
+            (layer, phase): tuple(
+                registry.counter(name, help=help, layer=layer, phase=phase)
+                for name, help in _COUNTERS.values())
+            for layer in platform.layers for phase in PHASES}
+        wrap = functools.partial(self._wrap, counters)
+        for layer, state in platform.layers.items():
+            wrap(state.module, "forward", "compute", lambda a, name=layer: name,
+                 functools.partial(self._output_size, layer))
+            if state.neuron_format is not None:
+                wrap(state.neuron_format, "real_to_format_tensor", "quantize",
+                     lambda a, name=layer: name, lambda a, out: a[0].size)
+        for method in ("apply_neuron_injections", "apply_lane_injection",
+                       "apply_lane_injections"):
+            wrap(platform.injector, method, "inject", lambda a: a[0].name,
+                 lambda a, out: a[1].size)
+        if platform.detector is not None:
+            wrap(platform.detector, "clamp", "detect", lambda a: a[0],
+                 lambda a, out: a[1].size)
+        return self
+
+    def _wrap(self, counters, obj, method: str, phase: str, layer_of,
+              size_of) -> None:
+        """Shadow ``obj.method`` with a wrapper booking ``phase`` for the
+        layer ``layer_of(args)`` names, ``size_of(args, out)`` elements."""
+        call = getattr(obj, method)
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            out = call(*args)
+            total_s, elements, calls = counters[layer_of(args), phase]
+            total_s.inc(time.perf_counter() - t0)
+            elements.inc(size_of(args, out))
+            calls.inc()
+            return out
+
+        setattr(obj, method, timed)
+        self._wrapped.append((obj, method))
+
+    def _output_size(self, layer: str, args, out) -> int:
+        """Elements of ``layer``'s output; its bytes feed the layer's peak."""
+        data = out.data
+        if data.nbytes > self._peaks.get(layer, (0,))[0]:
+            self._peaks[layer] = (data.nbytes, data.shape)
+        return data.size
+
+    def detach(self) -> None:
+        """Delete every wrapper this profiler installed."""
+        for obj, method in self._wrapped:
+            vars(obj).pop(method, None)
+        self._wrapped.clear()
 
     # ------------------------------------------------------------------
-    # hooks (driven by GoldenEye.attach / the GoldenEye post-hook)
+    # readouts
     # ------------------------------------------------------------------
-    def make_pre_hook(self):
-        """A forward-pre-hook stamping the module's forward start time."""
+    def as_dict(self) -> dict:
+        """``{layer: {"phases": {phase: stats}, "activation_bytes",
+        "output_shape"}}`` of what this profiler booked.
 
-        def pre_hook(module, inputs):
-            if self.enabled:
-                self._t0[id(module)] = time.perf_counter()
-            return None
-
-        return pre_hook
-
-    def begin_postprocess(self, layer: str, module, output_data) -> float:
-        """Called at GoldenEye post-hook entry; books the ``compute`` phase.
-
-        Returns the hook-entry timestamp so the caller can keep splitting the
-        remaining phases with :meth:`record_phase`.
+        ``stats`` holds ``calls``, ``total_s``, ``elements`` and
+        ``ns_per_element``; ``activation_bytes`` is the layer's peak output
+        bytes in this process (a fault-batched call stacks K replicas) and
+        ``output_shape`` that output's shape.
         """
-        now = time.perf_counter()
-        if not self.enabled:
-            return now
-        profile = self._layer(layer)
-        numel = int(output_data.size)
-        t0 = self._t0.pop(id(module), None)
-        if t0 is not None:
-            profile.phases["compute"].add(now - t0, numel)
-        nbytes = int(output_data.nbytes)
-        profile.last_output_bytes = nbytes
-        profile.output_shape = tuple(output_data.shape)
-        if nbytes > profile.peak_output_bytes:
-            profile.peak_output_bytes = nbytes
-        return now
-
-    def record_phase(self, layer: str, phase: str, seconds: float,
-                     elements: int) -> None:
-        if not self.enabled:
-            return
-        self._layer(layer).phases[phase].add(seconds, int(elements))
-
-    def _layer(self, name: str) -> _LayerProfile:
-        profile = self._layers.get(name)
-        if profile is None:
-            profile = self._layers[name] = _LayerProfile()
-        return profile
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    @property
-    def layers(self) -> list[str]:
-        return list(self._layers)
-
-    def phase_stats(self, layer: str, phase: str) -> PhaseStats:
-        return self._layer(layer).phases[phase]
-
-    def ns_per_element(self, layer: str, phase: str) -> float:
-        return self._layer(layer).phases[phase].ns_per_element
+        delta = self._scope.delta() if self._scope is not None else {}
+        out: dict[str, dict] = {}
+        for field, (name, _) in _COUNTERS.items():
+            for entry in delta.get(name, ()):
+                labels = entry["labels"]
+                profile = out.setdefault(labels["layer"], {"phases": {
+                    p: dict.fromkeys(_COUNTERS, 0) for p in PHASES}})
+                profile["phases"][labels["phase"]][field] = entry["value"]
+        for layer, profile in out.items():
+            for stats in profile["phases"].values():
+                stats["calls"] = int(stats["calls"])
+                stats["elements"] = int(stats["elements"])
+                stats["ns_per_element"] = (
+                    stats["total_s"] * 1e9 / stats["elements"]
+                    if stats["elements"] else 0.0)
+            nbytes, shape = self._peaks.get(layer, (0, None))
+            profile["activation_bytes"] = nbytes
+            profile["output_shape"] = list(shape) if shape else None
+        return out
 
     def total_seconds(self, phase: str | None = None) -> float:
-        total = 0.0
-        for profile in self._layers.values():
-            for name, stats in profile.phases.items():
-                if phase is None or name == phase:
-                    total += stats.total_s
-        return total
-
-    def as_dict(self) -> dict:
-        return {
-            layer: {
-                "phases": {p: s.as_dict() for p, s in profile.phases.items()},
-                "activation_bytes": profile.last_output_bytes,
-                "activation_bytes_peak": profile.peak_output_bytes,
-                "output_shape": (list(profile.output_shape)
-                                 if profile.output_shape else None),
-            }
-            for layer, profile in self._layers.items()
-        }
-
-    def publish(self, registry) -> None:
-        """Mirror the profile into ``registry`` as gauges for the exporters."""
-        for layer, profile in self._layers.items():
-            for phase, stats in profile.phases.items():
-                registry.gauge("profile.phase_seconds",
-                               layer=layer, phase=phase).set(stats.total_s)
-                registry.gauge("profile.ns_per_element",
-                               layer=layer, phase=phase).set(stats.ns_per_element)
-            registry.gauge("profile.activation_bytes",
-                           layer=layer).set(profile.last_output_bytes)
-            registry.gauge("profile.activation_bytes_peak",
-                           layer=layer).set(profile.peak_output_bytes)
+        return sum(stats["total_s"]
+                   for profile in self.as_dict().values()
+                   for name, stats in profile["phases"].items()
+                   if phase is None or name == phase)
 
     def table(self) -> str:
         """Fixed-width per-layer report (phases in ms + ns/element + bytes)."""
         header = (f"{'layer':<24} {'phase':<9} {'calls':>7} {'total ms':>10} "
                   f"{'ns/elem':>9} {'act bytes':>11}")
         lines = [header, "-" * len(header)]
-        for layer, profile in self._layers.items():
+        for layer, profile in self.as_dict().items():
             first = True
             for phase in PHASES:
-                stats = profile.phases[phase]
-                if stats.calls == 0:
+                stats = profile["phases"][phase]
+                if stats["calls"] == 0:
                     continue
-                mem = f"{profile.last_output_bytes:>11,}" if first else f"{'':>11}"
+                mem = (f"{profile['activation_bytes']:>11,}" if first
+                       else f"{'':>11}")
                 lines.append(
-                    f"{layer if first else '':<24} {phase:<9} {stats.calls:>7} "
-                    f"{stats.total_s * 1e3:>10.2f} {stats.ns_per_element:>9.1f} "
-                    f"{mem}")
+                    f"{layer if first else '':<24} {phase:<9} "
+                    f"{stats['calls']:>7} {stats['total_s'] * 1e3:>10.2f} "
+                    f"{stats['ns_per_element']:>9.1f} {mem}")
                 first = False
         if len(lines) == 2:
             lines.append("(no layers profiled — run a forward pass first)")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        self._layers.clear()
-        self._t0.clear()

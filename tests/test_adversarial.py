@@ -46,6 +46,13 @@ class TestAttacks:
         with pytest.raises(ValueError):
             pgd_attack(model, *data, steps=0)
 
+    @pytest.mark.parametrize("attack", [fgsm_attack, pgd_attack],
+                             ids=["fgsm", "pgd"])
+    def test_column_labels_are_rejected(self, model, data, attack):
+        images, labels = data
+        with pytest.raises(ValueError, match="one class per row"):
+            attack(model, images, labels[:, None])
+
     def test_attacks_leave_model_params_clean(self, model, data):
         before = {k: v.copy() for k, v in model.state_dict().items()}
         fgsm_attack(model, *data, epsilon=0.05)

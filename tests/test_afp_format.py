@@ -29,6 +29,25 @@ class TestSpec:
         assert ratio == pytest.approx((fp.max_value / fp.min_normal) * 2, rel=1e-6)
 
 
+    def test_wide_exponents_saturate_instead_of_overflowing(self):
+        """afp(e12m3), a 16-bit DSE node: its exponent window reaches past
+        float64, so its bound saturates to inf and it quantizes like
+        afp(e8m3), whose bias clips to the same register value."""
+        from repro.core.dse import FAMILY_BUILDERS
+
+        wide = FAMILY_BUILDERS["afp"](16, 3)
+        assert (wide.exp_bits, wide.mantissa_bits) == (12, 3)
+        x = np.float32([1.0, 2.0, 1e-3, -3.3])
+        narrow = AdaptivFloat(8, 3)
+        np.testing.assert_array_equal(wide.real_to_format_tensor(x),
+                                      narrow.real_to_format_tensor(x))
+        assert wide.exp_bias == narrow.exp_bias == 127
+        assert wide.max_value_for_bias(wide.exp_bias) == np.inf
+        bits = wide.real_to_format(2.0)
+        assert wide.format_to_real(bits) == 2.0
+        assert wide.format_to_real(flip_bit(bits, 1)) == np.inf
+
+
 class TestBiasAdaptation:
     def test_bias_aligns_top_exponent_to_peak(self):
         fmt = AdaptivFloat(4, 3)

@@ -471,18 +471,40 @@ class TestLaneCount:
         assert result.telemetry["fault_batch"] == 1
         assert set(sizes) == {1}
 
-    @pytest.mark.parametrize("observer", ["profiler", "numerics"])
+    @pytest.mark.parametrize("observer", ["numerics"])
     def test_k_is_one_under_an_observer(self, model, data, monkeypatch,
                                         observer):
-        from repro.obs import LayerProfiler, NumericHealthMonitor
+        from repro.obs import NumericHealthMonitor
 
-        attach = ({"profiler": LayerProfiler()} if observer == "profiler"
-                  else {"numerics": NumericHealthMonitor()})
         sizes = self._chunks(monkeypatch)
-        with GoldenEye(model, "fp16", **attach) as ge:
+        with GoldenEye(model, "fp16",
+                       **{observer: NumericHealthMonitor()}) as ge:
             result = run_campaign(ge, *data, injections_per_layer=4, seed=0)
         assert result.telemetry["fault_batch"] == 1
         assert set(sizes) == {1}
+
+    def test_k_under_a_profiler_equals_k_without_one(self, model, data,
+                                                     monkeypatch):
+        """A profiler only wraps calls, so the chunks and every layer's
+        outcomes are those of the unprofiled campaign, bit for bit."""
+        from repro.obs import LayerProfiler
+
+        sizes = self._chunks(monkeypatch)
+        runs = []
+        for profiler in (None, LayerProfiler()):
+            with GoldenEye(model, "fp16", profiler=profiler) as ge:
+                runs.append(run_campaign(ge, *data, injections_per_layer=7,
+                                         seed=0))
+        plain, profiled = runs
+        assert profiled.telemetry["fault_batch"] == \
+            plain.telemetry["fault_batch"] > 1
+        half = len(sizes) // 2
+        assert sizes[half:] == sizes[:half]
+        for layer, stats in plain.per_layer.items():
+            other = profiled.per_layer[layer]
+            assert other.delta_losses == stats.delta_losses, layer
+            assert other.sdc_rate == stats.sdc_rate, layer
+            assert other.mismatch_rate == stats.mismatch_rate, layer
 
     @pytest.mark.parametrize("kind,location", [("metadata", "neuron"),
                                                ("value", "weight")])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import MetricsRegistry, set_registry
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +167,30 @@ class TestObservabilityCLI:
             assert any(name.startswith("numerics.") for name in names)
         else:
             assert any(e["name"] == "campaign.layer" for e in events)
+
+    def test_profiled_campaign_batches_and_resumes(self, tmp_path):
+        """`repro campaign` always attaches a profiler, and its bookings
+        show the campaign kept fault batching (K > 1) and served each
+        injected layer from its cached output."""
+        metrics = tmp_path / "metrics.json"
+        injections = 30
+        previous = set_registry(MetricsRegistry())  # this run's counters only
+        try:
+            code = main(["campaign", "--model", "simple_mlp", *CHEAP[2:],
+                         "--format", "fp16", "--injections", str(injections),
+                         "--batch", "8", "--metrics-json", str(metrics)])
+        finally:
+            set_registry(previous)
+        assert code == 0
+        calls = {(e["labels"]["layer"], e["labels"]["phase"]): e["value"]
+                 for e in json.loads(metrics.read_text())
+                 ["metrics"]["profile.phase_calls"]}
+        # fc1 computes in the golden pass only: every fault injected at it
+        # is applied to its cached output
+        assert calls["fc1", "compute"] == calls["fc1", "quantize"] == 1
+        # its faults took fewer forward passes than there are faults
+        assert 1 <= calls["fc1", "inject"] - calls["fc1", "compute"] \
+            < injections
 
     def test_campaign_metrics_prom_export(self, tmp_path):
         prom = tmp_path / "metrics.prom"

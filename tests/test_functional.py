@@ -248,6 +248,15 @@ class TestLosses:
         with pytest.raises(ValueError, match="reduction"):
             F.cross_entropy(x, labels, reduction="bogus")
 
+    def test_cross_entropy_rejects_column_labels(self, rng):
+        """A (B, 1) label column would pick a (B, B) block and score it."""
+        x = Tensor(rng.standard_normal((8, 5)).astype(np.float32))
+        labels = rng.integers(0, 5, size=8)
+        F.cross_entropy(x, labels)
+        for bad in (labels[:, None], labels[:4], labels[0]):
+            with pytest.raises(ValueError, match="one class per row"):
+                F.cross_entropy(x, bad)
+
     def test_mse_loss(self, rng):
         a = Tensor(rng.standard_normal(5).astype(np.float32))
         b = rng.standard_normal(5).astype(np.float32)

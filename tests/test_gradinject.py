@@ -149,6 +149,14 @@ class TestFaultyTraining:
             train_with_gradient_faults(simple_cnn(num_classes=6, seed=0),
                                        *train_data, fault_probability=1.5)
 
+    def test_column_labels_are_rejected(self, train_data):
+        from repro.models import simple_cnn
+        images, labels = train_data
+        with pytest.raises(ValueError, match="labels"):
+            train_with_gradient_faults(simple_cnn(num_classes=6, seed=0),
+                                       images, labels[:, None], epochs=1,
+                                       fault_probability=0.0)
+
     def test_clipping_bounds_gradients(self, train_data):
         # with exponent flips possible, clipping guarantees finite weights
         from repro.models import simple_cnn

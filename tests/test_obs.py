@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv as csv_mod
 import io
 import json
+import multiprocessing
 import os
 import threading
 
@@ -21,9 +22,11 @@ import pytest
 from repro.core import (
     CacheStats,
     GoldenEye,
+    RangeDetector,
     publish_cache_metrics,
     run_campaign,
 )
+from repro.core.campaign import golden_inference
 from repro.models import simple_cnn
 from repro.obs import (
     BroadcastTracer,
@@ -259,54 +262,118 @@ class TestTracer:
 # profiler
 # ----------------------------------------------------------------------
 class TestProfiler:
+    #: what a profiler wraps on the platform's objects while attached
+    WRAPPED = {"forward", "real_to_format_tensor", "clamp",
+               "apply_neuron_injections", "apply_lane_injection",
+               "apply_lane_injections"}
+
+    @staticmethod
+    def _calls(prof, phase):
+        return {layer: profile["phases"][phase]["calls"]
+                for layer, profile in prof.as_dict().items()}
+
     def test_phases_recorded_under_goldeneye(self, model, data):
+        """Under a profiler the campaign keeps K > 1 and the output resume:
+        every layer computes once in the golden pass and once per chunk
+        injected upstream of it, and books one inject call per pass,
+        including the chunk served from its own cached output."""
         images, labels = data
         prof = LayerProfiler()
-        with GoldenEye(model, "int8", profiler=prof) as ge:
-            run_campaign(ge, images, labels, injections_per_layer=2, seed=0)
-        assert set(prof.layers) == {"conv1", "conv2", "fc"}
-        for layer in prof.layers:
-            compute = prof.phase_stats(layer, "compute")
-            quantize = prof.phase_stats(layer, "quantize")
-            inject = prof.phase_stats(layer, "inject")
-            assert compute.calls > 0 and compute.total_s > 0
-            assert quantize.calls == compute.calls
-            assert inject.calls == compute.calls
-            assert compute.ns_per_element > 0
+        with GoldenEye(model, "fp16", profiler=prof) as ge:
+            result = run_campaign(ge, images, labels, injections_per_layer=4,
+                                  seed=0)
+        assert result.telemetry["fault_batch"] == 4
+        assert self._calls(prof, "compute") == {"conv1": 1, "conv2": 2,
+                                                "fc": 3}
+        assert self._calls(prof, "quantize") == self._calls(prof, "compute")
+        assert self._calls(prof, "inject") == {"conv1": 2, "conv2": 3, "fc": 4}
+        for profile in prof.as_dict().values():
+            compute = profile["phases"]["compute"]
+            assert compute["total_s"] > 0 and compute["ns_per_element"] > 0
 
     def test_activation_footprints(self, model, data):
         images, labels = data
         prof = LayerProfiler()
         with GoldenEye(model, "fp16", profiler=prof) as ge:
-            from repro.core.campaign import golden_inference
             golden_inference(ge, images, labels)
         d = prof.as_dict()
         for layer, entry in d.items():
-            assert entry["activation_bytes"] > 0
-            assert entry["activation_bytes_peak"] >= entry["activation_bytes"]
+            assert entry["activation_bytes"] == 4 * np.prod(entry["output_shape"])
             assert entry["output_shape"][0] == 8  # batch axis preserved
 
     def test_detach_removes_pre_hooks(self, model, data):
+        """Attached, a profiler adds no hook of its own; detached, it leaves
+        no wrapper behind."""
         images, labels = data
         prof = LayerProfiler()
-        ge = GoldenEye(model, "fp16", profiler=prof)
+        ge = GoldenEye(model, "fp16", profiler=prof,
+                       range_detector=RangeDetector())
+        objects = [ge.injector, ge.detector] + [
+            obj for state in ge.layers.values()
+            for obj in (state.module, state.neuron_format)]
         with ge:
-            pass
+            golden_inference(ge, images, labels)
+            for state in ge.layers.values():
+                assert not state.module._forward_pre_hooks
+                assert list(state.module._forward_hooks) == [
+                    state.hook_handle.id]
+            assert set().union(*map(vars, objects)) >= self.WRAPPED
         for state in ge.layers.values():
-            assert state.pre_hook_handle is None
             assert not state.module._forward_pre_hooks
+            assert not state.module._forward_hooks
+        assert not set().union(*map(vars, objects)) & self.WRAPPED
 
-    def test_publish_and_table(self, model, data, registry):
+    def test_counters_reach_the_registry_without_publish(
+            self, model, data, fresh_global_registry):
         images, labels = data
         prof = LayerProfiler()
         with GoldenEye(model, "int8", profiler=prof) as ge:
             run_campaign(ge, images, labels, injections_per_layer=1, seed=0)
-        prof.publish(registry)
-        g = registry.get("profile.phase_seconds", layer="fc", phase="quantize")
-        assert g is not None and g.value > 0
-        assert registry.get("profile.activation_bytes", layer="conv1").value > 0
+        stats = prof.as_dict()["fc"]["phases"]["quantize"]
+        for name, field in (("profile.phase_seconds", "total_s"),
+                            ("profile.phase_elements", "elements"),
+                            ("profile.phase_calls", "calls")):
+            counter = fresh_global_registry.get(name, layer="fc",
+                                                phase="quantize")
+            assert isinstance(counter, Counter)
+            assert counter.value == stats[field] > 0
         table = prof.table()
         assert "fc" in table and "quantize" in table and "ns/elem" in table
+
+    def test_a_second_profiler_books_only_its_own_run(self, data):
+        """Readouts are the registry's delta since attach: a second profiled
+        run in the process does not count the first one's calls."""
+        images, labels = data
+        for _ in range(2):
+            prof = LayerProfiler()
+            with GoldenEye(simple_cnn(num_classes=4, image_size=8, seed=0),
+                           "fp16", profiler=prof) as ge:
+                golden_inference(ge, images, labels)
+            assert self._calls(prof, "compute") == {"conv1": 1, "conv2": 1,
+                                                    "fc": 1}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="parallel executor requires the fork start method")
+    def test_worker_bookings_reach_the_parent(self, model, data):
+        """A 2-worker campaign's profile holds the serial one's element
+        totals per (layer, phase): the workers' bookings come home."""
+        images, labels = data
+        elements = []
+        for workers in (1, 2):
+            prof = LayerProfiler()
+            with GoldenEye(model, "bfp_e5m5_b16", profiler=prof) as ge:
+                result = run_campaign(ge, images, labels, seed=0,
+                                      injections_per_layer=12,
+                                      workers=workers)
+            elements.append({
+                (layer, phase): stats["elements"]
+                for layer, profile in prof.as_dict().items()
+                for phase, stats in profile["phases"].items()})
+        assert elements[1] == elements[0]
+        assert result.telemetry["fault_batch"] > 1
+        # the workers' replayed chunks, not the golden pass alone
+        assert self._calls(prof, "compute")["fc"] > 1
 
     def test_empty_profiler_table(self):
         assert "no layers profiled" in LayerProfiler().table()
@@ -315,7 +382,6 @@ class TestProfiler:
         images, labels = data
         prof = LayerProfiler()
         with GoldenEye(model, "int8", profiler=prof) as ge:
-            from repro.core.campaign import golden_inference
             golden_inference(ge, images, labels)
         total = prof.total_seconds()
         assert total == pytest.approx(
@@ -327,7 +393,6 @@ class TestProfiler:
         ge = GoldenEye(model, "fp16")
         with ge:
             for state in ge.layers.values():
-                assert state.pre_hook_handle is None
                 assert not state.module._forward_pre_hooks
 
 

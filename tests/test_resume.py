@@ -78,8 +78,13 @@ def _assert_bits(actual, expected, msg=""):
 
 @contextlib.contextmanager
 def _counted_quantizer(fmt):
-    """Count the calls of ``fmt``'s tensor quantizer inside the block."""
+    """Count the calls of ``fmt``'s tensor quantizer inside the block.
+
+    A wrapper already on the instance (a profiler's) is kept under the
+    counter and put back afterwards.
+    """
     calls = []
+    shadowed = vars(fmt).get("real_to_format_tensor")
     original = fmt.real_to_format_tensor
 
     def counted(tensor):
@@ -90,7 +95,10 @@ def _counted_quantizer(fmt):
     try:
         yield calls
     finally:
-        del fmt.real_to_format_tensor
+        if shadowed is None:
+            del fmt.real_to_format_tensor
+        else:
+            fmt.real_to_format_tensor = shadowed
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +423,31 @@ class TestOutputResume:
                         full = _full(ge, images)
                     _assert_bits(lanes[k], full, f"{layer} lane {k} {plan}")
 
+    def test_profiled_layer_is_served_from_its_output(self, cnn, batch):
+        """A profiler observes no layer call: each injected layer is still
+        served from its cached output (its quantizer does not run) and the
+        logits match a full forward bit for bit."""
+        images, _ = batch
+        rng = np.random.default_rng(23)
+        profiler = LayerProfiler()
+        with GoldenEye(cnn, "bfp_e5m5_b16", profiler=profiler) as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            for layer in ge.layer_names():
+                plan = ge.injector.sample_value_injection(rng, layer=layer)
+                with ge.injector.armed(plan):
+                    with _counted_quantizer(
+                            ge.layers[layer].neuron_format) as calls:
+                        resumed = ge.forward_from(layer, images)
+                    full = _full(ge, images)
+                assert not calls, layer
+                _assert_bits(resumed, full, layer)
+        for layer, profile in profiler.as_dict().items():
+            phases = profile["phases"]
+            # served once from its own output: injected without computing
+            assert (phases["inject"]["calls"]
+                    == phases["compute"]["calls"] + 1), layer
+
     def test_resumed_position_counts_as_replayed_hit(self, cnn, batch):
         images, _ = batch
         with GoldenEye(cnn, "fp16") as ge:
@@ -445,15 +478,13 @@ class TestOutputResumeFallbacks:
         assert len(resumed_calls) == len(full_calls) > 0, layer
         _assert_bits(resumed, full, layer)
 
-    @pytest.mark.parametrize("observer", ["detector", "numerics", "profiler"])
+    @pytest.mark.parametrize("observer", ["detector", "numerics"])
     def test_observed_layer_recomputes(self, cnn, batch, observer):
         images, _ = batch
         detector = RangeDetector() if observer == "detector" else None
         with GoldenEye(cnn, "bfp_e5m5_b16", range_detector=detector,
                        numerics=(NumericHealthMonitor(MetricsRegistry())
-                                 if observer == "numerics" else None),
-                       profiler=(LayerProfiler() if observer == "profiler"
-                                 else None)) as ge:
+                                 if observer == "numerics" else None)) as ge:
             if detector is not None:
                 _full(ge, images)  # profile the ranges, then protect
                 detector.active = True
@@ -508,8 +539,8 @@ class TestOutputResumeFallbacks:
                    for layer, roles in summarize_numerics(registry).items()}
         assert tensors == {"conv1": 13, "conv2": 23, "fc": 33}
         assert detector.detections == {"conv1": 16, "conv2": 18, "fc": 13}
-        compute = {layer: profiler.phase_stats(layer, "compute").calls
-                   for layer in profiler.layers}
+        compute = {layer: profile["phases"]["compute"]["calls"]
+                   for layer, profile in profiler.as_dict().items()}
         assert compute == {"conv1": 13, "conv2": 23, "fc": 33}
 
 
