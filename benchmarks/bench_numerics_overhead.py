@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core import GoldenEye, run_campaign
 from repro.formats import make_format
-from repro.obs import MetricsRegistry, NumericHealthMonitor, write_bench_json
+from repro.obs import NumericHealthMonitor, write_bench_json
 
 from .conftest import print_block
 
@@ -78,8 +78,7 @@ def test_disabled_numerics_overhead_under_2pct(resnet, batch):
     share = budget / t_plain
 
     # --- informational: the enabled path (sinks on every layer format)
-    registry = MetricsRegistry()
-    monitor = NumericHealthMonitor(registry)
+    monitor = NumericHealthMonitor()
     with GoldenEye(model, SPEC, numerics=monitor) as ge:
         t0 = time.perf_counter()
         run_campaign(ge, images, labels,

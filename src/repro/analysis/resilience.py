@@ -109,7 +109,9 @@ def profile_resilience(
     ``numerics`` (a :class:`~repro.obs.numerics.NumericHealthMonitor`)
     records per-layer quantization error, saturation / flush-to-zero /
     NaN-remap counts and dynamic-range coverage through the formats' stats
-    sinks; the campaign telemetry then carries a ``numeric_health`` summary.
+    sinks; its ``as_dict()`` / ``table()`` read both campaigns' bookings.
+    Neither observer changes how the campaigns run: fault batching and the
+    output resume apply as without them.
     """
     spec, exec_config = campaign_settings(spec, exec_config, fields)
     spec = replace(spec, kind="value")

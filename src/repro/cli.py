@@ -759,11 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "fork-inherited copy-on-write cache")
     group.add_argument("--fault-batch", type=_positive_int("--fault-batch"),
                        default=None,
-                       help="independent neuron-value faults evaluated per "
+                       help="independent neuron faults evaluated per "
                             "forward pass (fault-axis batching); records "
                             "stay bit-identical to --fault-batch 1 "
                             "(default: automatic, sized from the golden "
-                            "recording; 1 under --numerics)")
+                            "recording; 1 for weight faults)")
     group.add_argument("--serve", metavar="HOST:PORT", default=None,
                        help="serve live observability while the campaign "
                             "runs: /metrics (Prometheus), /progress "

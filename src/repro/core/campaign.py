@@ -96,8 +96,7 @@ from ..obs.tracing import BroadcastTracer, get_tracer, set_tracer
 from .ecc import parse_protection
 from .faultmodels import EXHAUSTIVE_SITE_CAP, parse_fault_model
 from .goldeneye import GoldenEye
-from .injection import InjectionError, MetadataInjection, ValueInjection, \
-    per_sample_numel
+from .injection import InjectionError, ValueInjection, per_sample_numel
 from .metrics import InferenceOutcome, check_labels, compare_outcomes
 
 # repro.exec (multiprocessing, shared memory) loads on a campaign's first
@@ -115,7 +114,7 @@ __all__ = [
     "run_campaign",
     "golden_inference",
     "sample_layer_plans",
-    "execute_injection",
+    "execute_injection_batch",
     "execute_chunks",
     "lane_count",
     "LANE_BYTES",
@@ -574,45 +573,6 @@ def _protected_record(plan, verdict: str, fault_spec, dur: float) -> dict:
     }, plan, fault_spec, verdict)
 
 
-def execute_injection(
-    platform: GoldenEye,
-    golden: InferenceOutcome,
-    images: np.ndarray,
-    plan,
-    use_resume: bool,
-    fault_spec=None,
-    protection=None,
-) -> dict:
-    """Run one injected inference for ``plan`` and return its record.
-
-    The record is a plain dict (JSON/pickle friendly) holding everything
-    aggregation needs: ``site``, ``bits``, ``delta_loss``,
-    ``mismatch_rate``, ``sdc_rate`` and ``dur_s``.  Callers stamp ``layer``
-    and ``seq``.  Execution is side-effect free on the platform (the armed
-    corruption is always disarmed), so records are reproducible from the
-    plan alone — the property the write-ahead journal relies on.
-
-    ``protection`` (a :class:`repro.core.ecc.ProtectionModel`) is consulted
-    first: a corrected or detected fault never reaches the datapath — the
-    injected inference is skipped and the record carries the golden outcome
-    flagged with its ``ecc`` verdict.  ``fault_spec`` (the campaign's
-    fault-model spec string) is stamped into the record when non-default.
-    """
-    t_inj = time.perf_counter()
-    verdict = _classify_ecc(protection, plan)
-    if verdict in ("corrected", "detected"):
-        return _protected_record(plan, verdict, fault_spec,
-                                 time.perf_counter() - t_inj)
-    with platform.injector.armed(plan):
-        if use_resume:
-            faulty_logits = platform.forward_from(plan.layer, images)
-        else:
-            faulty_logits = golden_inference(platform, images,
-                                             golden.labels).logits
-    return _lane_records(golden, faulty_logits[None], [plan], [verdict],
-                         fault_spec, t_inj)[0]
-
-
 def plan_kind(plan) -> str:
     """The injection kind of a plan (``"value"`` or ``"metadata"``)."""
     return "value" if isinstance(plan, ValueInjection) else "metadata"
@@ -622,16 +582,16 @@ def plans_can_batch(plans) -> bool:
     """True when ``plans`` may share one fault-axis batched forward pass.
 
     Batching tiles the evaluation batch K times and corrupts one replica
-    lane per plan, so it applies only to same-layer neuron *value* plans
-    sharing one bit operation — metadata and weight corruptions perturb
-    state shared across the whole pass and must execute one at a time.
+    lane per plan, so it applies to same-layer neuron plans sharing one bit
+    operation, value or metadata: a lane's metadata register is live during
+    that lane's own quantize.  Weight corruptions perturb the parameters
+    every lane shares and must execute one at a time.
     """
     if not plans:
         return False
     first = plans[0]
-    return all(isinstance(p, ValueInjection) and p.location == "neuron"
-               and p.layer == first.layer and p.op == first.op
-               for p in plans)
+    return all(p.location == "neuron" and p.layer == first.layer
+               and p.op == first.op for p in plans)
 
 
 def lane_count(platform: GoldenEye, images, plans, config) -> int:
@@ -640,16 +600,16 @@ def lane_count(platform: GoldenEye, images, plans, config) -> int:
     An explicit ``config.fault_batch`` is returned as given.  Automatic
     (None) resolves K = ``LANE_BYTES // (images.nbytes + recording bytes)``,
     the bytes one lane materialises, capped at the plan count.  K is 1
-    when the plans cannot share a pass (:func:`plans_can_batch`), when
-    there is no golden recording (``resume=False``), and when the platform
-    carries a numerics monitor: a stacked quantize books one tensor where
-    K single passes book K.
+    when the plans share no pass (:func:`plans_can_batch`: weight plans,
+    mixed layers or ops) and when there is no golden recording
+    (``resume=False``).  Observers (a profiler, a numerics monitor) do not
+    change K.
     """
     if config.fault_batch is not None:
         return config.fault_batch
     session = platform.resume_session
     if (not config.resume or session is None or not session.recorded
-            or platform.numerics is not None or not plans_can_batch(plans)):
+            or not plans_can_batch(plans)):
         return 1
     lane = np.asarray(images, dtype=np.float32).nbytes + session.cache.nbytes
     return max(1, min(len(plans), LANE_BYTES // lane))
@@ -664,21 +624,25 @@ def execute_injection_batch(
     fault_spec=None,
     protection=None,
 ) -> list[dict]:
-    """Run K independent injections in one batched pass; K per-plan records.
+    """Run one chunk of injections; return one record per plan, in order.
 
-    Record ``k`` is bit-identical to :func:`execute_injection` for
-    ``plans[k]`` (the batched forward is lane-exact — see
-    :meth:`repro.core.goldeneye.GoldenEye.forward_from_batched` — and the
-    K lanes are scored in one :func:`~repro.core.metrics.compare_outcomes`
-    call) except for ``dur_s``, which splits the shared forward and
-    scoring across the K plans.  Falls back to the sequential per-plan
-    loop when the plans cannot share a pass (metadata/weight plans, mixed
-    layers) or when K == 1.
+    A record is a plain dict (JSON/pickle friendly) holding everything
+    aggregation needs: ``kind``, ``site``, ``bits``, ``delta_loss``,
+    ``mismatch_rate``, ``sdc_rate`` and ``dur_s``; callers stamp ``layer``
+    and ``seq``.  Every armed corruption is disarmed, so records are
+    reproducible from the plans alone — the property the write-ahead
+    journal relies on.  ``fault_spec`` (the campaign's fault-model spec)
+    is stamped into the records when non-default.
 
-    ECC-corrected/-detected plans are partitioned out before the forward —
-    only the live (silent/unprotected) plans share the batched pass — and
-    their golden-outcome records are spliced back in plan order, so the
-    record sequence matches the serial path exactly.
+    ``protection`` (a :class:`repro.core.ecc.ProtectionModel`) is consulted
+    first: a corrected or detected fault never reaches the datapath and
+    records the golden outcome with its ``ecc`` verdict.  The live plans
+    share one lane-exact K-lane pass
+    (:meth:`~repro.core.goldeneye.GoldenEye.forward_from_batched`) when
+    there are several and :func:`plans_can_batch` accepts them; otherwise
+    each runs its own K=1 pass (``forward_from``, or a full forward without
+    ``use_resume``).  So record ``k`` is bit-identical to a one-plan chunk
+    of ``plans[k]``, except ``dur_s``, which splits a pass across its plans.
 
     When tracing is enabled each call is wrapped in a ``campaign.batch``
     span (layer + chunk size) — the innermost level of the
@@ -688,46 +652,40 @@ def execute_injection_batch(
     plans = list(plans)
     if not plans:
         return []
+    out: list = [None] * len(plans)
     with get_tracer().span("campaign.batch", layer=plans[0].layer,
                            size=len(plans)):
-        return _execute_injection_batch(platform, golden, images, plans,
-                                        use_resume, fault_spec, protection)
-
-
-def _execute_injection_batch(
-    platform: GoldenEye,
-    golden: InferenceOutcome,
-    images: np.ndarray,
-    plans,
-    use_resume: bool,
-    fault_spec=None,
-    protection=None,
-) -> list[dict]:
-    out: list = [None] * len(plans)
-    live: list[tuple[int, object, str | None]] = []
-    for i, plan in enumerate(plans):
-        verdict = _classify_ecc(protection, plan)
-        if verdict in ("corrected", "detected"):
-            out[i] = _protected_record(plan, verdict, fault_spec, 0.0)
+        live: list[tuple[int, object, str | None]] = []
+        for i, plan in enumerate(plans):
+            verdict = _classify_ecc(protection, plan)
+            if verdict in ("corrected", "detected"):
+                out[i] = _protected_record(plan, verdict, fault_spec, 0.0)
+            else:
+                live.append((i, plan, verdict))
+        if len(live) > 1 and plans_can_batch([plan for _, plan, _ in live]):
+            passes = [live]
         else:
-            live.append((i, plan, verdict))
-    live_plans = [plan for _, plan, _ in live]
-    if not live_plans:
-        return out
-    if len(live_plans) == 1 or not plans_can_batch(live_plans):
-        for i, plan, verdict in live:
-            record = execute_injection(platform, golden, images, plan,
-                                       use_resume, fault_spec=fault_spec)
-            out[i] = _stamp_fault_fields(record, plan, fault_spec, verdict)
-        return out
-    t_batch = time.perf_counter()
-    lane_logits = platform.forward_from_batched(live_plans[0].layer,
-                                                live_plans, images)
-    records = _lane_records(golden, lane_logits, live_plans,
-                            [verdict for _, _, verdict in live], fault_spec,
-                            t_batch)
-    for (i, _, _), record in zip(live, records):
-        out[i] = record
+            passes = [[entry] for entry in live]
+        for group in passes:
+            t_pass = time.perf_counter()
+            group_plans = [plan for _, plan, _ in group]
+            if len(group) > 1:
+                lanes = platform.forward_from_batched(group_plans[0].layer,
+                                                      group_plans, images)
+            else:
+                plan = group_plans[0]
+                with platform.injector.armed(plan):
+                    if use_resume:
+                        logits = platform.forward_from(plan.layer, images)
+                    else:
+                        logits = golden_inference(platform, images,
+                                                  golden.labels).logits
+                lanes = logits[None]
+            records = _lane_records(golden, lanes, group_plans,
+                                    [verdict for _, _, verdict in group],
+                                    fault_spec, t_pass)
+            for (i, _, _), record in zip(group, records):
+                out[i] = record
     return out
 
 
@@ -1208,10 +1166,6 @@ def _execute_campaign(platform: GoldenEye, images, labels,
                 for name, r in per_layer.items()
             },
         }
-        if platform.numerics is not None:
-            # merged registry view: identical for serial and parallel runs
-            # (workers stream their numerics deltas back per shard)
-            telemetry["numeric_health"] = platform.numerics.as_dict()
         progress.finish("interrupted" if interrupted else "done")
         result = CampaignResult(
             kind=kind,

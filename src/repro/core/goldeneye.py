@@ -31,7 +31,7 @@ from ..nn.tensor import Tensor
 from ..obs.telemetry import get_registry
 from ..obs.tracing import get_tracer
 from .detector import RangeDetector
-from .injection import InjectionEngine, ValueInjection
+from .injection import InjectionEngine
 from .resume import DEFAULT_CACHE_BUDGET, ResumeSession
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,8 +115,8 @@ class GoldenEye:
         set, :meth:`attach` installs a numeric-health stats sink on every
         layer format (weight *and* neuron streams), recording quantization
         error, saturation/flush/NaN-remap counts and dynamic-range coverage
-        per layer; when ``None`` (the default) each tensor conversion pays
-        one ``is not None`` check.
+        per layer in the metrics registry; when ``None`` (the default) each
+        tensor conversion pays one ``is not None`` check.
     """
 
     def __init__(
@@ -241,7 +241,7 @@ class GoldenEye:
             state.original_weights.clear()
             state.weight_golden_metadata = None
         if self.numerics is not None:
-            self.numerics.detach(self)
+            self.numerics.detach()
         if self.profiler is not None:
             self.profiler.detach()
         self._attached = False
@@ -331,12 +331,14 @@ class GoldenEye:
         with tensor-global metadata (scale / bias / block registers) must
         quantize each replica separately — the registers the K=1 pass would
         capture — with that lane's corruption applied while its metadata is
-        live.  A ``resumed`` stack tiles the layer's cached output, already
-        quantized (see :meth:`_quantize`).
+        live.  So does a format with a stats sink, which then books the K
+        conversions K single passes book.  A ``resumed`` stack tiles the
+        layer's cached output, already quantized (see :meth:`_quantize`).
         """
         lanes, batch = self._fault_lanes
         fmt = state.neuron_format
-        if fmt is not None and fmt.has_metadata:
+        if fmt is not None and (fmt.has_metadata
+                                or fmt.stats_sink is not None):
             quantized = np.empty(data.shape, dtype=np.float32)
             for k in range(lanes):
                 lane = slice(k * batch, (k + 1) * batch)
@@ -418,7 +420,7 @@ class GoldenEye:
         fmt, module = state.neuron_format, state.module
         if (sites <= {(state.name, "neuron")}
                 and self.detector is None
-                and fmt is not None and fmt.stats_sink is None
+                and fmt is not None
                 and state.hook_handle is not None
                 and not module._forward_pre_hooks
                 and list(module._forward_hooks) == [state.hook_handle.id]
@@ -441,13 +443,13 @@ class GoldenEye:
         golden neuron metadata is restored and the armed corruption applied
         to the cached tensor, so its compute and quantizer do not run.  That
         needs the cached tensor to be the pre-injection value and nothing to
-        observe the call: no range detector, no stats sink on the layer's
-        neuron format, no pre-hook or foreign forward hook on its module,
-        and a module that ran once in the recorded pass (a
-        :class:`~repro.obs.profiler.LayerProfiler` observes nothing: it
-        books the served call's inject phase).  Otherwise, or when its
-        cache entry is missing, ``layer`` recomputes on its replayed inputs.
-        A call served from its own output counts as a cache hit and as
+        observe the call: no range detector, no pre-hook or foreign forward
+        hook on its module, and a module that ran once in the recorded pass.
+        A profiler or numerics monitor observes nothing; a served call books
+        the profiler's inject phase but no numeric-health conversion, as
+        the replayed layers upstream do not.  Otherwise, or when its cache
+        entry is missing, ``layer`` recomputes on its replayed inputs.  A
+        call served from its own output counts as a cache hit and as
         ``replayed`` in the session's stats.
 
         Falls back to a full forward pass — still bit-exact — when no valid
@@ -470,7 +472,7 @@ class GoldenEye:
 
     def forward_from_batched(self, layer: str, plans,
                              images: np.ndarray) -> np.ndarray:
-        """Evaluate K independent value injections in one forward pass.
+        """Evaluate K independent neuron injections in one forward pass.
 
         The evaluation batch is tiled K times along axis 0 — one replica
         *lane* per plan — and the suffix below ``layer`` runs once over the
@@ -487,8 +489,9 @@ class GoldenEye:
         (GEMMs are lane-chunked — :mod:`repro.nn.lanes` — so BLAS sees the
         exact K=1 shapes).
 
-        Only same-layer neuron *value* plans batch; metadata and weight
-        plans perturb shared state and must go through the per-plan path.
+        Only same-layer neuron plans batch, value or metadata (a lane's
+        register is live during its own quantize); weight plans perturb
+        parameters every lane shares and go through the per-plan path.
         """
         state = self.layers.get(layer)
         if state is None:
@@ -497,9 +500,8 @@ class GoldenEye:
         if not plans:
             raise ValueError("forward_from_batched needs at least one plan")
         for plan in plans:
-            if not isinstance(plan, ValueInjection) or plan.location != "neuron":
-                raise ValueError(
-                    f"only neuron value plans can batch, got {plan!r}")
+            if plan.location != "neuron":
+                raise ValueError(f"only neuron plans can batch, got {plan!r}")
             if plan.layer != layer:
                 raise ValueError(
                     f"plan targets layer {plan.layer!r}, expected {layer!r}")

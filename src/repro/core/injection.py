@@ -210,14 +210,18 @@ class InjectionEngine:
     def apply_neuron_injections(self, state: "LayerState", quantized: np.ndarray) -> np.ndarray:
         if not self._neuron_plans:
             return quantized
-        for plan in self._neuron_plans:
-            if plan.layer != state.name:
-                continue
-            if isinstance(plan, MetadataInjection):
-                quantized = self._corrupt_neuron_metadata(state, plan, quantized)
-            else:
-                quantized = self._corrupt_neuron_value(state, plan, quantized)
+        for plan in self._layer_plans(state):
+            quantized = self._corrupt_neuron(state, plan, quantized)
         return quantized
+
+    def _corrupt_neuron(self, state: "LayerState",
+                        plan: ValueInjection | MetadataInjection,
+                        quantized: np.ndarray) -> np.ndarray:
+        """Apply one neuron plan: a metadata plan corrupts the layer's live
+        metadata register, a value plan one data word per sample."""
+        if isinstance(plan, MetadataInjection):
+            return self._corrupt_neuron_metadata(state, plan, quantized)
+        return self._corrupt_neuron_value(state, plan, quantized)
 
     def _corrupt_neuron_value(self, state: "LayerState", plan: ValueInjection,
                               quantized: np.ndarray) -> np.ndarray:
@@ -255,21 +259,22 @@ class InjectionEngine:
     # ------------------------------------------------------------------
     # fault-axis batched application (one replica lane per armed plan)
     # ------------------------------------------------------------------
-    def _lane_plans(self, state: "LayerState") -> list[ValueInjection]:
+    def _layer_plans(self, state: "LayerState") -> list:
         return [p for p in self._neuron_plans if p.layer == state.name]
 
     def apply_lane_injection(self, state: "LayerState", quantized: np.ndarray,
                              lane: int) -> np.ndarray:
         """Apply only lane ``lane``'s armed plan to one replica's tensor.
 
-        Used for metadata-bearing formats, whose registers are live for a
-        single replica at a time — the corruption must run against lane
-        ``lane``'s freshly captured metadata.
+        Used when a layer quantizes one replica at a time (a format with
+        metadata registers, or one a stats sink watches): the corruption,
+        value or metadata, runs against lane ``lane``'s freshly captured
+        metadata.
         """
-        plans = self._lane_plans(state)
+        plans = self._layer_plans(state)
         if not plans:
             return quantized
-        return self._corrupt_neuron_value(state, plans[lane], quantized)
+        return self._corrupt_neuron(state, plans[lane], quantized)
 
     def apply_lane_injections(self, state: "LayerState",
                               quantized: np.ndarray,
@@ -283,7 +288,7 @@ class InjectionEngine:
         gathered victim column.  Stateless formats only (no block/scale
         registers to track per lane).
         """
-        plans = self._lane_plans(state)
+        plans = self._layer_plans(state)
         if not plans:
             return quantized
         out = quantized.copy()

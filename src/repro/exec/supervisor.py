@@ -138,11 +138,11 @@ class ExecConfig:
     #: K).  None resolves K per layer from the bytes one lane materialises
     #: (:func:`repro.core.campaign.lane_count`): ``LANE_BYTES // (images +
     #: golden recording)``, capped at the layer's plan count, and 1 for
-    #: metadata or weight plans, without a recording, or under a numerics
-    #: monitor.  An int >= 1 is used as given; 1 is the classic
-    #: one-injection-per-forward loop.  Per-plan records, seq ordering and
-    #: telemetry stay bit-identical to K=1 — only wall-clock and serial
-    #: journal framing (one line per chunk) change.
+    #: weight plans or without a recording; observers (a profiler, a
+    #: numerics monitor) do not change it.  An int >= 1 is used as given;
+    #: 1 is the classic one-injection-per-forward loop.  Per-plan records,
+    #: seq ordering and telemetry stay bit-identical to K=1 — only
+    #: wall-clock and serial journal framing (one line per chunk) change.
     #: ``telemetry["fault_batch"]`` records the resolved K
     fault_batch: int | None = None
     #: checkpoint-and-resume: capture the golden pass once and replay each

@@ -52,12 +52,23 @@ class FixedPoint(NumberFormat):
     # ------------------------------------------------------------------
     def real_to_format_tensor(self, tensor: np.ndarray) -> np.ndarray:
         x = np.asarray(tensor, dtype=np.float32).astype(np.float64)
-        codes = np.round(x / self.scale)  # half-to-even
+        raw_codes = np.round(x / self.scale)  # half-to-even
         # Fixed-point pipelines have no NaN encoding: an upstream fault that
         # produced NaN converts to zero; ±inf saturates like any overflow.
-        codes = np.nan_to_num(codes, nan=0.0, posinf=self.max_code, neginf=self.min_code)
+        codes = np.nan_to_num(raw_codes, nan=0.0, posinf=self.max_code, neginf=self.min_code)
         codes = np.clip(codes, self.min_code, self.max_code)
-        return (codes * self.scale).astype(np.float32)
+        result = (codes * self.scale).astype(np.float32)
+        if self.stats_sink is not None:
+            # raw codes outside [min_code, max_code] saturate (±inf included;
+            # NaN compares False and is counted as remapped instead)
+            self.stats_sink.record(
+                self, x, result,
+                saturated=int(np.count_nonzero(
+                    (raw_codes > self.max_code) | (raw_codes < self.min_code))),
+                flushed=int(np.count_nonzero(
+                    (codes == 0) & np.isfinite(x) & (x != 0.0))),
+                nan_remapped=int(np.count_nonzero(np.isnan(x))))
+        return result
 
     # ------------------------------------------------------------------
     # scalar path (two's complement, MSB first)

@@ -24,10 +24,11 @@ The coupling to the formats is a duck-typed *stats sink*
 ``repro.obs``, and a format without a sink pays one ``is not None`` check per
 tensor conversion (budgeted < 2% by ``benchmarks/bench_numerics_overhead.py``).
 
-Because the sinks write to the process registry, per-shard
-:class:`~repro.obs.telemetry.RunScope` deltas carry every numeric-health
-metric across the worker/supervisor boundary for free — a parallel
-campaign's numeric-health report equals the serial one.
+The sinks book into the process registry, as the profiler does, so forked
+campaign workers' bookings reach the parent in the per-shard
+:class:`~repro.obs.telemetry.RunScope` deltas the supervisor merges.  A
+conversion is booked when a format quantizes a tensor: a layer served from
+its cached output books nothing, and a K-lane pass books K conversions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .telemetry import Histogram, MetricsRegistry, get_registry
+from .telemetry import Histogram, MetricsRegistry, RunScope, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.goldeneye import GoldenEye
@@ -205,8 +206,8 @@ class NumericStatsSink:
 
 
 class NumericHealthMonitor:
-    """Registry-backed monitor wiring :class:`NumericStatsSink` streams into
-    a :class:`~repro.core.goldeneye.GoldenEye` platform.
+    """Monitor wiring :class:`NumericStatsSink` streams into a
+    :class:`~repro.core.goldeneye.GoldenEye` platform.
 
     Pass an instance as ``GoldenEye(..., numerics=monitor)`` (or call
     :meth:`attach` on an existing platform): every instrumented layer's
@@ -215,17 +216,21 @@ class NumericHealthMonitor:
     ``is not None`` check per conversion.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry if registry is not None else get_registry()
+    def __init__(self):
+        self._scope: RunScope | None = None
         self._sinks: dict[tuple[str, str, str], NumericStatsSink] = {}
         self._installed: list[Any] = []
 
     def sink(self, layer: str, role: str, fmt: "NumberFormat") -> NumericStatsSink:
-        """Get-or-create the sink for one ``layer x role x format`` stream."""
+        """Get-or-create the sink for one ``layer x role x format`` stream
+        (the first one opens the run :meth:`as_dict` reports)."""
         key = (layer, role, fmt.name)
         sink = self._sinks.get(key)
         if sink is None:
-            sink = NumericStatsSink(self.registry, layer, role, fmt)
+            registry = get_registry()
+            if self._scope is None:
+                self._scope = registry.run_scope("numerics").__enter__()
+            sink = NumericStatsSink(registry, layer, role, fmt)
             self._sinks[key] = sink
         return sink
 
@@ -245,7 +250,7 @@ class NumericHealthMonitor:
                 self._installed.append(state.neuron_format)
         return self
 
-    def detach(self, platform: "GoldenEye | None" = None) -> None:
+    def detach(self) -> None:
         """Remove every sink this monitor installed."""
         for fmt in self._installed:
             fmt.set_stats_sink(None)
@@ -255,13 +260,22 @@ class NumericHealthMonitor:
     # readouts
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        """Per-``layer x role`` summary built from the registry.
+        """Per-``layer x role`` summary of this monitor's own run.
 
-        Works on *any* registry content with ``numerics.*`` metrics — in a
-        parallel campaign the supervisor's merged registry produces the same
-        summary a serial run would.
+        Counters and histograms are the registry's delta since the first
+        stream (merged worker bookings in, an earlier monitor's run out);
+        gauges are read at their current value.
         """
-        return summarize_numerics(self.registry)
+        delta = self._scope.delta() if self._scope is not None else {}
+        collected = {name: [e for e in entries if e["type"] != "gauge"]
+                     for name, entries in delta.items()
+                     if name.startswith("numerics.")}
+        for sink in self._sinks.values():
+            for gauge in (sink.range_used, sink.range_coverage,
+                          sink.format_range):
+                collected.setdefault(gauge.name, []).append(
+                    {"labels": gauge.labels, "value": gauge.value})
+        return summarize_collected(collected)
 
     def table(self) -> str:
         """Fixed-width text table of :meth:`as_dict` (CLI-friendly)."""

@@ -17,11 +17,21 @@ from hypothesis import settings
 
 from repro.data import SyntheticImageNet, make_splits, train
 from repro.models import simple_cnn
+from repro.obs import reset_registry
 
 settings.register_profile("dev", deadline=None)
 settings.register_profile("ci", deadline=None, derandomize=True,
                           max_examples=50, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture
+def fresh_global_registry():
+    """Isolate tests that exercise the process-wide registry (the one the
+    core instruments, the profiler and numerics monitors book into)."""
+    fresh = reset_registry()
+    yield fresh
+    reset_registry()
 
 
 @pytest.fixture(scope="session")

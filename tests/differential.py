@@ -54,7 +54,8 @@ __all__ = ["MODES", "DifferentialOutcome", "layer_stats",
 #: it — batched records must be bit-identical to the K=1 loop.
 #: ``default`` is a serial run of ``ExecConfig()`` as shipped, whose lane
 #: count is resolved per layer from the golden recording, and
-#: ``parallel2-default`` the same on two workers.
+#: ``parallel2-default`` the same on two workers.  Value and neuron
+#: metadata plans both batch.
 MODES = ("serial", "parallel2", "parallel4", "parallel2-noshm", "resumed",
          "serial-k4", "serial-k8", "parallel2-k4", "resumed-k4", "default",
          "parallel2-default")
@@ -152,14 +153,15 @@ def _traced_campaign(model, format_spec, data, trace_path,
 def run_mode(mode: str, model, format_spec, data, tmp_path, *,
              injections_per_layer: int = 5, seed: int = 13,
              interrupt_after: int = 4, serve: bool = False,
-             fault_model="single", protect="none",
+             kind: str = "value", fault_model="single", protect="none",
              layers=None, ledger=None,
              journal: bool = False) -> DifferentialOutcome:
     """Run the seeded campaign under ``mode`` and bundle its surfaces.
 
     Every mode uses the same ``(format_spec, seed, injections_per_layer,
-    data)`` identity — including the fault model and protection
-    (``fault_model`` / ``protect`` / ``layers`` extend the identity to the
+    data)`` identity — including the injection kind, fault model and
+    protection (``kind="metadata"`` injects neuron metadata registers;
+    ``fault_model`` / ``protect`` / ``layers`` extend the identity to the
     non-default injectors of :mod:`repro.core.faultmodels`) — so any
     observable difference between two returned outcomes is an executor
     bug, not a campaign difference.
@@ -187,7 +189,7 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
     elif "-k" in mode:
         mode, _, k = mode.rpartition("-k")
         fault_batch = int(k)
-    common = dict(kind="value", location="neuron",
+    common = dict(kind=kind, location="neuron",
                   injections_per_layer=injections_per_layer, seed=seed,
                   fault_model=fault_model, protect=protect, layers=layers,
                   ledger=ledger)

@@ -471,43 +471,46 @@ class TestLaneCount:
         assert result.telemetry["fault_batch"] == 1
         assert set(sizes) == {1}
 
-    @pytest.mark.parametrize("observer", ["numerics"])
-    def test_k_is_one_under_an_observer(self, model, data, monkeypatch,
-                                        observer):
-        from repro.obs import NumericHealthMonitor
-
-        sizes = self._chunks(monkeypatch)
-        with GoldenEye(model, "fp16",
-                       **{observer: NumericHealthMonitor()}) as ge:
-            result = run_campaign(ge, *data, injections_per_layer=4, seed=0)
-        assert result.telemetry["fault_batch"] == 1
-        assert set(sizes) == {1}
-
-    def test_k_under_a_profiler_equals_k_without_one(self, model, data,
-                                                     monkeypatch):
-        """A profiler only wraps calls, so the chunks and every layer's
-        outcomes are those of the unprofiled campaign, bit for bit."""
-        from repro.obs import LayerProfiler
-
+    def _assert_unobserved_path(self, model, data, monkeypatch, observer,
+                                make):
+        """An ``observer`` platform argument built by ``make`` leaves the
+        chunks and every layer's outcomes those of the unobserved campaign,
+        bit for bit, and K above 1."""
         sizes = self._chunks(monkeypatch)
         runs = []
-        for profiler in (None, LayerProfiler()):
-            with GoldenEye(model, "fp16", profiler=profiler) as ge:
+        for instance in (None, make()):
+            with GoldenEye(model, "fp16", **{observer: instance}) as ge:
                 runs.append(run_campaign(ge, *data, injections_per_layer=7,
                                          seed=0))
-        plain, profiled = runs
-        assert profiled.telemetry["fault_batch"] == \
+        plain, observed = runs
+        assert observed.telemetry["fault_batch"] == \
             plain.telemetry["fault_batch"] > 1
         half = len(sizes) // 2
         assert sizes[half:] == sizes[:half]
         for layer, stats in plain.per_layer.items():
-            other = profiled.per_layer[layer]
+            other = observed.per_layer[layer]
             assert other.delta_losses == stats.delta_losses, layer
             assert other.sdc_rate == stats.sdc_rate, layer
             assert other.mismatch_rate == stats.mismatch_rate, layer
 
-    @pytest.mark.parametrize("kind,location", [("metadata", "neuron"),
-                                               ("value", "weight")])
+    def test_k_under_a_monitor_equals_k_without_one(self, model, data,
+                                                    monkeypatch):
+        """A numerics monitor's sinks sit inside the quantizers and observe
+        no layer call."""
+        from repro.obs import NumericHealthMonitor
+
+        self._assert_unobserved_path(model, data, monkeypatch, "numerics",
+                                     NumericHealthMonitor)
+
+    def test_k_under_a_profiler_equals_k_without_one(self, model, data,
+                                                     monkeypatch):
+        """A profiler only wraps calls."""
+        from repro.obs import LayerProfiler
+
+        self._assert_unobserved_path(model, data, monkeypatch, "profiler",
+                                     LayerProfiler)
+
+    @pytest.mark.parametrize("kind,location", [("value", "weight")])
     def test_k_is_one_for_plans_that_cannot_batch(self, model, data,
                                                   monkeypatch, kind,
                                                   location):
@@ -517,3 +520,24 @@ class TestLaneCount:
                                   injections_per_layer=4, seed=0)
         assert result.telemetry["fault_batch"] == 1
         assert sizes and set(sizes) == {1}
+
+    def test_neuron_metadata_plans_share_a_pass(self, model, data,
+                                                monkeypatch):
+        """Each lane's metadata register is live during its own quantize,
+        so neuron metadata plans batch, bit for bit with K=1."""
+        sizes = self._chunks(monkeypatch)
+        runs = []
+        for fault_batch in (None, 1):
+            with GoldenEye(model, "int8") as ge:
+                runs.append(run_campaign(ge, *data, kind="metadata",
+                                         injections_per_layer=4, seed=0,
+                                         fault_batch=fault_batch))
+        batched, single = runs
+        assert batched.telemetry["fault_batch"] == 4
+        layers = len(batched.per_layer)
+        assert sizes == [4] * layers + [1] * 4 * layers
+        for layer, stats in single.per_layer.items():
+            other = batched.per_layer[layer]
+            assert other.delta_losses == stats.delta_losses, layer
+            assert other.sdc_rate == stats.sdc_rate, layer
+            assert other.mismatch_rate == stats.mismatch_rate, layer

@@ -171,26 +171,37 @@ class TestObservabilityCLI:
     def test_profiled_campaign_batches_and_resumes(self, tmp_path):
         """`repro campaign` always attaches a profiler, and its bookings
         show the campaign kept fault batching (K > 1) and served each
-        injected layer from its cached output."""
-        metrics = tmp_path / "metrics.json"
+        injected layer from its cached output, with `--numerics` too."""
         injections = 30
-        previous = set_registry(MetricsRegistry())  # this run's counters only
-        try:
-            code = main(["campaign", "--model", "simple_mlp", *CHEAP[2:],
-                         "--format", "fp16", "--injections", str(injections),
-                         "--batch", "8", "--metrics-json", str(metrics)])
-        finally:
-            set_registry(previous)
-        assert code == 0
-        calls = {(e["labels"]["layer"], e["labels"]["phase"]): e["value"]
-                 for e in json.loads(metrics.read_text())
-                 ["metrics"]["profile.phase_calls"]}
-        # fc1 computes in the golden pass only: every fault injected at it
-        # is applied to its cached output
-        assert calls["fc1", "compute"] == calls["fc1", "quantize"] == 1
-        # its faults took fewer forward passes than there are faults
-        assert 1 <= calls["fc1", "inject"] - calls["fc1", "compute"] \
-            < injections
+        for extra in ([], ["--numerics"]):
+            metrics = tmp_path / f"metrics{len(extra)}.json"
+            previous = set_registry(MetricsRegistry())  # this run's only
+            try:
+                code = main(["campaign", "--model", "simple_mlp", *CHEAP[2:],
+                             "--format", "fp16", "--injections",
+                             str(injections), "--batch", "8", *extra,
+                             "--metrics-json", str(metrics)])
+            finally:
+                set_registry(previous)
+            assert code == 0
+            snapshot = json.loads(metrics.read_text())["metrics"]
+            calls = {(e["labels"]["layer"], e["labels"]["phase"]): e["value"]
+                     for e in snapshot["profile.phase_calls"]}
+            # fc1 computes in the golden pass only: every fault injected at
+            # it is applied to its cached output
+            assert calls["fc1", "compute"] == calls["fc1", "quantize"] == 1
+            # fc1's faults took fewer forward passes than there are faults
+            assert calls["fc2", "compute"] - 1 < injections
+            if extra:
+                # a served call books no conversion (a monitored lane pass
+                # injects lane by lane, so inject calls count lanes)
+                tensors = {e["labels"]["layer"]: e["value"]
+                           for e in snapshot["numerics.tensors_total"]
+                           if e["labels"]["role"] == "neuron"}
+                assert tensors["fc1"] == 1
+            else:
+                assert 1 <= calls["fc1", "inject"] - calls["fc1", "compute"] \
+                    < injections
 
     def test_campaign_metrics_prom_export(self, tmp_path):
         prom = tmp_path / "metrics.prom"

@@ -430,7 +430,8 @@ class TestEccProtection:
             assert protected.ecc.get("corrected") == protected.injections
 
     def test_protected_records_carry_the_golden_outcome(self, campaigns):
-        from repro.core.campaign import execute_injection, golden_inference
+        from repro.core.campaign import execute_injection_batch, \
+            golden_inference
         model, (images, labels) = campaigns["model"], campaigns["data"]
         with GoldenEye(model, "fp16") as ge:
             ge.enable_resume(None)
@@ -438,8 +439,9 @@ class TestEccProtection:
             golden = golden_inference(ge, images, labels)
             plan = ge.injector.sample_value_injection(
                 np.random.default_rng(0), layer="fc3")
-            record = execute_injection(ge, golden, images, plan, True,
-                                       protection=parse_protection("secded"))
+            [record] = execute_injection_batch(
+                ge, golden, images, [plan], True,
+                protection=parse_protection("secded"))
         assert record["ecc"] == "corrected"
         assert record["delta_loss"] == 0.0
         assert record["sdc_rate"] == 0.0

@@ -29,7 +29,6 @@ from repro.analysis.confidence import wilson_interval
 from repro.core import CampaignError, GoldenEye, run_campaign
 from repro.exec.journal import load_journal
 from repro.models import simple_mlp
-from repro.obs import reset_registry
 from repro.obs.export import export_prometheus
 from repro.obs.live import (
     CampaignProgress,
@@ -59,13 +58,6 @@ def _make_data():
     rng = np.random.default_rng(77)
     return (rng.standard_normal((4, 3, 32, 32)).astype(np.float32),
             rng.integers(0, 4, size=4))
-
-
-@pytest.fixture()
-def fresh_global_registry():
-    fresh = reset_registry()
-    yield fresh
-    reset_registry()
 
 
 @pytest.fixture()

@@ -4,10 +4,14 @@ Covers the stats-sink contract on every format family (nonzero saturation
 counts on synthetic overflow workloads — the ISSUE's acceptance criterion),
 the flush-to-zero and NaN-remap counters, the quantization-error histograms,
 the dynamic-range coverage gauges, the GoldenEye platform wiring
-(attach/detach, campaign telemetry), and the disabled-path no-op guarantee.
+(attach/detach, readouts of the monitor's own run), and the disabled-path
+no-op guarantee.  Monitors book into the process registry, so every test
+that books runs on a fresh one (the ``registry`` fixture).
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -17,26 +21,28 @@ from repro.formats import make_format
 from repro.formats.afp import AdaptivFloat
 from repro.formats.bfp import BlockFloatingPoint
 from repro.formats.fp import FloatingPoint
+from repro.formats.fxp import FixedPoint
 from repro.formats.intq import IntegerQuant
 from repro.formats.posit import Posit
-from repro.models import simple_cnn
+from repro.models import simple_cnn, simple_mlp
 from repro.obs import (
-    MetricsRegistry,
     NumericHealthMonitor,
     NumericStatsSink,
     summarize_numerics,
 )
 from repro.obs.numerics import ULP_ERROR_BUCKETS, summarize_collected
+from repro.obs.telemetry import reset_registry
 
 
 @pytest.fixture
-def registry():
-    return MetricsRegistry()
+def registry(fresh_global_registry):
+    """Monitors book into the process registry: a fresh one per test."""
+    return fresh_global_registry
 
 
 @pytest.fixture
 def monitor(registry):
-    return NumericHealthMonitor(registry)
+    return NumericHealthMonitor()
 
 
 def convert(monitor, fmt, x):
@@ -101,6 +107,14 @@ class TestFormatCounters:
         assert sink.saturated.value == 1
         assert sink.nan_remapped.value == 1
 
+    def test_fxp_saturates_outside_its_codes(self, monitor):
+        fmt = FixedPoint(3, 4)  # codes [-128, 127] at scale 1/16
+        sink = convert(monitor, fmt, [100.0, np.nan, 1e-5, 1.0, -np.inf])
+        assert sink.tensors.value == 1
+        assert sink.saturated.value == 2   # 100 -> code 1600, and -inf
+        assert sink.flushed.value == 1     # 1e-5 rounds to code 0
+        assert sink.nan_remapped.value == 1
+
     def test_posit_saturates_but_never_flushes(self, monitor):
         fmt = Posit(8, 1)  # maxpos = 4096
         sink = convert(monitor, fmt, [5000.0, -1e6, 1.0, np.nan, 1e-30])
@@ -109,7 +123,7 @@ class TestFormatCounters:
         assert sink.nan_remapped.value == 1
 
     @pytest.mark.parametrize("spec", ["fp8", "bfp16", "int8", "afp8",
-                                      "posit8"])
+                                      "posit8", "fxp16"])
     def test_every_named_family_reports_nonzero_saturation(self, monitor,
                                                            spec):
         """The ISSUE's acceptance criterion: a synthetic overflow workload
@@ -210,7 +224,7 @@ class TestMonitor:
 
     def test_goldeneye_attach_detach(self, registry):
         model = simple_cnn(num_classes=4, image_size=8, seed=0)
-        monitor = NumericHealthMonitor(registry)
+        monitor = NumericHealthMonitor()
         x = np.random.default_rng(0).standard_normal(
             (4, 3, 8, 8)).astype(np.float32)
         ge = GoldenEye(model, "fp8", numerics=monitor)
@@ -231,17 +245,36 @@ class TestMonitor:
             assert layer["weight"]["elements"] > 0
             assert layer["neuron"]["abs_error"]["count"] > 0
 
-    def test_campaign_telemetry_carries_numeric_health(self, registry, rng):
-        model = simple_cnn(num_classes=4, image_size=8, seed=0)
-        monitor = NumericHealthMonitor(registry)
+    def test_a_second_monitor_books_only_its_own_run(self, registry, rng):
+        """Both monitors book into one registry; each reads its own run."""
         images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
         labels = rng.integers(0, 4, size=4)
-        with GoldenEye(model, "int8", numerics=monitor) as ge:
-            result = run_campaign(ge, images, labels,
-                                  injections_per_layer=2, seed=0)
-        health = result.telemetry["numeric_health"]
-        assert set(health) == {"conv1", "conv2", "fc"}
-        assert health["fc"]["neuron"]["elements"] > 0
+        health = []
+        for _ in range(2):
+            model = simple_cnn(num_classes=4, image_size=8, seed=0)
+            monitor = NumericHealthMonitor()
+            with GoldenEye(model, "int8", numerics=monitor) as ge:
+                result = run_campaign(ge, images, labels,
+                                      injections_per_layer=2, seed=0)
+            health.append(monitor.as_dict())
+        assert "numeric_health" not in result.telemetry
+        first, second = health
+        assert set(first) == set(second) == {"conv1", "conv2", "fc"}
+        assert first["fc"]["neuron"]["elements"] > 0
+        for layer, roles in first.items():
+            for role, mine in roles.items():
+                theirs = second[layer][role]
+                for field in ("tensors", "elements", "saturated", "flushed",
+                              "nan_remapped", "format_range_db"):
+                    assert theirs[field] == mine[field], (layer, role, field)
+                # a delta's sum is a difference of running sums
+                assert theirs["abs_error"]["count"] == \
+                    mine["abs_error"]["count"]
+                assert theirs["abs_error"]["mean"] == \
+                    pytest.approx(mine["abs_error"]["mean"])
+        tensors = registry.get("numerics.tensors_total", layer="fc",
+                               role="neuron", format="int8").value
+        assert tensors == 2 * first["fc"]["neuron"]["tensors"]
 
     def test_no_sink_no_recording(self):
         fmt = FloatingPoint(4, 3)
@@ -261,12 +294,84 @@ class TestMonitor:
                             lambda: BlockFloatingPoint(4, 3, 8),
                             lambda: AdaptivFloat(4, 3),
                             lambda: IntegerQuant(8),
+                            lambda: FixedPoint(3, 4),
                             lambda: Posit(8, 1)):
             plain = fmt_factory().real_to_format_tensor(x)
             fmt = fmt_factory()
             convert(monitor, fmt, x)
             monitored = fmt.real_to_format_tensor(x)
             np.testing.assert_array_equal(plain, monitored)
+
+
+# ----------------------------------------------------------------------
+# monitored campaigns: one execution path, exact bookings
+# ----------------------------------------------------------------------
+def _monitored_campaign(model_fn, spec, **fields):
+    """One campaign under a fresh process registry and its own monitor.
+
+    Returns the result, the monitor's readout and the registry's
+    ``numerics.*`` snapshot (exact sums: nothing was booked before)."""
+    registry = reset_registry()
+    try:
+        rng = np.random.default_rng(3)
+        images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        labels = rng.integers(0, 4, size=4)
+        monitor = NumericHealthMonitor()
+        with GoldenEye(model_fn(num_classes=4, image_size=8, seed=0), spec,
+                       numerics=monitor) as ge:
+            result = run_campaign(ge, images, labels, seed=0, **fields)
+        return result, monitor.as_dict(), registry.collect(prefix="numerics.")
+    finally:
+        reset_registry()
+
+
+def _counters(readout) -> dict:
+    return {(layer, role): tuple(s[f] for f in (
+                "tensors", "elements", "saturated", "flushed",
+                "nan_remapped"))
+            for layer, roles in readout.items() for role, s in roles.items()}
+
+
+class TestMonitoredCampaign:
+    @pytest.mark.parametrize("spec", ["fp16", "bfp_e5m5_b16"])
+    def test_k_lanes_book_like_single_passes(self, spec):
+        """A K-lane chunk quantizes a monitored layer lane by lane, so every
+        ``numerics.*`` counter and histogram (count, sum, buckets) equals
+        the ``fault_batch=1`` run's, as do the outcomes."""
+        batched, _, lanes = _monitored_campaign(
+            simple_mlp, spec, injections_per_layer=9)
+        single, _, passes = _monitored_campaign(
+            simple_mlp, spec, injections_per_layer=9, fault_batch=1)
+        assert batched.telemetry["fault_batch"] == 9
+        assert lanes == passes
+        for layer, stats in single.per_layer.items():
+            assert batched.per_layer[layer].delta_losses == \
+                stats.delta_losses, layer
+
+    def test_a_served_layer_books_no_conversion(self):
+        """Each injected layer is served from its cached output: fc1 books
+        the golden pass only, and each later layer one conversion per
+        fault upstream of it."""
+        _, health, _ = _monitored_campaign(simple_mlp, "fp16",
+                                           injections_per_layer=40)
+        assert {layer: roles["neuron"]["tensors"]
+                for layer, roles in health.items()} == \
+            {"fc1": 1, "fc2": 41, "fc3": 81}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="requires the fork start method")
+    def test_worker_bookings_reach_the_monitor(self):
+        """Worker bookings arrive in the shard deltas the supervisor merges
+        into the process registry, so two workers read like one."""
+        _, serial, _ = _monitored_campaign(simple_cnn, "fp16",
+                                           injections_per_layer=12,
+                                           fault_batch=1)
+        _, parallel, _ = _monitored_campaign(simple_cnn, "fp16",
+                                             injections_per_layer=12,
+                                             fault_batch=1, workers=2)
+        assert _counters(parallel) == _counters(serial)
+        assert serial["fc"]["neuron"]["tensors"] == 25
 
 
 # ----------------------------------------------------------------------

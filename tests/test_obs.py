@@ -53,7 +53,6 @@ from repro.obs import (
     load_trace_events,
     merge_metric_delta,
     render_report,
-    reset_registry,
     seed_span_context,
     set_tracer,
     sink_path,
@@ -78,14 +77,6 @@ def model():
 def data(rng):
     return (rng.standard_normal((8, 3, 8, 8)).astype(np.float32),
             rng.integers(0, 4, size=8))
-
-
-@pytest.fixture
-def fresh_global_registry():
-    """Isolate tests that exercise the process-wide registry."""
-    fresh = reset_registry()
-    yield fresh
-    reset_registry()
 
 
 # ----------------------------------------------------------------------

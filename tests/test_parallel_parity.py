@@ -7,7 +7,9 @@ serial run exactly: bit-identical per-layer statistics, an identical
 ``campaign.injection`` trace-event multiset, and identical deterministic
 counter totals.  Three format families keep the executor honest across
 very different numerics: plain floating point (``fp16``), integer
-quantization (``int8``) and block floating point (``bfp_e5m5_b16``).
+quantization (``int8``) and block floating point (``bfp_e5m5_b16``).  The
+two with metadata registers also run a neuron metadata campaign through
+the batched and parallel modes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ needs_fork = pytest.mark.skipif(
     reason="requires the fork start method")
 
 FORMATS = ("fp16", "int8", "bfp_e5m5_b16")
+METADATA_FORMATS = ("int8", "bfp_e5m5_b16")
+METADATA_MODES = ("parallel2", "serial-k4", "parallel2-k4", "resumed-k4",
+                  "default")
 INJECTIONS = 5
 SEED = 13
 
@@ -36,19 +41,58 @@ def _make_data():
             rng.integers(0, 4, size=4))
 
 
-@pytest.fixture(scope="module")
-def baselines(tmp_path_factory):
-    """Per-format (model, data, serial outcome) triples, computed once."""
+def _serial_baselines(tmp_path_factory, formats, kind):
+    """Per-format (model, data, serial outcome) triples of one kind."""
     out = {}
-    for spec in FORMATS:
+    for spec in formats:
         model = simple_mlp(num_classes=4)
         model.eval()
         data = _make_data()
         serial = run_mode("serial", model, spec, data,
-                          tmp_path_factory.mktemp(f"serial-{spec}"),
-                          injections_per_layer=INJECTIONS, seed=SEED)
+                          tmp_path_factory.mktemp(f"serial-{kind}-{spec}"),
+                          injections_per_layer=INJECTIONS, seed=SEED,
+                          kind=kind)
         out[spec] = (model, data, serial)
     return out
+
+
+@pytest.fixture(scope="module")
+def baselines(tmp_path_factory):
+    """Per-format value-campaign baselines, computed once."""
+    return _serial_baselines(tmp_path_factory, FORMATS, "value")
+
+
+@pytest.fixture(scope="module")
+def metadata_baselines(tmp_path_factory):
+    """Per-format neuron metadata-campaign baselines, computed once."""
+    return _serial_baselines(tmp_path_factory, METADATA_FORMATS, "metadata")
+
+
+def _assert_mode_reproduces_serial(mode, spec, baseline, tmp_path, kind):
+    model, data, serial = baseline
+    out = run_mode(mode, model, spec, data, tmp_path,
+                   injections_per_layer=INJECTIONS, seed=SEED, kind=kind)
+    assert not out.result.quarantined
+    assert not out.result.interrupted
+    # surface 1: per-layer statistics, bit for bit
+    assert out.stats == serial.stats
+    # surface 2: the campaign.injection event multiset (exact floats)
+    assert out.injections == serial.injections
+    assert len(out.injections) == sum(
+        r.injections for r in serial.result.per_layer.values())
+    # surface 3: deterministic counter totals.  Across an interrupt
+    # boundary only the parent-side acceptance counter is exact (see
+    # tests/differential.py), so the resumed mode compares that subset.
+    if mode.startswith("resumed"):
+        expected = {key: value for key, value in serial.counters.items()
+                    if key[0] == "campaign.injections_total"}
+    else:
+        expected = serial.counters
+    assert out.counters == expected
+    if mode.endswith("default"):
+        # the shipped default batches this small model's faults: each
+        # layer's plans share one chunk
+        assert out.result.telemetry["fault_batch"] == INJECTIONS
 
 
 @needs_fork
@@ -57,30 +101,20 @@ def baselines(tmp_path_factory):
 class TestDifferentialParity:
     def test_mode_reproduces_serial_exactly(self, mode, spec, baselines,
                                             tmp_path):
-        model, data, serial = baselines[spec]
-        out = run_mode(mode, model, spec, data, tmp_path,
-                       injections_per_layer=INJECTIONS, seed=SEED)
-        assert not out.result.quarantined
-        assert not out.result.interrupted
-        # surface 1: per-layer statistics, bit for bit
-        assert out.stats == serial.stats
-        # surface 2: the campaign.injection event multiset (exact floats)
-        assert out.injections == serial.injections
-        assert len(out.injections) == sum(
-            r.injections for r in serial.result.per_layer.values())
-        # surface 3: deterministic counter totals.  Across an interrupt
-        # boundary only the parent-side acceptance counter is exact (see
-        # tests/differential.py), so the resumed mode compares that subset.
-        if mode.startswith("resumed"):
-            expected = {key: value for key, value in serial.counters.items()
-                        if key[0] == "campaign.injections_total"}
-        else:
-            expected = serial.counters
-        assert out.counters == expected
-        if mode.endswith("default"):
-            # the shipped default batches this small model's faults: each
-            # layer's plans share one chunk
-            assert out.result.telemetry["fault_batch"] == INJECTIONS
+        _assert_mode_reproduces_serial(mode, spec, baselines[spec], tmp_path,
+                                       "value")
+
+
+@needs_fork
+@pytest.mark.parametrize("spec", METADATA_FORMATS)
+@pytest.mark.parametrize("mode", METADATA_MODES)
+def test_metadata_mode_reproduces_serial_exactly(mode, spec,
+                                                 metadata_baselines,
+                                                 tmp_path):
+    """Neuron metadata plans take lanes too: each lane's register is live
+    during that lane's own quantize, so every mode matches K=1 serial."""
+    _assert_mode_reproduces_serial(mode, spec, metadata_baselines[spec],
+                                   tmp_path, "metadata")
 
 
 @needs_fork
@@ -156,23 +190,29 @@ def batching_platforms():
        layer_index=st.integers(min_value=0, max_value=10),
        plan_seed=st.integers(min_value=0, max_value=2 ** 20),
        lanes=st.integers(min_value=2, max_value=8),
-       use_resume=st.booleans())
+       use_resume=st.booleans(),
+       metadata=st.booleans())
 def test_batched_records_match_sequential_property(
-        batching_platforms, spec, layer_index, plan_seed, lanes, use_resume):
-    """Property: for ANY K same-layer neuron plans the platform can sample,
+        batching_platforms, spec, layer_index, plan_seed, lanes, use_resume,
+        metadata):
+    """Property: for ANY K same-layer neuron plans the platform can sample
+    (metadata plans on the formats that have registers),
     ``execute_injection_batch`` returns records field-for-field identical
-    (delta_loss / mismatch_rate / sdc_rate exact floats) to K sequential
-    ``execute_injection`` calls — with and without checkpoint-resume."""
-    from repro.core.campaign import execute_injection, execute_injection_batch
+    (delta_loss / mismatch_rate / sdc_rate exact floats) to K one-plan
+    chunks — with and without checkpoint-resume."""
+    from repro.core.campaign import execute_injection_batch
 
     ge, golden, images = batching_platforms[spec]
     layers = list(ge.layers)
     layer = layers[layer_index % len(layers)]
-    plans = [ge.injector.sample_value_injection(
-        np.random.default_rng([plan_seed, k]), layer=layer)
-        for k in range(lanes)]
+    sample = (ge.injector.sample_metadata_injection
+              if metadata and spec in METADATA_FORMATS
+              else ge.injector.sample_value_injection)
+    plans = [sample(np.random.default_rng([plan_seed, k]), layer=layer)
+             for k in range(lanes)]
     batched = execute_injection_batch(ge, golden, images, plans, use_resume)
-    sequential = [execute_injection(ge, golden, images, plan, use_resume)
+    sequential = [execute_injection_batch(ge, golden, images, [plan],
+                                          use_resume)[0]
                   for plan in plans]
     assert len(batched) == len(sequential) == lanes
     for got, want in zip(batched, sequential):

@@ -21,7 +21,6 @@ import pytest
 from repro.core import GoldenEye, run_campaign
 from repro.core.campaign import RecordSink, fold_layer
 from repro.models import simple_mlp
-from repro.obs import reset_registry
 from repro.obs.live import CampaignProgress, LiveServer, fetch_progress, \
     journal_progress
 from repro.obs.report import build_report
@@ -45,13 +44,6 @@ def model():
     mlp = simple_mlp(num_classes=4)
     mlp.eval()
     return mlp
-
-
-@pytest.fixture()
-def fresh_global_registry():
-    fresh = reset_registry()
-    yield fresh
-    reset_registry()
 
 
 # ----------------------------------------------------------------------

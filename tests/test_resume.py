@@ -31,8 +31,7 @@ from repro.core.campaign import golden_inference
 from repro.models import simple_cnn, simple_mlp
 from repro.models.deit import deit_tiny
 from repro.obs import LayerProfiler
-from repro.obs.numerics import NumericHealthMonitor, summarize_numerics
-from repro.obs.telemetry import MetricsRegistry
+from repro.obs.numerics import NumericHealthMonitor
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +447,30 @@ class TestOutputResume:
             assert (phases["inject"]["calls"]
                     == phases["compute"]["calls"] + 1), layer
 
+    def test_monitored_layer_is_served_from_its_output(
+            self, cnn, batch, fresh_global_registry):
+        """A numerics monitor observes no layer call: each injected layer is
+        served from its cached output, so its quantizer does not run and it
+        books no conversion, and the logits match a full forward bit for
+        bit."""
+        images, _ = batch
+        rng = np.random.default_rng(23)
+        with GoldenEye(cnn, "bfp_e5m5_b16",
+                       numerics=NumericHealthMonitor()) as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            for layer in ge.layer_names():
+                fmt = ge.layers[layer].neuron_format
+                booked = fmt.stats_sink.tensors.value
+                plan = ge.injector.sample_value_injection(rng, layer=layer)
+                with ge.injector.armed(plan):
+                    with _counted_quantizer(fmt) as calls:
+                        resumed = ge.forward_from(layer, images)
+                    assert fmt.stats_sink.tensors.value == booked, layer
+                    full = _full(ge, images)
+                assert not calls, layer
+                _assert_bits(resumed, full, layer)
+
     def test_resumed_position_counts_as_replayed_hit(self, cnn, batch):
         images, _ = batch
         with GoldenEye(cnn, "fp16") as ge:
@@ -478,16 +501,13 @@ class TestOutputResumeFallbacks:
         assert len(resumed_calls) == len(full_calls) > 0, layer
         _assert_bits(resumed, full, layer)
 
-    @pytest.mark.parametrize("observer", ["detector", "numerics"])
+    @pytest.mark.parametrize("observer", ["detector"])
     def test_observed_layer_recomputes(self, cnn, batch, observer):
         images, _ = batch
-        detector = RangeDetector() if observer == "detector" else None
-        with GoldenEye(cnn, "bfp_e5m5_b16", range_detector=detector,
-                       numerics=(NumericHealthMonitor(MetricsRegistry())
-                                 if observer == "numerics" else None)) as ge:
-            if detector is not None:
-                _full(ge, images)  # profile the ranges, then protect
-                detector.active = True
+        detector = RangeDetector()
+        with GoldenEye(cnn, "bfp_e5m5_b16", range_detector=detector) as ge:
+            _full(ge, images)  # profile the ranges, then protect
+            detector.active = True
             ge.enable_resume()
             ge.capture_golden(images)
             for layer in ge.layer_names():
@@ -520,28 +540,31 @@ class TestOutputResumeFallbacks:
             ge.capture_golden(images)
             self._check(ge, "shared", images)
 
-    def test_observer_counts_unchanged(self, cnn, batch):
+    def test_observer_counts_unchanged(self, cnn, batch,
+                                       fresh_global_registry):
         """A serial value + metadata campaign with every observer attached
-        books the counts it booked before the output resume existed."""
+        books the conversions and detections it booked before the output
+        resume existed: under a detector no layer is served, and a K-lane
+        chunk books each lane.  Only the compute calls fall, because each
+        layer's five faults share one K=5 pass."""
         images, labels = batch
-        registry = MetricsRegistry()
         detector = RangeDetector()
         profiler = LayerProfiler()
+        monitor = NumericHealthMonitor()
         with GoldenEye(cnn, "bfp_e5m5_b16", range_detector=detector,
-                       profiler=profiler,
-                       numerics=NumericHealthMonitor(registry)) as ge:
+                       profiler=profiler, numerics=monitor) as ge:
             golden_inference(ge, images, labels)  # profile the ranges
             detector.active = True
             for kind in ("value", "metadata"):
                 run_campaign(ge, images, labels, kind=kind,
                              injections_per_layer=5, seed=2)
         tensors = {layer: int(roles["neuron"]["tensors"])
-                   for layer, roles in summarize_numerics(registry).items()}
+                   for layer, roles in monitor.as_dict().items()}
         assert tensors == {"conv1": 13, "conv2": 23, "fc": 33}
         assert detector.detections == {"conv1": 16, "conv2": 18, "fc": 13}
         compute = {layer: profile["phases"]["compute"]["calls"]
                    for layer, profile in profiler.as_dict().items()}
-        assert compute == {"conv1": 13, "conv2": 23, "fc": 33}
+        assert compute == {"conv1": 5, "conv2": 7, "fc": 9}
 
 
 # ----------------------------------------------------------------------
