@@ -373,7 +373,6 @@ def cmd_campaign(args) -> int:
         seed=args.seed, profiler=profiler, numerics=numerics,
         workers=args.workers, journal=args.journal,
         shard_timeout=args.shard_timeout,
-        batch_records=args.batch_records,
         shared_cache=not args.no_shared_cache,
         fault_batch=args.fault_batch,
         fault_model=fault_spec, protect=args.protect,
@@ -750,9 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shard-timeout", type=float, default=None,
                        help="seconds before a stuck shard attempt is killed "
                             "and retried (then quarantined)")
-    group.add_argument("--batch-records", type=int, default=32,
-                       help="records per worker result message / journal "
-                            "line (flushed early on shard boundaries)")
     group.add_argument("--no-shared-cache", action="store_true",
                        help="do not publish the golden activation cache to "
                             "shared memory; each worker keeps its "

@@ -13,8 +13,8 @@ workers=N)``:
   line, flushed) *before* any of its records can reach aggregation, so no
   accepted injection is ever lost to a crash, then stores the records,
   emits their telemetry and feeds live progress.  Records travel in
-  batches of ``ExecConfig.batch_records`` (flushed early on shard
-  boundaries); the supervisor itself keeps only shard bookkeeping and the
+  batches of :data:`repro.exec.worker.BATCH_RECORDS` (flushed early on
+  shard boundaries); the supervisor itself keeps only shard bookkeeping and the
   ``exec.*`` counters.
 * **Shared golden cache** — when resume is enabled the golden activation
   prefix is computed once in the parent and published read-only to the
@@ -123,9 +123,6 @@ class ExecConfig:
     max_retries: int = 2
     #: exponential-backoff base delay between retries (seconds)
     backoff_base: float = 0.25
-    #: records per worker result message; batches are flushed early
-    #: on shard boundaries and before error reports (see exec/worker.py)
-    batch_records: int = 32
     #: publish the golden activation cache read-only to shared memory so
     #: the pool replays one physical copy instead of N copy-on-write ones
     shared_cache: bool = True

@@ -27,7 +27,7 @@ thread — no feeder thread, no lock shared with other workers):
 * ``("start", wid, (shard_id, attempt), t)`` — shard attempt began;
 * ``("records", wid, (shard_id, attempt, (record, ...)), t)`` — a **batch**
   of completed injections.  Batches are flushed when they reach
-  ``ExecConfig.batch_records`` and always on the shard boundary (and before
+  :data:`BATCH_RECORDS` and always on the shard boundary (and before
   an ``error`` report, so partial progress survives a failing shard);
   liveness is carried by the start/records/done cadence plus the
   supervisor's shard timeout;
@@ -47,7 +47,7 @@ A worker that stops producing messages mid-shard is caught by the shard
 timeout, and one that dies outright is caught by ``Process.is_alive()``.
 Every message a worker finished sending survives its death; a message cut
 short reads as end-of-file on that worker's pipe alone.  A worker killed
-mid-batch loses at most ``batch_records - 1`` un-flushed records — the
+mid-batch loses at most ``BATCH_RECORDS - 1`` un-flushed records — the
 supervisor re-dispatches the shard remainder and the re-executed records
 are bit-identical, so nothing observable changes.
 
@@ -69,6 +69,10 @@ import time
 from dataclasses import dataclass
 
 __all__ = ["WorkerPayload", "worker_main", "limit_blas_threads"]
+
+#: records per worker result message (and supervisor journal line);
+#: batches are flushed early on shard boundaries and before error reports
+BATCH_RECORDS = 32
 
 #: OpenBLAS thread-count (setter, getter) pairs: numpy 2 wheels bundle
 #: scipy-openblas, whose symbols carry a prefix and the ILP64 suffix; a
@@ -250,7 +254,6 @@ def worker_main(worker_id: int, payload: WorkerPayload,
         # whatever thread state the fork happened to copy)
         seed_span_context(payload.trace_parent)
     registry = get_registry()
-    batch_size = max(1, int(config.batch_records))
 
     results.send(("ready", worker_id,
                    {"pid": os.getpid(), "shm_adopted": shm_adopted,
@@ -299,7 +302,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
                                                       shard.seqs):
                             for record in records:
                                 batch.append(record)
-                                if len(batch) >= batch_size:
+                                if len(batch) >= BATCH_RECORDS:
                                     flush_batch()
                     finally:
                         if span is not None:

@@ -13,32 +13,31 @@ tensor by a power of two, again a multi-bit flip in value space.
 
 Unlike IEEE floating point, AFP reserves no inf/NaN encodings (all exponent
 fields except 0 are normal values); exponent field 0 holds zero and, when
-enabled, denormals.
+enabled, denormals.  -0.0 encodes with a clear sign bit.
+
+AFP(eXmY) with bias b *is* FP(eXmY) with its exponent window moved by b, so
+the rounding, the scalar codec and the fused flip kernel are FloatingPoint's
+(:mod:`repro.formats.fp`), run in the window of the captured bias with
+``specials=False, signed_zero=False``.  What is AFP's own: choosing the bias
+from the finite peak, quantizing NaN to 0, its stats-sink counts, and the
+bias register with its corruption.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .base import MetadataError, NumberFormat
 from .bitstring import (
     Bitstring,
-    bits_to_uint,
     int_to_twos_complement,
     twos_complement_to_int,
-    uint_to_bits,
     validate_bits,
 )
+from .fp import (ExpWindow, _pow2, decode_in_window, encode_in_window,
+                 quantize_in_window)
 
 __all__ = ["AdaptivFloat"]
-
-
-def _pow2(exponent: int) -> float:
-    """``2.0 ** exponent``, inf past float64: an exponent window that wide
-    (afp e12m3 and up) clips no float32 input."""
-    return math.inf if exponent >= np.finfo(np.float64).maxexp else 2.0 ** exponent
 
 
 class AdaptivFloat(NumberFormat):
@@ -81,17 +80,19 @@ class AdaptivFloat(NumberFormat):
         """The captured shared exponent bias (metadata)."""
         return int(self._require_metadata())
 
-    def _exp_window(self, bias: int) -> tuple[int, int]:
-        """(min, max) effective exponent for normal numbers under ``bias``."""
-        return 1 - bias, self.num_exp_values - bias
+    @property
+    def window(self) -> ExpWindow:
+        """The window of the captured bias: normal exponents ``1 - bias`` to
+        ``2^e - 1 - bias`` (no exponent field is reserved)."""
+        bias = self.exp_bias
+        return ExpWindow(1 - bias, self.max_value_for_bias(bias), bias)
 
     def max_value_for_bias(self, bias: int) -> float:
-        _, e_max = self._exp_window(bias)
+        e_max = self.num_exp_values - bias
         return float((2.0 - 2.0 ** -self.mantissa_bits) * _pow2(e_max))
 
     def min_normal_for_bias(self, bias: int) -> float:
-        e_min, _ = self._exp_window(bias)
-        return float(2.0 ** e_min)
+        return float(2.0 ** (1 - bias))
 
     @staticmethod
     def bias_for_peak(peak: float, exp_bits: int) -> int:
@@ -104,111 +105,48 @@ class AdaptivFloat(NumberFormat):
     # ------------------------------------------------------------------
     def real_to_format_tensor(self, tensor: np.ndarray) -> np.ndarray:
         x = np.asarray(tensor, dtype=np.float32)
-        xd = x.astype(np.float64)
+        sink = self.stats_sink
+        magnitude = np.abs(x)
         # adapt the bias to finite magnitudes only (upstream faults may have
         # produced inf/NaN, which must not blow up the bias register)
-        magnitude = np.where(np.isfinite(xd), np.abs(xd), 0.0)
-        peak = float(np.max(magnitude, initial=0.0))
+        peak = float(np.max(magnitude, initial=0.0,
+                            where=np.isfinite(magnitude)))
+        nan = np.isnan(x)
         if peak == 0.0:
             self.metadata = np.int64(0)
             result = np.zeros_like(x)
-            if self.stats_sink is not None:
+            if sink is not None:
                 # degenerate tensor: every finite value is zero; inf inputs
                 # exceed any representable range, NaN has no AFP encoding
-                self.stats_sink.record(
-                    self, x, result,
-                    saturated=int(np.count_nonzero(np.isinf(xd))),
-                    flushed=0,
-                    nan_remapped=int(np.count_nonzero(np.isnan(xd))))
+                sink.record(self, x, result,
+                            saturated=int(np.count_nonzero(np.isinf(x))),
+                            flushed=0,
+                            nan_remapped=int(np.count_nonzero(nan)))
             return result
         bias = self.bias_for_peak(peak, self.exp_bits)
         # keep the register representable (8-bit signed)
         bias = int(np.clip(bias, -(1 << (self.METADATA_WIDTH - 1)),
                            (1 << (self.METADATA_WIDTH - 1)) - 1))
         self.metadata = np.int64(bias)
-        result = self._quantize_with_bias(xd, bias).astype(np.float32)
-        if self.stats_sink is not None:
-            abs_xd = np.abs(xd)
-            saturated = int(np.count_nonzero(
-                abs_xd > self.max_value_for_bias(bias)))  # inf included
-            flushed = int(np.count_nonzero(
-                (result == 0.0) & (abs_xd > 0.0) & np.isfinite(xd)))
-            nan_remapped = int(np.count_nonzero(np.isnan(xd)))
-            self.stats_sink.record(self, x, result,
-                                   saturated=saturated, flushed=flushed,
-                                   nan_remapped=nan_remapped)
+        # AFP reserves no NaN encoding: NaN quantizes to +0.0
+        clean = np.where(nan, np.float32(0.0), x) if nan.any() else x
+        result, saturated, flushed = quantize_in_window(
+            self, self.window, clean, count=sink is not None)
+        if sink is not None:
+            sink.record(self, x, result,
+                        saturated=saturated, flushed=flushed,
+                        nan_remapped=int(np.count_nonzero(nan)))
         return result
-
-    def _quantize_with_bias(self, xd: np.ndarray, bias: int) -> np.ndarray:
-        e_min, e_max = self._exp_window(bias)
-        magnitude = np.abs(xd)
-        with np.errstate(divide="ignore"):
-            _, raw_exp = np.frexp(magnitude)
-        exp = np.maximum(raw_exp - 1, e_min)
-        granularity = np.exp2(exp - self.mantissa_bits)
-        quantized = np.round(magnitude / granularity) * granularity
-        if not self.denormals:
-            min_normal = 2.0 ** e_min
-            quantized = np.where(
-                quantized < min_normal,
-                np.where(quantized >= min_normal / 2, min_normal, 0.0),
-                quantized,
-            )
-        # AFP reserves no inf/NaN encodings: inf saturates, NaN becomes zero
-        quantized = np.nan_to_num(quantized, nan=0.0, posinf=np.inf)
-        quantized = np.minimum(quantized, self.max_value_for_bias(bias))
-        quantized = np.where(magnitude == 0.0, 0.0, quantized)
-        signs = np.where(np.isnan(xd), 0.0, np.sign(xd))
-        return signs * quantized
 
     # ------------------------------------------------------------------
     # scalar path ([sign | exponent | mantissa] under the shared bias)
     # ------------------------------------------------------------------
     def real_to_format(self, value: float) -> Bitstring:
-        bias = self.exp_bias
-        e_min, e_max = self._exp_window(bias)
-        value = float(value)
-        if np.isnan(value):
-            raise ValueError("AdaptivFloat has no NaN encoding")
-        sign = 1 if value < 0 else 0
-        magnitude = min(abs(value), self.max_value_for_bias(bias))
-        if magnitude == 0.0:
-            return [sign] + [0] * (self.exp_bits + self.mantissa_bits)
-        exp = max(int(np.floor(np.log2(magnitude))), e_min)
-        granularity = 2.0 ** (exp - self.mantissa_bits)
-        code = int(np.round(magnitude / granularity))
-        if code >= (1 << (self.mantissa_bits + 1)):
-            code >>= 1
-            exp += 1
-        if code >= (1 << self.mantissa_bits):
-            exp_field = exp + bias  # in [1, num_exp_values]
-            mant_field = code - (1 << self.mantissa_bits)
-        else:
-            if not self.denormals:
-                if magnitude >= 2.0 ** e_min / 2:
-                    return [sign] + uint_to_bits(1, self.exp_bits) + [0] * self.mantissa_bits
-                return [sign] + [0] * (self.exp_bits + self.mantissa_bits)
-            exp_field = 0
-            mant_field = min(code, (1 << self.mantissa_bits) - 1)
-        return (
-            [sign]
-            + uint_to_bits(exp_field, self.exp_bits)
-            + uint_to_bits(mant_field, self.mantissa_bits)
-        )
+        return encode_in_window(self, self.window, value,
+                                specials=False, signed_zero=False)
 
     def format_to_real(self, bits: Bitstring) -> float:
-        validate_bits(bits, self.bit_width)
-        bias = self.exp_bias
-        sign = -1.0 if bits[0] else 1.0
-        exp_field = bits_to_uint(bits[1 : 1 + self.exp_bits])
-        mant_field = bits_to_uint(bits[1 + self.exp_bits :])
-        if exp_field == 0:
-            if not self.denormals:
-                return sign * 0.0
-            e_min, _ = self._exp_window(bias)
-            return float(sign * mant_field * 2.0 ** (e_min - self.mantissa_bits))
-        mantissa = 1.0 + mant_field / (1 << self.mantissa_bits)
-        return float(sign * mantissa * _pow2(exp_field - bias))
+        return decode_in_window(self, self.window, bits, specials=False)
 
     # ------------------------------------------------------------------
     # metadata registers (one shared bias register)

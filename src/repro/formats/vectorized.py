@@ -13,10 +13,13 @@ single-pass numpy implementation of the same semantics — the QPyTorch-style
 * :class:`~repro.formats.bfp.BlockFloatingPoint` — closed-form
   sign/mantissa arithmetic under each element's block register;
 * :class:`~repro.formats.fp.FloatingPoint` /
-  :class:`~repro.formats.afp.AdaptivFloat` — bulk field extraction
-  (sign/exponent/mantissa) in int64, one packed XOR, bulk decode; a
-  binary32 ``FloatingPoint`` (e8m23 with denormals) takes the FP32 fabric's
-  XOR instead whenever every victim is finite and no result is NaN;
+  :class:`~repro.formats.afp.AdaptivFloat` — one kernel, :func:`_flip_fp`,
+  run in the format's exponent window (AFP's is that of its captured bias):
+  bulk field extraction (sign/exponent/mantissa) in int64, one packed XOR,
+  bulk decode; a window whose top lies past float64 takes the scalar
+  fallback, and a binary32 ``FloatingPoint`` (e8m23 with denormals) takes
+  the FP32 fabric's XOR whenever every victim is finite and no result is
+  NaN;
 * :class:`~repro.formats.intq.IntegerQuant` /
   :class:`~repro.formats.fxp.FixedPoint` — bulk two's-complement codes,
   one packed XOR, sign-extend, rescale;
@@ -51,7 +54,7 @@ from .afp import AdaptivFloat
 from .base import NumberFormat
 from .bfp import BlockFloatingPoint
 from .bitstring import bits_to_float32, flip_bit, float32_to_bits, set_bit
-from .fp import FloatingPoint
+from .fp import ExpWindow, FloatingPoint
 from .fxp import FixedPoint
 from .intq import IntegerQuant
 from .posit import Posit, _decode_pattern, _table
@@ -225,20 +228,20 @@ def _flip_fused(fmt: NumberFormat | None, values: np.ndarray, masks,
         return _flip_bfp(fmt, values, masks, blocks, op)
     if fmt.bit_width > _MAX_FUSED_WIDTH:
         return None  # packed int64 arithmetic would overflow
-    if isinstance(fmt, FloatingPoint):
-        if not np.isfinite(fmt.max_value):
-            return None  # extreme exponent widths overflow the float64 path
+    if isinstance(fmt, (FloatingPoint, AdaptivFloat)):
+        window = fmt.window
+        if not np.isfinite(window.max_value):
+            return None  # decoding past float64 needs the saturating codec
+        if isinstance(fmt, AdaptivFloat):
+            return _flip_fp(fmt, values, masks, op, window,
+                            specials=False, signed_zero=False)
         if fmt.binary32:
             # the encoder saturates ±inf and the decoder canonicalises NaN;
             # on every other lane encode → flip → decode is the fabric's
             out = _flip_fp32_fabric(values, masks, op)
             if np.isfinite(values).all() and not np.isnan(out).any():
                 return out
-        return _flip_fp(fmt, values, masks, op)
-    if isinstance(fmt, AdaptivFloat):
-        if fmt.exp_bits > 9:
-            return None  # decode exponents can exceed float64's range
-        return _flip_afp(fmt, values, masks, op)
+        return _flip_fp(fmt, values, masks, op, window)
     if isinstance(fmt, IntegerQuant):
         return _flip_intq(fmt, values, masks, op)
     if isinstance(fmt, FixedPoint):
@@ -288,83 +291,46 @@ def _flip_bfp(fmt: BlockFloatingPoint, values: np.ndarray, masks,
 
 
 # ----------------------------------------------------------------------
-# FloatingPoint: bulk [sign | exponent | mantissa] field arithmetic
+# FloatingPoint and AdaptivFloat: bulk [sign | exponent | mantissa] fields
+# in an exponent window
 # ----------------------------------------------------------------------
-def _flip_fp(fmt: FloatingPoint, values: np.ndarray, masks,
-             op: str = "xor") -> np.ndarray:
+def _flip_fp(fmt, values: np.ndarray, masks, op: str, window: ExpWindow,
+             specials: bool = True, signed_zero: bool = True) -> np.ndarray:
+    """Encode → corrupt → decode in ``window``, as the scalar codec does.
+
+    ``specials``: the all-ones exponent holds ±inf/NaN (else a NaN victim
+    raises ``ValueError``); ``signed_zero``: -0.0 keeps its sign bit.
+    """
     e, m = fmt.exp_bits, fmt.mantissa_bits
+    min_exp, max_value, bias = window
     v64 = values.astype(np.float64)
     nan_mask = np.isnan(v64)
-    sign = (np.signbit(v64) & ~nan_mask).astype(np.int64)
+    if not specials and nan_mask.any():
+        raise ValueError(f"{fmt.name} has no NaN encoding")
+    negative = np.signbit(v64) if signed_zero else v64 < 0
+    sign = (negative & ~nan_mask).astype(np.int64)
     mag = np.where(nan_mask, 0.0, np.abs(v64))
-    mag = np.minimum(mag, fmt.max_value)  # conversion saturates inf/overflow
+    mag = np.minimum(mag, max_value)  # conversion saturates inf/overflow
     with np.errstate(divide="ignore"):
         exp = np.floor(np.log2(mag))
-    exp = np.maximum(exp, fmt.min_exp).astype(np.int64)
+    exp = np.maximum(exp, min_exp).astype(np.int64)
     gran = np.exp2((exp - m).astype(np.float64))
     code = np.round(mag / gran).astype(np.int64)
     carry = code >= (1 << (m + 1))  # rounding carried to the next exponent
     exp = exp + carry
     code = np.where(carry, code >> 1, code)
-    normal = (code >= (1 << m)) & (exp <= fmt.max_exp)
-    exp_field = np.where(normal, exp + fmt.bias, 0)
-    mant = np.where(normal, code - (1 << m), np.minimum(code, (1 << m) - 1))
-    if not fmt.denormals:
-        flush = ~normal
-        exp_field = np.where(flush & (mag >= fmt.min_normal / 2), 1, exp_field)
-        mant = np.where(flush, 0, mant)
-    exp_field = np.where(nan_mask, (1 << e) - 1, exp_field)
-    mant = np.where(nan_mask, (1 << m) - 1, mant)
-
-    packed = (sign << (e + m)) | (exp_field << m) | mant
-    packed = _apply_masks(packed, masks, op)
-
-    sign_bit = (packed >> (e + m)) & 1
-    sign_f = np.where(sign_bit == 1, -1.0, 1.0)
-    ef = (packed >> m) & ((1 << e) - 1)
-    mf = packed & ((1 << m) - 1)
-    all_ones = ef == (1 << e) - 1
-    if fmt.denormals:
-        denorm_val = mf.astype(np.float64) * (2.0 ** (fmt.min_exp - m))
-    else:
-        denorm_val = np.float64(0.0)
-    with np.errstate(over="ignore"):
-        normal_val = (1.0 + mf / (1 << m)) * np.exp2(
-            (ef - fmt.bias).astype(np.float64))
-    out = sign_f * np.where(ef == 0, denorm_val, normal_val)
-    out = np.where(all_ones, sign_f * np.inf, out)
-    out = np.where(all_ones & (mf != 0), np.nan, out)
-    return out.astype(np.float32)
-
-
-# ----------------------------------------------------------------------
-# AdaptivFloat: FloatingPoint fields under the shared tensor bias
-# ----------------------------------------------------------------------
-def _flip_afp(fmt: AdaptivFloat, values: np.ndarray, masks,
-              op: str = "xor") -> np.ndarray:
-    if np.isnan(values).any():
-        raise ValueError("AdaptivFloat has no NaN encoding")
-    bias = fmt.exp_bias
-    e, m = fmt.exp_bits, fmt.mantissa_bits
-    e_min, _ = fmt._exp_window(bias)
-    v64 = values.astype(np.float64)
-    sign = (v64 < 0).astype(np.int64)  # scalar semantics: -0.0 -> sign 0
-    mag = np.minimum(np.abs(v64), fmt.max_value_for_bias(bias))
-    with np.errstate(divide="ignore"):
-        exp = np.floor(np.log2(mag))
-    exp = np.maximum(exp, e_min).astype(np.int64)
-    gran = np.exp2((exp - m).astype(np.float64))
-    code = np.round(mag / gran).astype(np.int64)
-    carry = code >= (1 << (m + 1))
-    exp = exp + carry
-    code = np.where(carry, code >> 1, code)
-    normal = code >= (1 << m)
+    top_field = (1 << e) - 1 - int(specials)
+    normal = (code >= (1 << m)) & (exp + bias <= top_field)
     exp_field = np.where(normal, exp + bias, 0)
     mant = np.where(normal, code - (1 << m), np.minimum(code, (1 << m) - 1))
     if not fmt.denormals:
         flush = ~normal
-        exp_field = np.where(flush & (mag >= 2.0 ** e_min / 2), 1, exp_field)
+        exp_field = np.where(flush & (mag >= 2.0 ** min_exp / 2), 1,
+                             exp_field)
         mant = np.where(flush, 0, mant)
+    if specials:
+        exp_field = np.where(nan_mask, (1 << e) - 1, exp_field)
+        mant = np.where(nan_mask, (1 << m) - 1, mant)
 
     packed = (sign << (e + m)) | (exp_field << m) | mant
     packed = _apply_masks(packed, masks, op)
@@ -374,13 +340,17 @@ def _flip_afp(fmt: AdaptivFloat, values: np.ndarray, masks,
     ef = (packed >> m) & ((1 << e) - 1)
     mf = packed & ((1 << m) - 1)
     if fmt.denormals:
-        denorm_val = mf.astype(np.float64) * (2.0 ** (e_min - m))
+        denorm_val = mf.astype(np.float64) * (2.0 ** (min_exp - m))
     else:
         denorm_val = np.float64(0.0)
     with np.errstate(over="ignore"):
         normal_val = (1.0 + mf / (1 << m)) * np.exp2(
             (ef - bias).astype(np.float64))
     out = sign_f * np.where(ef == 0, denorm_val, normal_val)
+    if specials:
+        all_ones = ef == (1 << e) - 1
+        out = np.where(all_ones, sign_f * np.inf, out)
+        out = np.where(all_ones & (mf != 0), np.nan, out)
     return out.astype(np.float32)
 
 

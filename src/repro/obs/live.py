@@ -132,6 +132,8 @@ class CampaignProgress:
         self.journal_prefilled = 0
         self.current_layer: str | None = None
         self._ewma_rate = 0.0
+        #: when live work started: the plan was set (else the tracker began)
+        self._work_t0 = self._t0
         self._last_record_t: float | None = None
         self._last_heartbeat_t: float | None = None
         self._last_log_t: float | None = None
@@ -146,6 +148,7 @@ class CampaignProgress:
         """Declare the per-layer plan sizes (done/total denominators)."""
         with self._lock:
             self.totals = {layer: int(n) for layer, n in totals.items()}
+            self._work_t0 = time.monotonic()
 
     def record(self, layer: str, seq: int, sdc_rate: float,
                prefill: bool = False) -> None:
@@ -219,6 +222,14 @@ class CampaignProgress:
                 # keep decaying between records so a stalled campaign's
                 # rate visibly falls instead of freezing at its last value
                 ewma *= math.exp(-(now - self._last_record_t) / EWMA_TAU)
+                # the estimator starts at 0, so span seconds into the work
+                # it holds 1 - exp(-span/tau) of a steady rate: divide that
+                # out.  The span starts with the work, not the first record:
+                # records land in bursts (a chunk's lanes, a worker batch),
+                # and a burst measured from itself reads as a near-zero span
+                span = now - self._work_t0
+                if span > 0:
+                    ewma /= -math.expm1(-span / EWMA_TAU)
             remaining = max(0, plan_total - done_total)
             rate = ewma if ewma > 1e-9 else overall
             eta = remaining / rate if (remaining and rate > 1e-9) else (

@@ -378,7 +378,10 @@ class RunScope:
         ``buckets`` deltas, ``nan_count``) for :meth:`Histogram.merge` to fold
         them into another process's registry without losing distribution
         detail — this is the wire format the parallel campaign workers stream
-        back to the supervisor.
+        back to the supervisor.  ``min``/``max`` are reported only where this
+        run's observations set them (the histogram was empty at scope entry,
+        or the extreme moved past the entry snapshot's) and are None
+        otherwise: a registry keeps no per-run extremes.
         """
         out: dict[str, list[dict]] = {}
         for metric in self.registry:
@@ -402,9 +405,12 @@ class RunScope:
                     for key, n in snap["buckets"].items()
                     if n - base_buckets.get(key, 0)
                 }
+                fresh = base is None or not base["count"]
+                lo, hi = snap["min"], snap["max"]
                 entry = {"count": count, "sum": total,
                          "mean": total / count if count else 0.0,
-                         "min": snap["min"], "max": snap["max"],
+                         "min": lo if fresh or lo < base["min"] else None,
+                         "max": hi if fresh or hi > base["max"] else None,
                          "buckets": buckets}
             else:  # gauge: current state (skipped when untouched this run)
                 if base is not None and snap["value"] == base["value"] \

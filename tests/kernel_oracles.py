@@ -2,7 +2,10 @@
 
 These are the straightforward implementations the library's fewer-pass
 kernels replaced: BFP and FP ``real_to_format_tensor`` (float64 working
-copies, one full-tensor temporary per step), the NCHW ``as_strided``
+copies, one full-tensor temporary per step), AdaptivFloat's own rounding
+pass and fused flip kernel (FloatingPoint's field arithmetic re-derived
+under the shared bias, before AFP ran on FloatingPoint's kernels), the
+NCHW ``as_strided``
 im2col, the per-sample cross-entropy and prediction terms of outcome
 scoring (full softmax, ``nan_to_num`` before every argmax), and scoring
 one faulty run at a time.
@@ -12,6 +15,8 @@ them: their value is that they are obviously the algorithm.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -94,6 +99,121 @@ def fp_real_to_format_tensor(fmt, tensor: np.ndarray) -> np.ndarray:
                               saturated=saturated, flushed=flushed,
                               nan_remapped=0)
     return result
+
+
+def _afp_max_value(fmt, bias: int) -> float:
+    e_max = (1 << fmt.exp_bits) - 1 - bias
+    top = math.inf if e_max >= np.finfo(np.float64).maxexp else 2.0 ** e_max
+    return float((2.0 - 2.0 ** -fmt.mantissa_bits) * top)
+
+
+def afp_quantize_with_bias(fmt, xd: np.ndarray, bias: int) -> np.ndarray:
+    """Reference AdaptivFloat rounding of float64 ``xd`` under ``bias``."""
+    e_min = 1 - bias
+    magnitude = np.abs(xd)
+    with np.errstate(divide="ignore"):
+        _, raw_exp = np.frexp(magnitude)
+    exp = np.maximum(raw_exp - 1, e_min)
+    granularity = np.exp2(exp - fmt.mantissa_bits)
+    quantized = np.round(magnitude / granularity) * granularity
+    if not fmt.denormals:
+        min_normal = 2.0 ** e_min
+        quantized = np.where(
+            quantized < min_normal,
+            np.where(quantized >= min_normal / 2, min_normal, 0.0),
+            quantized,
+        )
+    # AFP reserves no inf/NaN encodings: inf saturates, NaN becomes zero
+    quantized = np.nan_to_num(quantized, nan=0.0, posinf=np.inf)
+    quantized = np.minimum(quantized, _afp_max_value(fmt, bias))
+    quantized = np.where(magnitude == 0.0, 0.0, quantized)
+    signs = np.where(np.isnan(xd), 0.0, np.sign(xd))
+    return signs * quantized
+
+
+def afp_real_to_format_tensor(fmt, tensor: np.ndarray) -> np.ndarray:
+    """Reference ``AdaptivFloat.real_to_format_tensor`` (sets the bias)."""
+    x = np.asarray(tensor, dtype=np.float32)
+    xd = x.astype(np.float64)
+    magnitude = np.where(np.isfinite(xd), np.abs(xd), 0.0)
+    peak = float(np.max(magnitude, initial=0.0))
+    if peak == 0.0:
+        fmt.metadata = np.int64(0)
+        result = np.zeros_like(x)
+        if fmt.stats_sink is not None:
+            fmt.stats_sink.record(
+                fmt, x, result,
+                saturated=int(np.count_nonzero(np.isinf(xd))),
+                flushed=0,
+                nan_remapped=int(np.count_nonzero(np.isnan(xd))))
+        return result
+    bias = ((1 << fmt.exp_bits) - 1) - int(np.floor(np.log2(peak)))
+    bias = int(np.clip(bias, -128, 127))
+    fmt.metadata = np.int64(bias)
+    result = afp_quantize_with_bias(fmt, xd, bias).astype(np.float32)
+    if fmt.stats_sink is not None:
+        abs_xd = np.abs(xd)
+        saturated = int(np.count_nonzero(abs_xd > _afp_max_value(fmt, bias)))
+        flushed = int(np.count_nonzero(
+            (result == 0.0) & (abs_xd > 0.0) & np.isfinite(xd)))
+        nan_remapped = int(np.count_nonzero(np.isnan(xd)))
+        fmt.stats_sink.record(fmt, x, result,
+                              saturated=saturated, flushed=flushed,
+                              nan_remapped=nan_remapped)
+    return result
+
+
+def afp_flip(fmt, values: np.ndarray, masks, op: str = "xor") -> np.ndarray:
+    """Reference fused AdaptivFloat flip under the captured bias.
+
+    ``masks`` is one int or a per-element int64 array of packed-word masks;
+    ``op`` is ``xor``, ``set`` or ``clear``.
+    """
+    if np.isnan(values).any():
+        raise ValueError("AdaptivFloat has no NaN encoding")
+    bias = int(fmt.metadata)
+    e, m = fmt.exp_bits, fmt.mantissa_bits
+    e_min = 1 - bias
+    v64 = values.astype(np.float64)
+    sign = (v64 < 0).astype(np.int64)  # scalar semantics: -0.0 -> sign 0
+    mag = np.minimum(np.abs(v64), _afp_max_value(fmt, bias))
+    with np.errstate(divide="ignore"):
+        exp = np.floor(np.log2(mag))
+    exp = np.maximum(exp, e_min).astype(np.int64)
+    gran = np.exp2((exp - m).astype(np.float64))
+    code = np.round(mag / gran).astype(np.int64)
+    carry = code >= (1 << (m + 1))
+    exp = exp + carry
+    code = np.where(carry, code >> 1, code)
+    normal = code >= (1 << m)
+    exp_field = np.where(normal, exp + bias, 0)
+    mant = np.where(normal, code - (1 << m), np.minimum(code, (1 << m) - 1))
+    if not fmt.denormals:
+        flush = ~normal
+        exp_field = np.where(flush & (mag >= 2.0 ** e_min / 2), 1, exp_field)
+        mant = np.where(flush, 0, mant)
+
+    packed = (sign << (e + m)) | (exp_field << m) | mant
+    if op == "xor":
+        packed = packed ^ masks
+    elif op == "set":
+        packed = packed | masks
+    else:
+        packed = packed & ~masks
+
+    sign_bit = (packed >> (e + m)) & 1
+    sign_f = np.where(sign_bit == 1, -1.0, 1.0)
+    ef = (packed >> m) & ((1 << e) - 1)
+    mf = packed & ((1 << m) - 1)
+    if fmt.denormals:
+        denorm_val = mf.astype(np.float64) * (2.0 ** (e_min - m))
+    else:
+        denorm_val = np.float64(0.0)
+    with np.errstate(over="ignore"):
+        normal_val = (1.0 + mf / (1 << m)) * np.exp2(
+            (ef - bias).astype(np.float64))
+    out = sign_f * np.where(ef == 0, denorm_val, normal_val)
+    return out.astype(np.float32)
 
 
 def im2col(x: np.ndarray, kernel, stride, padding):

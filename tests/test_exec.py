@@ -859,13 +859,15 @@ class TestSharedCacheCampaign:
                                workers=2, shared_cache=False)
         assert layer_stats(par) == layer_stats(serial)
 
-    def test_batch_records_one_is_per_record_framing(self, model, data):
-        """The batching knob at its floor degenerates to the old protocol
-        and must still be bit-identical."""
+    def test_batch_records_one_is_per_record_framing(self, model, data,
+                                                     monkeypatch):
+        """One record per worker message, the old protocol, is still
+        bit-identical (the constant is patched before the pool forks)."""
+        monkeypatch.setattr(worker_mod, "BATCH_RECORDS", 1)
         with GoldenEye(model, "fp16") as ge:
             serial = run_campaign(ge, *data, injections_per_layer=5, seed=4)
             par = run_campaign(ge, *data, injections_per_layer=5, seed=4,
-                               workers=2, batch_records=1)
+                               workers=2)
         assert layer_stats(par) == layer_stats(serial)
 
 

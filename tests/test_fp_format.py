@@ -229,3 +229,44 @@ class TestProperties:
         assert FloatingPoint(4, 3) == FloatingPoint(4, 3)
         assert FloatingPoint(4, 3) != FloatingPoint(4, 3, denormals=False)
         assert hash(FloatingPoint(4, 3)) == hash(FloatingPoint(4, 3))
+
+
+class TestWideExponents:
+    """fp(e12m3), the 16-bit radix-3 node of ``binary_tree_search(family="fp")``:
+    its exponent window reaches past float64, so the decoder saturates."""
+
+    @staticmethod
+    def _wide():
+        from repro.core.dse import FAMILY_BUILDERS
+
+        fmt = FAMILY_BUILDERS["fp"](16, 3)
+        assert (fmt.exp_bits, fmt.mantissa_bits) == (12, 3)
+        return fmt
+
+    def test_decoded_exponent_past_float64_reads_inf(self):
+        from repro.formats import flip_bit
+
+        fmt = self._wide()
+        assert fmt.max_value == np.inf
+        for value in (2.0, -2.0):
+            bits = fmt.real_to_format(value)
+            assert fmt.format_to_real(bits) == value
+            # exponent field 2048 -> 3072: 2^1025 lies past float64
+            assert fmt.format_to_real(flip_bit(bits, 2)) == \
+                np.copysign(np.inf, value)
+        assert fmt.format_to_real(fmt.real_to_format(-np.inf)) == -np.inf
+
+    def test_value_campaign_completes(self):
+        from repro.core.campaign import run_campaign
+        from repro.core.goldeneye import GoldenEye
+        from repro.models import simple_mlp
+
+        rng = np.random.default_rng(0)
+        images = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, size=4)
+        model = simple_mlp()
+        model.eval()
+        with GoldenEye(model, self._wide()) as ge:
+            result = run_campaign(ge, images, labels, injections_per_layer=40,
+                                  seed=0)
+        assert [r.injections for r in result.per_layer.values()] == [40] * 3

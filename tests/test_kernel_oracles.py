@@ -4,8 +4,10 @@
 library kernels replaced; the binary32 flip is checked against the scalar
 :func:`~repro.formats.vectorized.flip_value`.  Every check here is exact:
 outputs are compared as ``uint32``/``uint64`` bit patterns (so signed zeros
-and NaN payloads count), BFP exponent registers must match, and the
-numeric-health counts reported to a stats sink must match.
+and NaN payloads count), BFP exponent registers and AFP bias registers must
+match, and the numeric-health counts and tensors reported to a stats sink
+must match.  AdaptivFloat, which runs on FloatingPoint's kernels in the
+window of its captured bias, is held to its own frozen pre-merge kernels.
 """
 
 from __future__ import annotations
@@ -17,18 +19,24 @@ from hypothesis.extra import numpy as hnp
 
 from repro import nn
 from repro.core import metrics as M
-from repro.formats import (BlockFloatingPoint, FloatingPoint, flip_value,
-                           flip_values, make_format)
+from repro.formats import (AdaptivFloat, BlockFloatingPoint, FloatingPoint,
+                           flip_value, flip_values, make_format)
 from repro.formats import vectorized
 from repro.nn import functional as F
 
 from tests import kernel_oracles as K
 from tests.test_format_properties import ALL_SPECS
 
+#: AdaptivFloat configurations held to the frozen pre-merge AFP kernels
+AFP_SPECS = [f"afp_e{e}m{m}{suffix}"
+             for e, m in [(2, 1), (4, 3), (5, 2), (8, 7), (12, 3)]
+             for suffix in ("", "_nodn")]
+
 SPECS = sorted(
     {spec for spec in ALL_SPECS
      if isinstance(make_format(spec), (BlockFloatingPoint, FloatingPoint))}
-    | {"fp16", "fp32", "bfloat16", "bfp_e5m5_b16", "bfp_e8m7_btensor"})
+    | {"fp16", "fp32", "bfloat16", "bfp_e5m5_b16", "bfp_e8m7_btensor"}
+    | set(AFP_SPECS))
 
 
 def _bits(*patterns: int) -> list[float]:
@@ -60,6 +68,8 @@ def _corpus() -> list[np.ndarray]:
         np.array([-0.0] * 8 + [1.0] * 8, dtype=np.float32),
         np.concatenate([np.zeros(16, np.float32), base]),
         np.array([np.nan, np.inf, 0.0, -np.inf] * 4, dtype=np.float32),
+        np.array([np.nan, np.inf, -np.inf, -np.nan], dtype=np.float32),
+        np.array([-0.0, -0.0, 0.0], dtype=np.float32),
         np.zeros(0, dtype=np.float32),
         # a lone negative NaN, alone and last after 8 or 16 values where
         # numpy's vector loops leave it to their scalar remainder: the sign
@@ -79,6 +89,10 @@ def _corpus() -> list[np.ndarray]:
     return arrays
 
 
+def _booked(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 class _RecordingSink:
     def __init__(self):
         self.calls = []
@@ -86,12 +100,14 @@ class _RecordingSink:
     def record(self, fmt, original, quantized, *, saturated, flushed,
                nan_remapped):
         self.calls.append((saturated, flushed, nan_remapped,
-                           original.shape, quantized.shape))
+                           _booked(original), _booked(quantized)))
 
 
 def _oracle(fmt):
     if isinstance(fmt, BlockFloatingPoint):
         return K.bfp_real_to_format_tensor
+    if isinstance(fmt, AdaptivFloat):
+        return K.afp_real_to_format_tensor
     return K.fp_real_to_format_tensor
 
 
@@ -120,6 +136,9 @@ def assert_quantizer_matches(spec: str, x: np.ndarray) -> None:
                                           ref.metadata.exp_fields)
             assert (fmt.metadata.block_size, fmt.metadata.numel) == \
                 (ref.metadata.block_size, ref.metadata.numel)
+        if isinstance(fmt, AdaptivFloat):
+            assert type(fmt.metadata) is type(ref.metadata) is np.int64
+            assert fmt.metadata == ref.metadata
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -286,6 +305,100 @@ class TestBinary32FlipOracle:
             want = _scalar_flips(fmt, column, lane_bits, op)
             np.testing.assert_array_equal(_uint_view(got), _uint_view(want))
             assert (len(general_fp_columns) > before) == general
+
+
+def _mask(bits, width: int) -> int:
+    return sum(1 << (width - 1 - b) for b in bits)
+
+
+#: tensors whose peaks set the bias: a few windows, and the clipped 127
+_BIAS_SOURCES = [np.float32([1.0]), np.float32([-3e-3, 1e-4]),
+                 np.float32([6.0e4, 1.0]), _bits(0x00000003)]
+
+
+def _afp_victims(fmt) -> np.ndarray:
+    """The corpus without NaN, and 300 values around the window's top."""
+    corpus = np.array(CORPUS_VALUES, dtype=np.float32)
+    corpus = corpus[~np.isnan(corpus)]
+    if not np.isfinite(fmt.max_value_for_bias(fmt.exp_bias)):
+        # the frozen kernel casts log2(inf) to int64 here: undefined
+        corpus = corpus[np.isfinite(corpus)]
+    top = fmt.min_normal_for_bias(fmt.exp_bias) * 2.0 ** 12
+    rng = np.random.default_rng(23)
+    spread = (rng.standard_normal(300) * top
+              * np.exp2(rng.integers(-14, 3, size=300))).astype(np.float32)
+    return np.concatenate([corpus, spread])
+
+
+@pytest.mark.parametrize("spec", AFP_SPECS)
+class TestAfpFlipOracle:
+    """AdaptivFloat flips equal the frozen AFP fused kernel bit for bit.
+
+    Every window goes through FloatingPoint's fused kernel except those
+    whose top lies past float64 (``afp_e12m3``), which take the scalar
+    codec; both must give the frozen kernel's bits.
+    """
+
+    @pytest.mark.parametrize("op", ["xor", "set", "clear"])
+    def test_every_bit_matches_frozen_kernel(self, spec, op):
+        fmt = make_format(spec)
+        for source in _BIAS_SOURCES:
+            fmt.real_to_format_tensor(source)
+            victims = _afp_victims(fmt)
+            for bit in range(fmt.bit_width):
+                want = K.afp_flip(fmt, victims, _mask((bit,), fmt.bit_width),
+                                  op)
+                got = flip_values(fmt, victims, (bit,), op=op)
+                np.testing.assert_array_equal(
+                    _uint_view(got), _uint_view(want),
+                    err_msg=f"{op} bit {bit} bias {fmt.exp_bias}")
+
+    @pytest.mark.parametrize("op", ["xor", "set", "clear"])
+    def test_per_lane_masks_match_frozen_kernel(self, spec, op):
+        fmt = make_format(spec)
+        w = fmt.bit_width
+        lane_bits = [(0,), (1,), (w - 1,), (1, w - 2), (0, 2, w - 1), ()]
+        for source in _BIAS_SOURCES:
+            fmt.real_to_format_tensor(source)
+            victims = _afp_victims(fmt)[:len(lane_bits) * 40]
+            lane = victims.size // len(lane_bits)
+            column = victims[:lane * len(lane_bits)]
+            masks = np.repeat(np.array([_mask(bits, w) for bits in lane_bits],
+                                       dtype=np.int64), lane)
+            got = vectorized.flip_values_batched(fmt, column, lane_bits,
+                                                 op=op)
+            np.testing.assert_array_equal(
+                _uint_view(got), _uint_view(K.afp_flip(fmt, column, masks, op)))
+
+    def test_nan_victims_raise_like_frozen_kernel(self, spec):
+        fmt = make_format(spec)
+        fmt.real_to_format_tensor(np.float32([1.0]))
+        column = np.float32([1.0, np.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            K.afp_flip(fmt, column, 1)
+        with pytest.raises(ValueError, match="NaN"):
+            flip_values(fmt, column, (0,))
+        with pytest.raises(ValueError, match="NaN"):
+            flip_value(fmt, float("nan"), (0,))
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.lists(st.floats(width=32, allow_nan=False),
+                           min_size=1, max_size=40),
+           peak=st.sampled_from([1e-38, 1e-3, 1.0, 7.0e4, 3.0e38]),
+           bits=st.lists(st.integers(0, 7), min_size=1, max_size=3,
+                         unique=True),
+           op=st.sampled_from(["xor", "set", "clear"]))
+    def test_hypothesis_victims(self, spec, values, peak, bits, op):
+        fmt = make_format(spec)
+        fmt.real_to_format_tensor(np.float32([peak]))
+        victims = np.array(values, dtype=np.float32)
+        if not np.isfinite(fmt.max_value_for_bias(fmt.exp_bias)):
+            victims = victims[np.isfinite(victims)]
+        bits = [b % fmt.bit_width for b in bits]
+        want = K.afp_flip(fmt, victims, _mask(set(bits), fmt.bit_width), op)
+        np.testing.assert_array_equal(
+            _uint_view(flip_values(fmt, victims, sorted(set(bits)), op=op)),
+            _uint_view(want))
 
 
 #: logits where the scoring kernels could plausibly diverge: every

@@ -21,6 +21,7 @@ import re
 import threading
 import time
 import urllib.request
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.analysis.confidence import wilson_interval
 from repro.core import CampaignError, GoldenEye, run_campaign
 from repro.exec.journal import load_journal
 from repro.models import simple_mlp
+from repro.obs import live
 from repro.obs.export import export_prometheus
 from repro.obs.live import (
     CampaignProgress,
@@ -155,6 +157,35 @@ class TestCampaignProgress:
         p.finish("interrupted")
         p.finish("error")  # the finally-path marker must not clobber
         assert p.snapshot()["state"] == "interrupted"
+
+    @staticmethod
+    def _steady(monkeypatch, records=20, rate=66.0, plan=100):
+        """``records`` records at a steady ``rate``/s on a patched clock."""
+        clock = [1000.0]
+        monkeypatch.setattr(live, "time", SimpleNamespace(
+            monotonic=lambda: clock[0], time=time.time))
+        p = CampaignProgress()
+        p.set_plan({"fc1": plan})
+        for seq in range(records):
+            clock[0] += 1.0 / rate
+            p.record("fc1", seq, 0.0)
+        return p, clock
+
+    def test_ewma_reads_a_steady_rate_from_the_start(self, monkeypatch):
+        # uncorrected, 20 records at 66/s read 1.97/s and an ETA of 40.6 s
+        p, _ = self._steady(monkeypatch)
+        snap = p.snapshot()
+        assert snap["injections_per_sec_ewma"] == pytest.approx(66.0, rel=0.1)
+        assert snap["eta_s"] == pytest.approx(80 / 66.0, rel=0.1)
+
+    def test_a_stalled_campaign_rate_still_decays(self, monkeypatch):
+        p, clock = self._steady(monkeypatch)
+        rates = []
+        for _ in range(4):
+            rates.append(p.snapshot()["injections_per_sec_ewma"])
+            clock[0] += 10.0
+        assert rates == sorted(rates, reverse=True)
+        assert rates[-1] < rates[0] / 10
 
     def test_eta_drops_to_zero_when_complete(self):
         p = CampaignProgress()

@@ -245,6 +245,23 @@ class TestMonitor:
             assert layer["weight"]["elements"] > 0
             assert layer["neuron"]["abs_error"]["count"] > 0
 
+    @pytest.mark.parametrize("runs,second", [
+        # the first run's 760 (1000 saturating to 240) is not the second's
+        (([1000.0, 1.0], [1.0, 2.0]), {"count": 2, "mean": 0.0, "max": None}),
+        # a second run that sets a new maximum reports it
+        (([1.0, 2.0], [1000.0, 1.0]),
+         {"count": 2, "mean": 380.0, "max": 760.0}),
+    ])
+    def test_a_second_monitor_reads_only_its_own_extremes(self, registry,
+                                                          runs, second):
+        health = []
+        for x in runs:
+            monitor = NumericHealthMonitor()
+            convert(monitor, FloatingPoint(4, 3), x)
+            health.append(monitor.as_dict()["L"]["neuron"]["abs_error"])
+        assert health[0]["max"] == max(abs(v - min(v, 240.0)) for v in runs[0])
+        assert health[1] == second
+
     def test_a_second_monitor_books_only_its_own_run(self, registry, rng):
         """Both monitors book into one registry; each reads its own run."""
         images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)

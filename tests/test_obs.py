@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv as csv_mod
 import io
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -163,6 +164,30 @@ class TestRegistry:
         assert delta["h"][0]["sum"] == pytest.approx(2.0)
         assert delta["g"][0]["value"] == 42.0      # gauges report state
         assert scope.started_at <= scope.ended_at
+
+    def test_run_scope_reports_only_its_own_extremes(self, registry):
+        h = registry.histogram("h")
+        h.observe(1.0)
+        h.observe(9.0)
+        with registry.run_scope("inside") as scope:
+            h.observe(5.0)
+        entry = scope.delta()["h"][0]
+        assert (entry["count"], entry["min"], entry["max"]) == (1, None, None)
+        with registry.run_scope("new-max") as scope:
+            h.observe(0.5)
+            h.observe(12.0)
+        entry = scope.delta()["h"][0]
+        assert (entry["min"], entry["max"]) == (0.5, 12.0)
+        with registry.run_scope("fresh") as scope:
+            registry.histogram("new").observe(3.0)
+        entry = scope.delta()["new"][0]
+        assert (entry["min"], entry["max"]) == (3.0, 3.0)
+        parent = MetricsRegistry()
+        merge_metric_delta({"h": [{"type": "histogram", "labels": {},
+                                   "count": 1, "sum": 5.0, "min": None,
+                                   "max": None}]}, parent)
+        assert parent.histogram("h").count == 1
+        assert parent.histogram("h").max == -math.inf
 
     def test_run_scope_skips_untouched_metrics(self, registry):
         registry.counter("quiet").inc(5)
