@@ -108,10 +108,13 @@ def test_fig3_report_and_shape(benchmark, resnet, batch):
     """Aggregate the measured medians into the Fig. 3 series and check shape."""
     model, _ = resnet
     x = Tensor(batch[0])
-    benchmark.pedantic(lambda: _infer(model, x), rounds=2, iterations=1)
-    native = _results.get("native")
-    if native is None:
-        pytest.skip("baseline did not run (filtered?)")
+    # the baseline test runs first in the session, while the process is
+    # still cold: time native again, warm, as every emulated row is timed
+    benchmark.pedantic(lambda: _infer(model, x), rounds=5, iterations=1,
+                       warmup_rounds=1)
+    _results["native"] = native = benchmark.stats.stats.median
+    if len(_results) == 1:
+        pytest.skip("no emulated configuration ran (filtered?)")
     lines = ["Fig. 3: batch-32 inference runtime (x over native FP32)"]
     for key in ["native", *FIG3_FORMATS,
                 *(f"{s}+EI" for s in ["fp16", "int8", "bfp_e5m5_b16", "afp_e5m2"]),

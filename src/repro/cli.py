@@ -358,6 +358,10 @@ def _campaign_summary(campaign) -> str:
             f"resume cache: hit-rate {hit_rate:.1%} | "
             f"replayed {stats['replayed']} | recomputed {stats['recomputed']} | "
             f"evictions {stats['evictions']} | diverged {stats['diverged']}")
+        lines.append(
+            f"fault cone: {stats['cone_patched']} conv call(s) patched "
+            f"({stats['cone_positions']} output positions) | "
+            f"{stats['cone_unchanged']} unchanged")
     return "\n".join(lines)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -25,14 +26,14 @@ import numpy as np
 
 from .. import nn
 from ..formats.base import NumberFormat
-from ..formats.bfp import BlockFloatingPoint
+from ..formats.bfp import BfpMetadata, BlockFloatingPoint
 from ..formats.registry import make_format
 from ..nn.tensor import Tensor
 from ..obs.telemetry import get_registry
 from ..obs.tracing import get_tracer
 from .detector import RangeDetector
 from .injection import InjectionEngine
-from .resume import DEFAULT_CACHE_BUDGET, ResumeSession
+from .resume import DEFAULT_CACHE_BUDGET, ResumeSession, changed_box, conv_reach
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.numerics import NumericHealthMonitor
@@ -40,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger("repro.goldeneye")
 
-__all__ = ["GoldenEye", "LayerState", "TARGET_KINDS", "default_target_types"]
+__all__ = ["GoldenEye", "LayerState", "TARGET_KINDS", "CONE_GEMM_FLOOR",
+           "default_target_types"]
 
 #: layer-kind selectors for the ``targets`` knob
 TARGET_KINDS: dict[str, tuple[type, ...]] = {
@@ -51,6 +53,19 @@ TARGET_KINDS: dict[str, tuple[type, ...]] = {
     "pool": (nn.MaxPool2d, nn.AvgPool2d, nn.AdaptiveAvgPool2d),
     "embedding": (nn.Embedding,),
 }
+
+
+#: Fewest output elements (GEMM rows x out-channels) a cone region's GEMM
+#: multiplies; a smaller region grows to it, capped at the whole output.
+#: A row of ``a @ b`` keeps its bits across row counts only while BLAS
+#: takes the same kernel: on OpenBLAS 0.3.31 (x86-64, AVX-512), conv-shaped
+#: GEMMs of rows x out-channels <= 1,024 took the small-matrix kernel and
+#: differed from the full GEMM's rows in the last bit at K >= 32, and every
+#: one-row call differed (numpy calls gemv); all subsets of >= 1,536
+#: elements matched.  4,096 keeps a 4x margin, and a full output under it is
+#: the dense call itself.  ``tests/test_resume.py::TestConeBlasProbe``
+#: re-measures it for every conv shape of the zoo's CNNs.
+CONE_GEMM_FLOOR = 4096
 
 
 def default_target_types() -> tuple[type, ...]:
@@ -82,6 +97,51 @@ class LayerState:
 
 def _copy_metadata(meta: Any) -> Any:
     return meta.copy() if hasattr(meta, "copy") and not np.isscalar(meta) else meta
+
+
+def _pair(value) -> tuple[int, int]:
+    return (value, value) if isinstance(value, int) else tuple(value)
+
+
+def _block_alignment(fmt: NumberFormat,
+                     shape: tuple[int, ...] | None) -> tuple[int, int] | None:
+    """``(rows, cols)`` multiples that keep a region of a conv output of
+    ``shape`` made of whole quantization blocks of ``fmt``; None when its
+    state is tensor-global (an INT scale, AFP's bias, whole-tensor BFP) or
+    its blocks do not tile the output plane.  Columns aligned to the plane
+    width mean whole rows."""
+    if not fmt.has_metadata:
+        return 1, 1
+    if (type(fmt) is not BlockFloatingPoint or fmt.block_size is None
+            or shape is None or len(shape) != 4):
+        return None
+    oh, ow = shape[2:]
+    block = fmt.block_size
+    if ow % block == 0:
+        return 1, block
+    if oh * ow % block:
+        return None
+    return block // math.gcd(ow, block), ow
+
+
+def _cone_region(rows: tuple[int, int], cols: tuple[int, int],
+                 align: tuple[int, int], n: int, oc: int, oh: int,
+                 ow: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Round a cone region out to whole blocks, then grow it to
+    :data:`CONE_GEMM_FLOOR` output elements (capped at the whole plane)."""
+    (r0, r1), (c0, c1), (ra, ca) = rows, cols, align
+    r0, r1 = r0 // ra * ra, -(-r1 // ra) * ra
+    c0, c1 = c0 // ca * ca, min(ow, -(-c1 // ca) * ca)
+    need = -(-CONE_GEMM_FLOOR // oc)  # GEMM rows
+    if n * (r1 - r0) * (c1 - c0) < need:
+        height = -(-need // (n * (c1 - c0)))
+        if height > oh:
+            c0, c1 = 0, ow
+            height = -(-need // (n * ow))
+        height = min(oh, -(-height // ra) * ra)
+        r1 = min(oh, max(r1, r0 + height))
+        r0 = min(r0, r1 - height)
+    return (r0, r1), (c0, c1)
 
 
 class GoldenEye:
@@ -429,6 +489,92 @@ class GoldenEye:
             return min(starts), functools.partial(self._resume_output, state)
         return min(starts), None
 
+    def _cone_servers(self) -> dict:
+        """Convs a K=1 replay serves from their golden outputs, patched on
+        the fault's cone: ``{id(module): server}`` (see :meth:`forward_from`)."""
+        if self.detector is not None:
+            return {}
+        armed = {layer for layer, _ in self.injector.armed_sites()}
+        servers = {}
+        for name, state in self.layers.items():
+            module, fmt = state.module, state.neuron_format
+            # a module that runs twice has one golden register (its last
+            # call's), which the first call's patch must not start from
+            if (name in armed or type(module) is not nn.Conv2d
+                    or module.groups != 1 or fmt is None
+                    or fmt.stats_sink is not None
+                    or state.hook_handle is None
+                    or module._forward_pre_hooks
+                    or list(module._forward_hooks) != [state.hook_handle.id]
+                    or not self.resume_session.runs_once(module)):
+                continue
+            align = _block_alignment(fmt, state.last_output_shape)
+            if align is not None:
+                servers[id(module)] = functools.partial(self._serve_cone,
+                                                        state, align)
+        return servers
+
+    def _serve_cone(self, state: LayerState, align: tuple[int, int],
+                    x: np.ndarray, golden_input: np.ndarray,
+                    golden: np.ndarray):
+        """One conv call from its golden output, patched where ``x``
+        differs from ``golden_input``: ``(output, region)``, where
+        ``region`` is the ``((row0, row1), (col0, col1))`` recomputed, or
+        None when the change does not reach the output."""
+        box = changed_box(x, golden_input)
+        if box is not None:
+            module = state.module
+            n, oc, oh, ow = golden.shape
+            (kh, kw), (sh, sw), (ph, pw) = (
+                module.weight.shape[2:], _pair(module.stride),
+                _pair(module.padding))
+            r0, r1 = conv_reach(box[0], box[1], kh, sh, ph, oh)
+            c0, c1 = conv_reach(box[2], box[3], kw, sw, pw, ow)
+            if r0 < r1 and c0 < c1:
+                (r0, r1), (c0, c1) = _cone_region(
+                    (r0, r1), (c0, c1), align, n, oc, oh, ow)
+                region = self._cone_conv(state, x, (r0, r1), (c0, c1))
+                quantized = state.neuron_format.real_to_format_tensor(region)
+                out = golden.copy(order="K")
+                out[:, :, r0:r1, c0:c1] = quantized
+                self._patch_metadata(state, (r0, r1), (c0, c1), out.shape)
+                return self._inject(state, out), ((r0, r1), (c0, c1))
+        self._quantize(state, golden, resumed=True)
+        state.last_output_shape = golden.shape
+        return golden, None
+
+    def _cone_conv(self, state: LayerState, x: np.ndarray,
+                   rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+        """The cone region of ``state``'s conv output (a profiler books it
+        as the layer's compute phase)."""
+        module = state.module
+        return nn.functional.conv2d_region(
+            x, module.weight.data,
+            None if module.bias is None else module.bias.data,
+            _pair(module.stride), _pair(module.padding), rows, cols)
+
+    def _patch_metadata(self, state: LayerState, rows: tuple[int, int],
+                        cols: tuple[int, int], shape: tuple[int, ...]) -> None:
+        """Set the register a dense pass would leave: the golden one with
+        the region's blocks replaced by those just quantized."""
+        fmt = state.neuron_format
+        if isinstance(fmt.metadata, BfpMetadata):
+            golden = self.resume_session.neuron_metadata[state.name]
+            fields = golden.exp_fields.copy()
+            n, oc, oh, ow = shape
+            block = golden.block_size
+            if cols == (0, ow):  # whole rows: a run of blocks per plane
+                plane = fields.reshape(n * oc, oh * ow // block)
+                plane[:, rows[0] * ow // block:rows[1] * ow // block] = (
+                    fmt.metadata.exp_fields.reshape(n * oc, -1))
+            else:
+                grid = fields.reshape(n, oc, oh, ow // block)
+                grid[:, :, rows[0]:rows[1], cols[0] // block:cols[1] // block] = (
+                    fmt.metadata.exp_fields.reshape(
+                        n, oc, rows[1] - rows[0], -1))
+            fmt.metadata = BfpMetadata(fields, block, golden.numel)
+        state.neuron_golden_metadata = _copy_metadata(fmt.metadata)
+
     def forward_from(self, layer: str, images: np.ndarray) -> np.ndarray:
         """Resume inference from ``layer``, replaying the cached prefix.
 
@@ -452,6 +598,22 @@ class GoldenEye:
         call served from its own output counts as a cache hit and as
         ``replayed`` in the session's stats.
 
+        Downstream, each instrumented ``Conv2d`` is served from its cached
+        output patched on the fault's cone (cone-of-influence replay, see
+        :mod:`repro.core.resume`): it compares its input's bits with the
+        golden input, returns the cached output whole when the change does
+        not reach it, and otherwise recomputes, quantizes and writes back
+        only the reached region, widened to whole quantization blocks and
+        to :data:`CONE_GEMM_FLOOR` GEMM elements, leaving the metadata
+        register as the dense pass would.  A conv computes densely when it
+        has an armed plan, a range detector or stats sink observes it, a
+        pre-hook or foreign hook is on it, ``groups > 1``, it ran more than
+        once in the recorded pass, its format's
+        state is tensor-global (an INT scale, AFP's bias, whole-tensor
+        BFP) or its BFP blocks do not tile the output plane, or its golden
+        input or output is not cached.  A profiler books the region as the
+        layer's compute and quantize phases.
+
         Falls back to a full forward pass — still bit-exact — when no valid
         recording exists for this batch.  ``images`` must be the batch given
         to :meth:`capture_golden`.
@@ -466,7 +628,8 @@ class GoldenEye:
             if start is None:
                 logits = self.model(x)  # fallback: full forward
             else:
-                with self.resume_session.replaying(start, resume=resume):
+                with self.resume_session.replaying(
+                        start, resume=resume, cone=self._cone_servers()):
                     logits = self.model.forward_from(self.resume_session, x)
         return logits.data.copy()
 

@@ -40,6 +40,26 @@ Weight injections resume from the victim layer too: a corrupted weight (or
 weight-metadata register) only affects the victim layer's own computation
 and its downstream consumers, so the upstream prefix replays unchanged.
 
+Cone-of-influence replay
+------------------------
+A fault reaches only its receptive field: downstream of it, most of each
+convolution's output is still golden.  The recording therefore also keeps
+every :class:`~repro.nn.Conv2d` call's golden *input* by reference, in
+the byte budget the cached outputs leave (outside
+:attr:`ActivationCache.nbytes`, which sizes fault lanes).  A K=1 replay may pass ``replaying`` a
+``cone`` mapping of module ids to servers; such a conv past the start
+returns ``server(x, golden_input, golden_output)`` instead of computing.
+The server (the platform's, see :meth:`~repro.core.goldeneye.GoldenEye.
+forward_from`) compares the input's bits with the golden input
+(:func:`changed_box`), widens the change through the kernel
+(:func:`conv_reach`) and recomputes only that region of the cached output.
+An eval-mode, unhooked ``BatchNorm2d`` whose input is the output just
+served is served the same way: its cached output with that region
+recomputed.  A call whose golden input or output is missing computes in
+full.  Served calls count as hits; served convs also count as
+``cone_patched`` or ``cone_unchanged``, and the output positions they
+recomputed add up in ``cone_positions``.
+
 A fault-axis batched pass (:meth:`~repro.core.goldeneye.GoldenEye.
 forward_from_batched`) runs the model once over K stacked replicas of the
 evaluation batch; ``replaying(start, lanes=K)`` tiles every cached entry K
@@ -78,13 +98,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..nn.layers import BatchNorm2d, Conv2d
 from ..nn.module import COMPUTE, Module
 from ..nn.tensor import Tensor
 from ..obs.telemetry import MetricsRegistry, get_registry
 
 __all__ = ["ActivationCache", "CacheStats", "ReadOnlyCacheError",
            "ResumeSession", "SharedActivationCache",
-           "DEFAULT_CACHE_BUDGET", "publish_cache_metrics"]
+           "DEFAULT_CACHE_BUDGET", "changed_box", "conv_reach",
+           "publish_cache_metrics"]
 
 
 class ReadOnlyCacheError(RuntimeError):
@@ -105,9 +127,13 @@ class CacheStats:
     replayed: int = 0  # leaf calls answered from cache during replay
     recomputed: int = 0  # leaf calls the replay wanted from cache that re-ran
     diverged: int = 0  # replay passes that fell back to full execution
+    cone_patched: int = 0  # conv calls that recomputed only the fault's cone
+    cone_unchanged: int = 0  # conv calls the fault did not reach, served whole
+    cone_positions: int = 0  # output positions (image, row, column) patched
 
     FIELDS = ("hits", "misses", "evictions", "skipped",
-              "replayed", "recomputed", "diverged")
+              "replayed", "recomputed", "diverged",
+              "cone_patched", "cone_unchanged", "cone_positions")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.FIELDS}
@@ -145,6 +171,47 @@ def publish_cache_metrics(stats: CacheStats, cache: "ActivationCache | None" = N
     for key, value in flat.items():
         registry.gauge(f"{prefix}.{key}").set(float(value))
     return flat
+
+
+def changed_box(x: np.ndarray, golden: np.ndarray):
+    """Bounding box ``(row0, row1, col0, col1)`` of the spatial positions
+    where NCHW ``x`` differs from ``golden`` in any bit, over every image
+    and channel; None when the two are bit-identical."""
+    diff = np.not_equal(x.view(np.uint32), golden.view(np.uint32))
+    plane = np.logical_or.reduce(diff, axis=(0, 1))
+    rows = np.flatnonzero(plane.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(plane.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def conv_reach(lo: int, hi: int, kernel: int, stride: int, padding: int,
+               size: int) -> tuple[int, int]:
+    """Output span ``[lo', hi')`` along one axis whose receptive fields
+    touch the changed input span ``[lo, hi)`` (empty when ``lo' >= hi'``;
+    a strided kernel can step over the change)."""
+    return (max(0, (lo + padding - kernel) // stride + 1),
+            min(size, -(-(hi + padding) // stride)))
+
+
+def _serves_behind(module: Module, inputs, served: np.ndarray) -> bool:
+    """True when ``module`` computes per element on exactly the output of
+    the cone call just before it: an eval-mode, unhooked ``BatchNorm2d``."""
+    return (type(module) is BatchNorm2d and not module.training
+            and not module._forward_hooks and not module._forward_pre_hooks
+            and isinstance(inputs[0], Tensor) and inputs[0].data is served)
+
+
+def _patch_behind(module: Module, x: np.ndarray, golden: np.ndarray, region):
+    """``module``'s golden output with ``region`` recomputed from ``x``:
+    the cone call before it changed nothing else (None: nothing at all)."""
+    if region is None:
+        return golden, None
+    rows, cols = (slice(*span) for span in region)
+    output = golden.copy(order="K")
+    output[:, :, rows, cols] = module.forward(Tensor(x[:, :, rows, cols])).data
+    return output, region
 
 
 class ActivationCache:
@@ -313,11 +380,19 @@ class ResumeSession:
         #: platform after a recording (plain data, so forked workers inherit
         #: it; a shared-memory cache publishes activation arrays only)
         self.neuron_metadata: dict[str, object] = {}
+        #: execution position -> golden input of that Conv2d call, kept by
+        #: reference in the budget the cached outputs leave (plain data, so
+        #: forked and shared-memory workers inherit it)
+        self.golden_inputs: dict[int, np.ndarray] = {}
+        self._input_bytes = 0
         self._mode = "idle"  # "idle" | "record" | "replay"
         self._pos = 0
         self._start = 0
         self._lanes = 1
         self._resume = None
+        self._cone: dict = {}
+        #: (output, region) of the cone call just served, for the leaf after
+        self._served = None
         self._pass_diverged = False
         #: pid of the process that recorded (or adopted) this session
         self.owner_pid = os.getpid()
@@ -407,7 +482,16 @@ class ResumeSession:
             return COMPUTE
         pos = self._pos
         self._pos += 1
-        if pos > self._start or (pos == self._start and self._resume is None):
+        behind, self._served = self._served, None
+        if pos > self._start:
+            server = self._cone.get(id(module))
+            if server is not None:
+                if pos not in self.golden_inputs:
+                    return COMPUTE
+            elif behind is None or not _serves_behind(module, inputs,
+                                                      behind[0]):
+                return COMPUTE
+        elif pos == self._start and self._resume is None:
             return COMPUTE
         if pos >= len(self.order) or self.order[pos] != id(module):
             # model structure changed since the recording: stop trusting the
@@ -419,12 +503,34 @@ class ResumeSession:
         if cached is None:
             self.cache.stats.recomputed += 1
             return COMPUTE  # evicted / skipped: recompute with exact inputs
+        if pos > self._start:
+            if server is None:
+                output, region = _patch_behind(module, inputs[0].data,
+                                               cached, behind[1])
+            else:
+                output, region = self._serve_conv(server, inputs[0].data,
+                                                  pos, cached)
+            self._served = output, region
+            return Tensor(output)
         self.cache.stats.replayed += 1
         if self._lanes > 1:
             cached = np.tile(cached, (self._lanes,) + (1,) * (cached.ndim - 1))
         if pos == self._start:
             return Tensor(self._resume(cached))
         return Tensor(cached)
+
+    def _serve_conv(self, server, x: np.ndarray, pos: int,
+                    golden: np.ndarray):
+        """Answer a conv call past the start from its golden output."""
+        output, region = server(x, self.golden_inputs[pos], golden)
+        stats = self.cache.stats
+        if region is None:
+            stats.cone_unchanged += 1
+        else:
+            (r0, r1), (c0, c1) = region
+            stats.cone_patched += 1
+            stats.cone_positions += output.shape[0] * (r1 - r0) * (c1 - c0)
+        return output, region
 
     def record(self, module: Module, inputs, output) -> None:
         if self._mode != "record" or id(module) not in self._leaf_ids:
@@ -435,6 +541,14 @@ class ResumeSession:
         self._first_index.setdefault(id(module), pos)
         if isinstance(output, Tensor):
             self.cache.put(pos, output.data)
+        if isinstance(module, Conv2d) and isinstance(inputs[0], Tensor):
+            self.golden_inputs[pos] = inputs[0].data
+            self._input_bytes += inputs[0].data.nbytes
+        # inputs take only the room the outputs leave: newest out first
+        budget = self.cache.budget_bytes
+        while (budget is not None and self.golden_inputs
+               and self.cache.nbytes + self._input_bytes > budget):
+            self._input_bytes -= self.golden_inputs.popitem()[1].nbytes
 
     # ------------------------------------------------------------------
     # pass scoping
@@ -452,6 +566,8 @@ class ResumeSession:
         self.order.clear()
         self._first_index.clear()
         self.neuron_metadata.clear()
+        self.golden_inputs.clear()
+        self._input_bytes = 0
         self._mode, self._pos = "record", 0
         try:
             yield self
@@ -459,7 +575,8 @@ class ResumeSession:
             self._mode = "idle"
 
     @contextlib.contextmanager
-    def replaying(self, start_index: int, lanes: int = 1, resume=None):
+    def replaying(self, start_index: int, lanes: int = 1, resume=None,
+                  cone=None):
         """Scope one resumed pass: replay leaf calls before ``start_index``.
 
         ``lanes`` > 1 replays each cached entry as its ``lanes``-fold tile
@@ -468,14 +585,27 @@ class ResumeSession:
         ``start_index`` too: it receives that call's cached (tiled) output
         and returns the array the call yields.  Every served call counts as
         a hit and as ``replayed``; a missing entry recomputes.
+
+        ``cone`` (K=1 passes only) maps ``id(module)`` of convs to servers:
+        such a conv past ``start_index`` returns the output of
+        ``server(x, golden_input, golden_output)``, an ``(output, region)``
+        pair where ``region`` holds the ``((row0, row1), (col0, col1))``
+        span it recomputed, or None when it served the golden output whole.
+        An eval-mode, unhooked ``BatchNorm2d`` that takes exactly that
+        output is served too: its golden output, with the same region
+        recomputed.
         """
         self._require_owner("replay from")
         if not self.recorded:
             raise RuntimeError("no golden pass recorded; use recording() first")
+        if cone and lanes > 1:
+            raise ValueError("cone-of-influence replay serves K=1 passes only")
         self._mode, self._pos, self._start = "replay", 0, int(start_index)
         self._lanes, self._resume = int(lanes), resume
+        self._cone, self._served = cone or {}, None
         self._pass_diverged = False
         try:
             yield self
         finally:
             self._mode, self._lanes, self._resume = "idle", 1, None
+            self._cone, self._served = {}, None

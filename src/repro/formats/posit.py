@@ -13,12 +13,16 @@ For a positive value ``x = 2^scale * (1 + f)``, the regime encodes
 whatever bits remain hold the fraction.  Negative values are the two's
 complement of the positive pattern, which makes patterns monotone in value.
 
-Implementation note: exact posit rounding (round to nearest, ties to even
-*pattern*) interacts with the variable-width fields, so for the supported
-widths (``n <= 16``) conversion uses an exact, cached value table: all ``2^n``
-patterns are decoded once, and quantization is a nearest-neighbour search
-with the standard's two special rules (nonzero never rounds to zero, and
-magnitudes saturate at ``maxpos``).
+Implementation note: posit rounding interacts with the variable-width
+fields, so for the supported widths (``n <= 16``) conversion uses an exact,
+cached value table: all ``2^n`` patterns are decoded once, and quantization
+is a nearest-neighbour search with the standard's two special rules (nonzero
+never rounds to zero, and magnitudes saturate at ``maxpos``: finite inputs
+past it are clamped before the search, so they land on ``maxpos`` as ±inf
+does).  An exact midpoint between two neighbours goes to the lower one
+(toward −∞: 1.09375 → 1.0625, pattern 0x41, and −1.03125 → −1.0625 in
+posit(8,1)), not to the even pattern the standard asks for; EXPERIMENTS.md
+lists this under its known deviations.
 """
 
 from __future__ import annotations
@@ -123,6 +127,9 @@ class Posit(NumberFormat):
         flat = x.reshape(-1)
         # NaN -> 0 (NaR has no real value; the fabric write-back needs one)
         clean = np.nan_to_num(flat, nan=0.0, posinf=self.maxpos, neginf=-self.maxpos)
+        # past ~1e20 both neighbour distances round to one float64, so a
+        # huge input would tie and go to the second-largest posit
+        np.clip(clean, -self.maxpos, self.maxpos, out=clean)
         idx = np.searchsorted(values, clean)
         idx = np.clip(idx, 1, len(values) - 1)
         left = values[idx - 1]

@@ -20,6 +20,7 @@ __all__ = [
     "log_softmax",
     "linear",
     "conv2d",
+    "conv2d_region",
     "max_pool2d",
     "avg_pool2d",
     "adaptive_avg_pool2d",
@@ -253,30 +254,81 @@ def conv2d(
     return out
 
 
+def conv2d_region(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    rows: tuple[int, int],
+    cols: tuple[int, int],
+) -> np.ndarray:
+    """Output rows ``[rows[0], rows[1])`` x columns ``[cols[0], cols[1])``
+    of :func:`conv2d` (``groups=1``, no autograd), every image and channel.
+
+    The padded-input window those outputs read is gathered into an NHWC
+    buffer and lowered by the same :func:`im2col` and multiplied by the
+    same :func:`~repro.nn.lanes.lane_matmul`, with the same operand
+    layouts, so each output row is the row the full convolution computes
+    as long as BLAS takes the same kernel for both row counts (see
+    :data:`repro.core.goldeneye.CONE_GEMM_FLOOR`).  Returns an
+    ``(n, oc, rows, cols)`` view of NHWC memory, like :func:`conv2d`.
+    """
+    n, c, h, w = x.shape
+    oc, _, kh, kw = weight.shape
+    (sh, sw), (ph, pw) = stride, padding
+    (r0, r1), (c0, c1) = rows, cols
+    top, left = r0 * sh - ph, c0 * sw - pw
+    wh, ww = (r1 - r0 - 1) * sh + kh, (c1 - c0 - 1) * sw + kw
+    window = np.zeros((n, wh, ww, c), dtype=x.dtype)
+    y0, y1 = max(top, 0), min(top + wh, h)
+    x0, x1 = max(left, 0), min(left + ww, w)
+    window[:, y0 - top : y1 - top, x0 - left : x1 - left] = (
+        x[:, :, y0:y1, x0:x1].transpose(0, 2, 3, 1))
+    patches, _ = im2col(window.transpose(0, 3, 1, 2), (kh, kw), stride, (0, 0))
+    out = lane_matmul(patches, weight.reshape(oc, -1).T)
+    if bias is not None:
+        out = out + bias
+    return out.reshape(n, r1 - r0, c1 - c0, oc).transpose(0, 3, 1, 2)
+
+
 # ----------------------------------------------------------------------
 # pooling
 # ----------------------------------------------------------------------
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Max pooling over NCHW spatial windows (stride defaults to the kernel)."""
+    """Max pooling over NCHW spatial windows (stride defaults to the kernel).
+
+    The ``k*k`` taps are reduced by comparison: a later tap replaces the
+    running maximum only when it is greater, or when it is NaN and the
+    running value is not.  That is ``argmax``'s first-occurrence rule, so
+    ties between ±0 and NaN payloads keep the first tap's bits.  The loop
+    keeps each tap's replacement mask; the backward pass reads the winning
+    tap from them (the last tap that replaced the maximum).
+    """
     stride = stride or kernel_size
     n, c, h, w = x.shape
     k, s = kernel_size, stride
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    sn, sc, sh, sw = x.data.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, oh, ow, k, k),
-        strides=(sn, sc, sh * s, sw * s, sh, sw),
-        writeable=False,
-    )
-    flat = patches.reshape(n, c, oh, ow, k * k)
-    idx = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    data = x.data
+    taps = [data[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
+            for i in range(k) for j in range(k)]
+    out_data = taps[0].copy()
+    nan = data.size and np.isnan(data.max())
+    takes = []
+    for tap in taps[1:]:
+        take = np.greater(tap, out_data)
+        if nan:
+            take |= np.isnan(tap) & ~np.isnan(out_data)
+        np.copyto(out_data, tap, where=take)
+        takes.append(take)
     out = x._make(out_data, (x,))
     if out.requires_grad:
 
         def _backward():
+            idx = np.zeros(out_data.shape, dtype=np.intp)
+            for t, take in enumerate(takes, start=1):
+                idx[take] = t
             grad = np.zeros_like(x.data)
             ii, jj = np.unravel_index(idx, (k, k))
             ns, cs, ohs, ows = np.indices((n, c, oh, ow))

@@ -3,7 +3,8 @@
 An emulated forward pass through a GoldenEye-instrumented layer has four cost
 phases (§III-A's hook flow):
 
-* ``compute``  — the layer module's native FP32 ``forward``;
+* ``compute``  — the layer module's native FP32 ``forward``, or the region
+  a cone-of-influence replay recomputes (``GoldenEye._cone_conv``);
 * ``quantize`` — its neuron format's ``real_to_format_tensor``;
 * ``inject``   — the injection engine's ``apply_neuron_injections``,
   ``apply_lane_injection`` and ``apply_lane_injections``;
@@ -76,6 +77,10 @@ class LayerProfiler:
             if state.neuron_format is not None:
                 wrap(state.neuron_format, "real_to_format_tensor", "quantize",
                      lambda a, name=layer: name, lambda a, out: a[0].size)
+        # a conv served from its golden output computes only the fault's
+        # cone: that region is the layer's compute phase
+        wrap(platform, "_cone_conv", "compute", lambda a: a[0].name,
+             lambda a, out: out.size)
         for method in ("apply_neuron_injections", "apply_lane_injection",
                        "apply_lane_injections"):
             wrap(platform.injector, method, "inject", lambda a: a[0].name,

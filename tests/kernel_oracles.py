@@ -5,10 +5,10 @@ kernels replaced: BFP and FP ``real_to_format_tensor`` (float64 working
 copies, one full-tensor temporary per step), AdaptivFloat's own rounding
 pass and fused flip kernel (FloatingPoint's field arithmetic re-derived
 under the shared bias, before AFP ran on FloatingPoint's kernels), the
-NCHW ``as_strided``
-im2col, the per-sample cross-entropy and prediction terms of outcome
-scoring (full softmax, ``nan_to_num`` before every argmax), and scoring
-one faulty run at a time.
+NCHW ``as_strided`` im2col, the gather-and-``argmax`` max pool, the
+per-sample cross-entropy and prediction terms of outcome scoring (full
+softmax, ``nan_to_num`` before every argmax), and scoring one faulty run
+at a time.
 ``tests/test_kernel_oracles.py`` checks that the library kernels return the
 same bits, metadata and numeric-health counts as these.  Do not optimise
 them: their value is that they are obviously the algorithm.
@@ -295,3 +295,28 @@ def compare_outcomes(golden_logits: np.ndarray, faulty_logits: np.ndarray,
         "sdc_rate": int(np.count_nonzero(changed & ~correct)) / total,
         "faulty_accuracy": float(np.mean(faulty_pred == labels)),
     }
+
+
+def max_pool2d(x: np.ndarray, k: int, s: int, grad: np.ndarray | None = None):
+    """Frozen argmax max-pool kernel: ``(out, input gradient of grad)``.
+
+    Gathers each window into a ``k*k`` row, picks ``argmax`` (first
+    occurrence; NaN wins) and scatters ``grad`` back to the winners.
+    """
+    n, c, h, w = x.shape
+    oh = (h - k) // s + 1
+    ow = (w - k) // s + 1
+    sn, sc, sh, sw = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, oh, ow, k, k),
+        strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False)
+    flat = patches.reshape(n, c, oh, ow, k * k)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    if grad is None:
+        return out, None
+    dx = np.zeros_like(x)
+    ii, jj = np.unravel_index(idx, (k, k))
+    ns, cs, ohs, ows = np.indices((n, c, oh, ow))
+    np.add.at(dx, (ns, cs, ohs * s + ii, ows * s + jj), grad)
+    return out, dx

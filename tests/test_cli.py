@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -202,6 +203,19 @@ class TestObservabilityCLI:
             else:
                 assert 1 <= calls["fc1", "inject"] - calls["fc1", "compute"] \
                     < injections
+
+    def test_profiled_campaign_takes_the_fault_cone(self, capsys):
+        """The profiler `repro campaign` attaches does not stop the cone: in
+        K=1 passes conv2 is patched behind conv1's faults, and the resume
+        summary reports it."""
+        code = main(["campaign", *CHEAP, "--format", "bfp_e5m5_b16",
+                     "--injections", "4", "--batch", "8",
+                     "--fault-batch", "1"])
+        assert code == 0
+        patched = [int(n) for n in re.findall(
+            r"fault cone: (\d+) conv call\(s\) patched",
+            capsys.readouterr().out)]
+        assert patched and max(patched) > 0
 
     def test_campaign_metrics_prom_export(self, tmp_path):
         prom = tmp_path / "metrics.prom"

@@ -1,4 +1,4 @@
-"""Bit-exactness of the fast format, im2col and scoring kernels.
+"""Bit-exactness of the fast format, im2col, max-pool and scoring kernels.
 
 ``tests/kernel_oracles.py`` keeps the straightforward implementations the
 library kernels replaced; the binary32 flip is checked against the scalar
@@ -230,6 +230,39 @@ class TestIm2colOracle:
         want = run()
         for g, r in zip(got, want):
             np.testing.assert_array_equal(_uint_view(g), _uint_view(r))
+
+
+def _pool_corpus() -> list[np.ndarray]:
+    """NCHW inputs full of max-pool ties: NaN payloads of both signs, ±inf,
+    ±0 and ReLU zeros, plus a plain random tensor."""
+    rng = np.random.default_rng(21)
+    plain = rng.standard_normal((2, 3, 9, 8)).astype(np.float32)
+    relu = np.maximum(plain, 0.0)
+    specials = np.array(_bits(0x7FC00001, 0xFFC00002, 0x7F800003, 0x7F800000,
+                              0xFF800000, 0x00000000, 0x80000000, 0x3F800000,
+                              0xBF800000), dtype=np.float32)
+    ties = rng.choice(specials, size=plain.shape).astype(np.float32)
+    zeros = rng.choice(np.float32([0.0, -0.0, 1.0]), size=plain.shape)
+    return [plain, relu, ties, zeros.astype(np.float32)]
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 1), (2, 1)])
+    @pytest.mark.parametrize("case", range(4))
+    def test_forward_bits_and_input_gradient(self, k, s, case):
+        x_data = _pool_corpus()[case]
+        grad = np.random.default_rng(case).standard_normal(
+            K.max_pool2d(x_data, k, s)[0].shape).astype(np.float32)
+        want, want_dx = K.max_pool2d(x_data, k, s, grad)
+        x = nn.Tensor(x_data.copy(), requires_grad=True)
+        out = F.max_pool2d(x, k, s)
+        out.backward(grad)
+        assert out.data.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(_uint_view(out.data), _uint_view(want))
+        np.testing.assert_array_equal(_uint_view(x.grad), _uint_view(want_dx))
+        with nn.no_grad():
+            inference = F.max_pool2d(nn.Tensor(x_data), k, s).data
+        np.testing.assert_array_equal(_uint_view(inference), _uint_view(want))
 
 
 def _flip_victims() -> np.ndarray:

@@ -87,6 +87,25 @@ class TestQuantization:
         q = p.real_to_format_tensor(np.float32([1e9, -1e9, np.inf]))
         np.testing.assert_array_equal(q, [p.maxpos, -p.maxpos, p.maxpos])
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_huge_finite_inputs_saturate_at_maxpos(self, n):
+        """Past ~1e20 both neighbour distances round to one float64; the
+        tie must not send a finite input below maxpos."""
+        p = Posit(n, 1)
+        huge = np.float32([2e19, 1e30, 3.4e38, np.inf])
+        np.testing.assert_array_equal(p.real_to_format_tensor(huge),
+                                      np.float32([p.maxpos] * 4))
+        np.testing.assert_array_equal(p.real_to_format_tensor(-huge),
+                                      np.float32([-p.maxpos] * 4))
+        assert p.format_to_real(p.real_to_format(3.4e38)) == p.maxpos
+
+    def test_exact_midpoints_go_toward_minus_infinity(self):
+        """The documented tie rule (not the standard's ties-to-even)."""
+        p = Posit(8, 1)
+        q = p.real_to_format_tensor(np.float32([1.09375, -1.03125]))
+        np.testing.assert_array_equal(q, np.float32([1.0625, -1.0625]))
+        assert p.real_to_format(1.09375) == [0, 1, 0, 0, 0, 0, 0, 1]  # 0x41
+
     def test_nonzero_never_rounds_to_zero(self):
         p = Posit(8, 1)
         q = p.real_to_format_tensor(np.float32([1e-12, -1e-12]))

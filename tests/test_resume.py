@@ -28,7 +28,8 @@ from repro.core import (
     run_campaign,
 )
 from repro.core.campaign import golden_inference
-from repro.models import simple_cnn, simple_mlp
+from repro.core.goldeneye import CONE_GEMM_FLOOR
+from repro.models import create_model, simple_cnn, simple_mlp
 from repro.models.deit import deit_tiny
 from repro.obs import LayerProfiler
 from repro.obs.numerics import NumericHealthMonitor
@@ -741,3 +742,533 @@ class TestSharedAdoption:
                 view[...] = 0.0
         finally:
             shm.release()
+
+
+# ----------------------------------------------------------------------
+# cone-of-influence replay: a conv downstream of the fault recomputes
+# only the region the fault can reach
+# ----------------------------------------------------------------------
+CONE_MODELS = ["simple_cnn", "resnet18", "mobilenet_small", "vgg11"]
+CONE_FORMATS = ["fp32", "fp16", "bfp_e5m5_b16", "bfp_e8m7_b8", "posit8",
+                "int8", "afp_e5m2"]
+#: formats whose per-tensor state keeps every conv on the dense path
+DENSE_FORMATS = {"int8", "afp_e5m2", "bfp16"}
+
+
+def _zoo(name):
+    model = create_model(name, num_classes=10, seed=0)
+    model.eval()
+    return model
+
+
+def _images(n):
+    return np.random.default_rng(n).standard_normal(
+        (n, 3, 32, 32)).astype(np.float32)
+
+
+def _uint(values):
+    return np.asarray(values, np.float64).view(np.uint64)
+
+
+@contextlib.contextmanager
+def _cone_calls(ge):
+    """Names of the layers whose cone region ``ge`` computed in the block."""
+    names = []
+    original = ge._cone_conv
+
+    def spy(state, *args):
+        names.append(state.name)
+        return original(state, *args)
+
+    ge._cone_conv = spy
+    try:
+        yield names
+    finally:
+        del ge._cone_conv
+
+
+def _cone_cases():
+    for model in CONE_MODELS:
+        for spec in CONE_FORMATS:
+            for n in (1, 3):
+                yield pytest.param(model, spec, n, id=f"{model}-{spec}-{n}")
+        for spec in ("fp32", "bfp_e5m5_b16"):
+            yield pytest.param(model, spec, 16, id=f"{model}-{spec}-16")
+
+
+class TestConeOracle:
+    """Cone-served replays against full forwards, compared as bits."""
+
+    @pytest.mark.parametrize("model_name,spec,n", list(_cone_cases()))
+    def test_value_faults_match_full_forward(self, model_name, spec, n):
+        images = _images(n)
+        rng = np.random.default_rng(31)
+        with GoldenEye(_zoo(model_name), spec) as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            for layer in ge.layer_names():
+                plan = ge.injector.sample_value_injection(rng, layer=layer)
+                with ge.injector.armed(plan):
+                    resumed = ge.forward_from(layer, images)
+                    full = _full(ge, images)
+                _assert_bits(resumed, full, f"{layer} {plan}")
+        served = session.stats.cone_patched + session.stats.cone_unchanged
+        assert (served == 0) == (spec in DENSE_FORMATS)
+        assert session.stats.misses == 0
+
+    @pytest.mark.parametrize("spec", ["fp32", "bfp_e5m5_b16"])
+    @pytest.mark.parametrize("kind,location", [("value", "neuron"),
+                                               ("metadata", "neuron"),
+                                               ("value", "weight"),
+                                               ("metadata", "weight")])
+    @pytest.mark.parametrize("model_name", ["resnet18", "mobilenet_small",
+                                            "vgg11"])
+    def test_campaigns_match_resume_false(self, model_name, kind, location,
+                                          spec):
+        if kind == "metadata" and spec == "fp32":
+            pytest.skip("fp32 has no metadata registers")
+        images = _images(3)
+        labels = np.arange(3) % 10
+        results = {}
+        for resume in (True, False):
+            with GoldenEye(_zoo(model_name), spec) as ge:
+                results[resume] = run_campaign(
+                    ge, images, labels, kind=kind, location=location,
+                    injections_per_layer=2, seed=4, resume=resume,
+                    fault_batch=1)
+        fast, slow = results[True], results[False]
+        assert (fast.resume_stats["cone_patched"]
+                + fast.resume_stats["cone_unchanged"]) > 0
+        assert fast.per_layer.keys() == slow.per_layer.keys()
+        for layer in fast.per_layer:
+            got, want = fast.per_layer[layer], slow.per_layer[layer]
+            np.testing.assert_array_equal(_uint(got.delta_losses),
+                                          _uint(want.delta_losses), layer)
+            assert _uint(got.mismatch_rate) == _uint(want.mismatch_rate)
+
+    def test_unchanged_input_conv_is_served_whole(self):
+        """A clean replay changes no conv input: every conv past the start
+        returns its golden output, and no downstream quantizer runs."""
+        images = _images(3)
+        with GoldenEye(_zoo("resnet18"), "bfp_e5m5_b16") as ge:
+            session = ge.enable_resume()
+            golden = ge.capture_golden(images)
+            first, *rest = ge.layer_names()
+            convs = [name for name in rest
+                     if isinstance(ge.layers[name].module, nn.Conv2d)]
+            with contextlib.ExitStack() as stack:
+                counts = [stack.enter_context(_counted_quantizer(
+                    ge.layers[name].neuron_format)) for name in convs]
+                resumed = ge.forward_from(first, images)
+            assert not any(counts)
+            _assert_bits(resumed, golden)
+            assert session.stats.cone_unchanged == len(convs)
+            assert session.stats.cone_patched == 0
+            for name in convs:  # the golden register is live again
+                state = ge.layers[name]
+                np.testing.assert_array_equal(
+                    state.neuron_format.metadata.exp_fields,
+                    session.neuron_metadata[name].exp_fields)
+
+    def test_patched_conv_leaves_the_dense_register(self):
+        """After a cone-served pass every conv's register, and its output
+        shape, equal what a full forward under the same fault leaves."""
+        images = _images(3)
+        rng = np.random.default_rng(5)
+        with GoldenEye(_zoo("resnet18"), "bfp_e8m7_b8") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            first = ge.layer_names()[0]
+            plan = ge.injector.sample_value_injection(rng, layer=first)
+
+            def registers():
+                return {name: (state.neuron_format.metadata.exp_fields.copy(),
+                               state.neuron_golden_metadata.exp_fields.copy(),
+                               state.last_output_shape)
+                        for name, state in ge.layers.items()}
+
+            with ge.injector.armed(plan):
+                ge.forward_from(first, images)
+                served = registers()
+                _full(ge, images)
+                dense = registers()
+            assert session.stats.cone_patched > 0
+            for name, (live, captured, shape) in served.items():
+                np.testing.assert_array_equal(live, dense[name][0], name)
+                np.testing.assert_array_equal(captured, dense[name][1], name)
+                assert shape == dense[name][2], name
+
+    def test_batch_norm_behind_a_served_conv_is_served(self, monkeypatch):
+        images = _images(3)
+        rng = np.random.default_rng(8)
+        calls = {}
+        original = nn.BatchNorm2d.forward
+
+        def counted(self, x):
+            calls[id(self)] = x.shape
+            return original(self, x)
+
+        monkeypatch.setattr(nn.BatchNorm2d, "forward", counted)
+        with GoldenEye(_zoo("resnet18"), "fp32") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            first = ge.layer_names()[0]
+            plan = ge.injector.sample_value_injection(rng, layer=first)
+            with ge.injector.armed(plan):
+                calls.clear()
+                resumed = ge.forward_from(first, images)
+                served = dict(calls)
+                calls.clear()
+                full = _full(ge, images)
+            _assert_bits(resumed, full)
+            # a served norm runs only on its conv's region
+            assert any(shape[2:] < calls[norm][2:]
+                       for norm, shape in served.items())
+
+    def test_profiler_books_the_cone_as_compute_and_quantize(self):
+        images = _images(3)
+        rng = np.random.default_rng(6)
+        profiler = LayerProfiler()
+        with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16",
+                       profiler=profiler) as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            conv2 = ge.layers["conv2"].module
+            full_size = ge.layers["conv2"].last_output_shape
+            before = profiler.as_dict()["conv2"]["phases"]
+            plan = ge.injector.sample_value_injection(rng, layer="conv1")
+            with ge.injector.armed(plan):
+                ge.forward_from("conv1", images)
+            after = profiler.as_dict()["conv2"]["phases"]
+        assert session.stats.cone_patched == 1
+        assert isinstance(conv2, nn.Conv2d)
+        for phase in ("compute", "quantize", "inject"):
+            assert after[phase]["calls"] == before[phase]["calls"] + 1, phase
+        region = after["compute"]["elements"] - before["compute"]["elements"]
+        assert region == (after["quantize"]["elements"]
+                          - before["quantize"]["elements"])
+        assert 0 < region < np.prod(full_size)
+
+
+class _Plane5(nn.Module):
+    """Two convs whose 5x5 output planes (from 7x7 images) 16-element
+    blocks cannot tile."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.conv1 = nn.Conv2d(3, 8, 3, rng=rng)
+        self.act = nn.ReLU()
+        self.conv2 = nn.Conv2d(8, 8, 3, padding=1, rng=rng)
+        self.flatten = nn.Flatten(1)
+        self.fc = nn.Linear(8 * 5 * 5, 6, rng=rng)
+
+    def forward(self, x):
+        return self.fc(self.flatten(self.conv2(self.act(self.conv1(x)))))
+
+
+class _PooledConvs(nn.Module):
+    """conv -> conv -> global average pool: the pool sums in memory order."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(1)
+        self.conv1 = nn.Conv2d(3, 16, 3, padding=1, rng=rng)
+        self.conv2 = nn.Conv2d(16, 24, 3, padding=1, rng=rng)
+        self.pool = nn.AdaptiveAvgPool2d(1)
+        self.flatten = nn.Flatten(1)
+        self.fc = nn.Linear(24, 6, rng=rng)
+
+    def forward(self, x):
+        return self.fc(self.flatten(self.pool(self.conv2(self.conv1(x)))))
+
+
+class _SideNorm(nn.Module):
+    """A norm that runs right after a conv but reads another tensor: the
+    1x1 stride-2 conv skips odd rows, the norm reads them all."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(2)
+        self.conv1 = nn.Conv2d(3, 8, 3, padding=1, rng=rng)
+        self.conv2 = nn.Conv2d(8, 8, 1, stride=2, rng=rng)
+        self.norm = nn.BatchNorm2d(8)
+        self.pool = nn.AdaptiveAvgPool2d(1)
+        self.flatten = nn.Flatten(1)
+        self.fc = nn.Linear(8, 6, rng=rng)
+
+    def forward(self, x):
+        h = self.conv1(x)
+        skipped = self.conv2(h)
+        return self.fc(self.flatten(self.pool(self.norm(h * 2.0))
+                                    + self.pool(skipped)))
+
+
+class _SharedConv(nn.Module):
+    """One conv run twice per forward, on two plane sizes."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(3)
+        self.conv1 = nn.Conv2d(3, 8, 3, padding=1, rng=rng)
+        self.shared = nn.Conv2d(8, 8, 3, padding=1, rng=rng)
+        self.pool = nn.AdaptiveAvgPool2d(1)
+        self.flatten = nn.Flatten(1)
+        self.fc = nn.Linear(8, 6, rng=rng)
+
+    def forward(self, x):
+        h = self.conv1(x)
+        big = self.shared(h)
+        small = self.shared(nn.functional.avg_pool2d(h, 2))
+        return self.fc(self.flatten(self.pool(big) + self.pool(small)))
+
+
+class TestConeFallbacks:
+    """Each guard of the cone broken on purpose: the conv runs dense (no
+    cone region is computed for it) and the logits stay bit-exact."""
+
+    def test_conv_run_twice_per_forward_runs_dense(self, batch):
+        images, _ = batch
+        with GoldenEye(_SharedConv(), "bfp_e5m5_b16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            self._check(ge, "conv1", images, dense=("shared",))
+
+    @pytest.mark.parametrize("hook", ["forward", "pre"])
+    def test_hooked_conv_runs_dense(self, batch, hook):
+        images, _ = batch
+        calls = []
+        with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            conv2 = ge.layers["conv2"].module
+            if hook == "forward":
+                conv2.register_forward_hook(
+                    lambda module, inputs, output: calls.append(1))
+            else:
+                conv2.register_forward_pre_hook(
+                    lambda module, inputs: calls.append(1))
+            self._check(ge, "conv1", images, dense=("conv2",))
+        assert len(calls) == 2  # the replay and the full forward
+
+    def test_hooked_norm_runs_dense(self, batch):
+        """A hook on a norm behind a served conv still sees every call."""
+        images, _ = batch
+        seen = []
+        with GoldenEye(_zoo("resnet18"), "fp32") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            norms = [module for _, module in ge.model.named_modules()
+                     if isinstance(module, nn.BatchNorm2d)]
+            for norm in norms:
+                norm.register_forward_hook(
+                    lambda module, inputs, output: seen.append(output.shape))
+            self._check(ge, ge.layer_names()[0], images)
+        assert session.stats.cone_patched > 0
+        # each norm once in the replay and once in the full forward
+        assert len(seen) == 2 * len(norms)
+        assert seen[:len(norms)] == seen[len(norms):]
+
+    def test_norm_reading_another_tensor_runs_dense(self, batch):
+        images, _ = batch
+        site = 5 * 32 * 32 + 1 * 32 + 7  # channel 5, row 1: conv2 skips it
+        with GoldenEye(_SideNorm(), "fp32") as ge:
+            session = ge.enable_resume()
+            golden = ge.capture_golden(images)
+            with ge.injector.armed(ValueInjection("conv1", "neuron", site, (0,))):
+                resumed = ge.forward_from("conv1", images)
+                full = _full(ge, images)
+        assert not np.array_equal(full, golden)
+        _assert_bits(resumed, full)
+        assert session.stats.cone_unchanged == 1  # conv2 did not see it
+
+    def test_session_refuses_a_cone_for_fault_lanes(self, cnn, batch):
+        session = ResumeSession(cnn)
+        with session.recording():
+            cnn.forward_from(session, nn.Tensor(batch[0]))
+        with pytest.raises(ValueError, match="K=1"):
+            with session.replaying(0, lanes=2, cone={id(cnn.conv2): None}):
+                pass
+
+    @staticmethod
+    def _check(ge, layer, images, *extra, dense=None, seed=23):
+        """Replay a fault at ``layer`` (plus ``extra`` plans); return the
+        layers whose cone ran.  ``dense`` layers must not be among them."""
+        plan = ge.injector.sample_value_injection(
+            np.random.default_rng(seed), layer=layer)
+        with ge.injector.armed(plan, *extra):
+            with _cone_calls(ge) as coned:
+                resumed = ge.forward_from(layer, images)
+            full = _full(ge, images)
+        _assert_bits(resumed, full, layer)
+        for name in dense or ():
+            assert name not in coned, name
+        return coned
+
+    def test_conv_with_an_armed_plan_runs_dense(self, batch):
+        images, _ = batch
+        with GoldenEye(_zoo("resnet18"), "bfp_e5m5_b16") as ge:
+            ge.enable_resume()
+            ge.capture_golden(images)
+            first, second, third = ge.layer_names()[:3]
+            rng = np.random.default_rng(2)
+            neuron = ge.injector.sample_value_injection(rng, layer=second)
+            weight = ge.injector.sample_value_injection(rng, layer=third,
+                                                        location="weight")
+            coned = self._check(ge, first, images, neuron, weight,
+                                dense=(second, third))
+            assert coned  # the convs behind them still take the cone
+
+    @pytest.mark.parametrize("spec", sorted(DENSE_FORMATS))
+    def test_tensor_global_formats_run_dense(self, batch, spec):
+        images, _ = batch
+        with GoldenEye(_zoo("resnet18"), spec) as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            assert not self._check(ge, ge.layer_names()[0], images)
+        assert session.stats.cone_patched == session.stats.cone_unchanged == 0
+
+    @pytest.mark.parametrize("observer", ["detector", "numerics"])
+    def test_range_detector_and_stats_sink_run_dense(self, batch, observer):
+        images, _ = batch
+        detector = RangeDetector() if observer == "detector" else None
+        monitor = NumericHealthMonitor() if observer == "numerics" else None
+        with GoldenEye(_zoo("resnet18"), "bfp_e5m5_b16",
+                       range_detector=detector, numerics=monitor) as ge:
+            if detector is not None:
+                _full(ge, images)
+                detector.active = True
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            assert not self._check(ge, ge.layer_names()[0], images)
+        assert session.stats.cone_patched == session.stats.cone_unchanged == 0
+
+    def test_untiled_plane_runs_dense(self):
+        images = np.random.default_rng(4).standard_normal(
+            (4, 3, 7, 7)).astype(np.float32)
+        for spec, coned in (("bfp_e5m5_b16", False), ("fp32", True)):
+            with GoldenEye(_Plane5(), spec) as ge:
+                ge.enable_resume()
+                ge.capture_golden(images)
+                assert bool(self._check(ge, "conv1", images)) == coned, spec
+
+    @pytest.mark.parametrize("missing", ["input", "output"])
+    def test_cache_miss_runs_dense(self, batch, missing):
+        images, _ = batch
+        with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            pos = session.start_index_for(ge.layers["conv2"].module)
+            if missing == "input":
+                del session.golden_inputs[pos]
+            else:
+                session.cache.drop(pos)
+            self._check(ge, "conv1", images, dense=("conv2",))
+        assert session.stats.recomputed == (missing == "output")
+
+    def test_budget_keeps_inputs_beside_the_cache(self, batch):
+        images, _ = batch
+        with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16") as ge:
+            session = ge.enable_resume(budget_bytes=64 * 1024)
+            ge.capture_golden(images)
+            held = sum(a.nbytes for a in session.golden_inputs.values())
+            assert session.cache.nbytes + held <= 64 * 1024
+            self._check(ge, "conv1", images)
+
+    def test_fault_lanes_run_dense(self, batch):
+        images, _ = batch
+        with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            rng = np.random.default_rng(3)
+            plans = [ge.injector.sample_value_injection(rng, layer="conv1")
+                     for _ in range(3)]
+            with _cone_calls(ge) as coned:
+                lanes = ge.forward_from_batched("conv1", plans, images)
+            assert not coned
+            assert session.stats.cone_patched == 0
+            for k, plan in enumerate(plans):
+                with ge.injector.armed(plan):
+                    _assert_bits(lanes[k], _full(ge, images), f"lane {k}")
+
+    def test_fp32_patch_keeps_the_dense_layout(self, batch):
+        """fp32 keeps the conv's NHWC-ordered view; a patched output in any
+        other layout changes the pool's summation order and the logits'
+        last bits."""
+        images, _ = batch
+        layouts = []
+        model = _PooledConvs()
+        model.pool.register_forward_pre_hook(
+            lambda module, inputs: layouts.append(inputs[0].data.strides))
+        with GoldenEye(model, "fp32") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            for seed in range(6):
+                layouts.clear()
+                self._check(ge, "conv1", images, seed=seed)
+                assert len(set(layouts)) == 1, layouts
+        assert session.stats.cone_patched > 0
+
+
+# ----------------------------------------------------------------------
+# the BLAS property the cone relies on
+# ----------------------------------------------------------------------
+def _conv_shapes(name, n):
+    """(input shape, module) of every groups=1 conv call of a zoo model."""
+    model = _zoo(name)
+    shapes = []
+    handles = [module.register_forward_pre_hook(
+        lambda module, inputs: shapes.append((inputs[0].shape, module)))
+        for _, module in model.named_modules()
+        if isinstance(module, nn.Conv2d) and module.groups == 1]
+    with nn.no_grad():
+        model(nn.Tensor(_images(n)))
+    for handle in handles:
+        handle.remove()
+    return shapes
+
+
+class TestConeBlasProbe:
+    """A GEMM of ``CONE_GEMM_FLOOR // out_channels`` rows reproduces the
+    full conv GEMM's rows, bit for bit, for every conv of the zoo."""
+
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("model_name", CONE_MODELS)
+    def test_floor_rows_match_the_full_gemm(self, model_name, n):
+        from repro.nn.functional import im2col
+
+        rng = np.random.default_rng(n)
+        for shape, conv in _conv_shapes(model_name, n):
+            x = np.maximum(rng.standard_normal(shape), 0).astype(np.float32)
+            cols, _ = im2col(x, conv.weight.shape[2:], (conv.stride,) * 2,
+                             (conv.padding,) * 2)
+            w_mat = conv.weight.data.reshape(conv.out_channels, -1)
+            full = cols @ w_mat.T
+            rows = -(-CONE_GEMM_FLOOR // conv.out_channels)
+            if rows >= len(cols):
+                continue  # the cone computes such a conv whole
+            for start in (0, (len(cols) - rows) // 2, len(cols) - rows):
+                part = np.ascontiguousarray(cols[start:start + rows]) @ w_mat.T
+                np.testing.assert_array_equal(
+                    part.view(np.uint32), full[start:start + rows].view(np.uint32),
+                    f"{model_name} {shape} rows {start}:{start + rows}")
+
+
+class TestConeObservability:
+    @pytest.mark.parametrize("shared_cache", [True, False])
+    def test_counts_reach_resume_stats_summed_over_workers(self,
+                                                           shared_cache):
+        """Forked workers, on a shared-memory or a copy-on-write cache,
+        reach the golden inputs and report the serial run's cone."""
+        images = _images(4)
+        labels = np.arange(4) % 10
+        stats = {}
+        for workers in (1, 2):
+            with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16") as ge:
+                stats[workers] = run_campaign(
+                    ge, images, labels, injections_per_layer=6, seed=3,
+                    fault_batch=1, workers=workers,
+                    shared_cache=shared_cache).resume_stats
+        keys = ("cone_patched", "cone_unchanged", "cone_positions")
+        assert stats[1]["cone_patched"] > 0
+        assert {k: stats[2][k] for k in keys} == {k: stats[1][k] for k in keys}
