@@ -34,10 +34,25 @@ pass, so values that would overflow the mantissa field saturate against the
 register — matching bit-for-bit what the tensor pass stored (see the
 scalar↔tensor parity tests).
 
-Exactness: every granularity is a power of two ``2^k``, so multiplying by
-the reciprocal ``2^-k`` gives the same bits as dividing by ``2^k`` (both
-are one correctly rounded step from the same real value).  The tensor pass
-therefore scales in place instead of dividing.
+Exactness
+---------
+Every granularity is a power of two ``2^k``, so multiplying by the
+reciprocal ``2^-k`` gives the same bits as dividing by ``2^k`` (both are one
+correctly rounded step from the same real value).  The tensor pass therefore
+scales instead of dividing.  It runs on one signed float32 working copy of
+the input (``x + 0.0``, which turns -0.0 into +0.0 as ``np.sign(-0.0)``
+does): multiply by ``2^-k``, ``rint``, clip to ±``max_mantissa``, multiply
+by ``2^k``.  While 2^k and 2^-k are both finite float32s (every block's
+``-127 <= k <= 127``) and ``max_mantissa`` fits float32's 24-bit
+significand, each step gives the float64 computation's bits: a scaled value
+is exact unless it falls below 2^-126, where it rounds to mantissa 0 either
+way, or overflows to ±inf, which saturates like the huge float64 it stands
+for; and the rescaled mantissa rounds once, as the float64 product does
+when it is cast to float32.  A tensor with a block outside that range (an
+exponent register wider than 8 bits over subnormal peaks, or a 1-bit
+mantissa that carries past 2^127), or a mantissa wider than 24 bits, takes
+the float64 pass, which multiplies ``|x|`` in float64, rounds the product
+once into float32 and applies the sign.
 """
 
 from __future__ import annotations
@@ -50,6 +65,15 @@ from .base import MetadataError, NumberFormat
 from .bitstring import Bitstring, bits_to_uint, uint_to_bits, validate_bits
 
 __all__ = ["BlockFloatingPoint", "BfpMetadata"]
+
+
+def _float32_pass(mantissa_bits: int, k: np.ndarray) -> bool:
+    """Whether the float32 pass gives the float64 pass's bits (see "Exactness").
+
+    ``k`` holds each block's granularity exponent: 2^k and 2^-k must both be
+    finite float32s, and ``max_mantissa`` must fit float32's 24-bit significand.
+    """
+    return mantissa_bits <= 24 and -127 <= k.min() and k.max() <= 127
 
 
 def _block_peaks(magnitude: np.ndarray) -> np.ndarray:
@@ -140,12 +164,14 @@ class BlockFloatingPoint(NumberFormat):
         numel = x.size
         block_size = self.block_size or max(numel, 1)
         num_blocks = max((numel + block_size - 1) // block_size, 1)
+        # one C-ordered float32 working copy, zero-padded for a partial last
+        # block; + 0.0 turns -0.0 into +0.0 (as np.sign(-0.0) does) and
+        # changes no other value
         if num_blocks * block_size == numel:
-            blocks = x.reshape(num_blocks, block_size)
+            blocks = np.add(x, 0.0, order="C").reshape(num_blocks, block_size)
         else:
-            blocks = np.zeros(num_blocks * block_size, dtype=np.float32)
-            blocks[:numel] = x.reshape(-1)
-            blocks = blocks.reshape(num_blocks, block_size)
+            blocks = np.zeros((num_blocks, block_size), dtype=np.float32)
+            np.add(x, 0.0, out=blocks.reshape(-1)[:numel].reshape(x.shape))
 
         # shared exponent from finite magnitudes only (upstream faults may
         # have produced inf/NaN, which must not blow up the exponent register)
@@ -174,39 +200,49 @@ class BlockFloatingPoint(NumberFormat):
 
         self.metadata = BfpMetadata(exp_fields=exp_fields, block_size=block_size, numel=numel)
 
-        granularity = np.exp2(shared_exp - self.mantissa_bits + 1)[:, None]
-        # one float64 working buffer: |x| * 2^-k is bit-identical to
-        # |x| / 2^k (see the module docstring), then rint and saturate
-        mantissas = np.multiply(magnitude, 1.0 / granularity)
-        np.rint(mantissas, out=mantissas)
+        # each block's granularity is 2^k; NaN has no sign-magnitude
+        # encoding and is stored as +0
+        k = shared_exp - self.mantissa_bits + 1
+        nan = np.isnan(blocks) if finite is not None else None
         sink = self.stats_sink
+        float32 = _float32_pass(self.mantissa_bits, k)
+        if float32:
+            # signed mantissas, scaled in place in the working copy
+            mantissas = blocks if sink is None else blocks.copy()
+            mantissas *= np.exp2(-k).astype(np.float32)[:, None]
+        else:
+            granularity = np.exp2(k)[:, None]
+            mantissas = np.multiply(magnitude, 1.0 / granularity)
+        np.rint(mantissas, out=mantissas)
         if sink is not None:
             # raw mantissa past the register's reach = true dynamic-range
             # saturation (inf included via inf > max; NaN > max is False);
             # padding zeros round to mantissa 0 and contribute nothing.
-            saturated = int(np.count_nonzero(mantissas > self.max_mantissa))
-        # inf saturates at max_mantissa; NaN stays NaN until remapped below
-        np.minimum(mantissas, self.max_mantissa, out=mantissas)
+            saturated = int(np.count_nonzero(np.abs(mantissas) > self.max_mantissa))
+        # ±inf saturates at ±max_mantissa; NaN stays NaN until remapped below
+        np.clip(mantissas, -self.max_mantissa, self.max_mantissa, out=mantissas)
         if sink is not None:
             flushed = int(np.count_nonzero(
                 (mantissas == 0) & (blocks != 0.0)
                 & (np.isfinite(blocks) if finite is None else finite)))
-        # the exact float64 product rounds once, into the float32 result
-        quantized = np.multiply(mantissas, granularity, casting="same_kind",
-                                out=np.empty(blocks.shape, dtype=np.float32))
-        # sign-magnitude: sign(-0.0) is +0, so -0.0 stays +0.0 while a
-        # negative value flushed to mantissa 0 becomes -0.0
-        quantized *= np.sign(blocks)
-        if finite is not None:
-            # NaN has no sign-magnitude encoding: it is stored as +0
-            nan = np.isnan(blocks)
+        if float32:
+            quantized = mantissas
+            quantized *= np.exp2(k).astype(np.float32)[:, None]
+        else:
+            # the exact float64 product rounds once, into the float32 result
+            quantized = np.multiply(mantissas, granularity, casting="same_kind",
+                                    out=np.empty(blocks.shape, dtype=np.float32))
+            # sign-magnitude: sign(+0.0) is +0, while a negative value
+            # flushed to mantissa 0 becomes -0.0
+            quantized *= np.sign(blocks)
+        if nan is not None:
             quantized[nan] = 0.0
         zero_block = peak == 0.0
         if zero_block.any():
             quantized[zero_block] = 0.0
         result = quantized.reshape(-1)[:numel].reshape(x.shape)
         if sink is not None:
-            nan_remapped = int(np.count_nonzero(nan)) if finite is not None else 0
+            nan_remapped = int(np.count_nonzero(nan)) if nan is not None else 0
             sink.record(self, x, result,
                         saturated=saturated, flushed=flushed,
                         nan_remapped=nan_remapped)

@@ -23,8 +23,9 @@ single-pass numpy implementation of the same semantics — the QPyTorch-style
 * :class:`~repro.formats.intq.IntegerQuant` /
   :class:`~repro.formats.fxp.FixedPoint` — bulk two's-complement codes,
   one packed XOR, sign-extend, rescale;
-* :class:`~repro.formats.posit.Posit` — bulk nearest-posit table lookup,
-  pattern XOR, decode through a cached all-patterns table;
+* :class:`~repro.formats.posit.Posit` — patterns from the quantizer's own
+  kernel (:meth:`~repro.formats.posit.Posit.encode_tensor`), pattern XOR,
+  decode through a cached all-patterns table;
 * anything else — scalar fallback memoized over unique float32 *bit
   patterns* (not values: ``np.unique`` on floats collapses NaNs by rules
   that changed across numpy versions, and collapses ``-0.0`` with ``0.0``,
@@ -57,7 +58,7 @@ from .bitstring import bits_to_float32, flip_bit, float32_to_bits, set_bit
 from .fp import ExpWindow, FloatingPoint
 from .fxp import FixedPoint
 from .intq import IntegerQuant
-from .posit import Posit, _decode_pattern, _table
+from .posit import Posit, _decode_pattern
 
 __all__ = ["flip_value", "flip_values", "flip_values_batched"]
 
@@ -387,7 +388,7 @@ def _flip_fxp(fmt: FixedPoint, values: np.ndarray, masks,
 
 
 # ----------------------------------------------------------------------
-# Posit: nearest-pattern table lookup, pattern XOR, table decode
+# Posit: the quantizer's patterns, pattern XOR, table decode
 # ----------------------------------------------------------------------
 def _posit_decode_table(n: int, es: int) -> np.ndarray:
     key = (n, es)
@@ -400,31 +401,9 @@ def _posit_decode_table(n: int, es: int) -> np.ndarray:
 
 def _flip_posit(fmt: Posit, values: np.ndarray, masks,
                 op: str = "xor") -> np.ndarray:
-    n, es = fmt.n, fmt.es
-    tbl_values, tbl_patterns = _table(n, es)
-    v64 = values.astype(np.float64)
-    nan_mask = np.isnan(v64)
-    # nearest-posit quantization, mirroring real_to_format_tensor exactly
-    clean = np.nan_to_num(v64, nan=0.0, posinf=fmt.maxpos, neginf=-fmt.maxpos)
-    idx = np.clip(np.searchsorted(tbl_values, clean), 1, len(tbl_values) - 1)
-    left = tbl_values[idx - 1]
-    right = tbl_values[idx]
-    nearest = np.where(np.abs(clean - left) <= np.abs(clean - right),
-                       left, right)
-    tiny = (nearest == 0.0) & (clean != 0.0)  # nonzero never rounds to zero
-    nearest = np.where(tiny, np.sign(clean) * fmt.minpos, nearest)
-    # the scalar path round-trips the quantized value through float32
-    quantized = nearest.astype(np.float32).astype(np.float64)
-    # pattern lookup with the scalar encoder's tie-to-left adjustment
-    idx = np.clip(np.searchsorted(tbl_values, quantized), 0,
-                  len(tbl_values) - 1)
-    prev = tbl_values[np.maximum(idx - 1, 0)]
-    shift = (tbl_values[idx] != quantized) & (idx > 0) & (prev == quantized)
-    idx = idx - shift
-    pattern = tbl_patterns[idx]
-    pattern = np.where(nan_mask, np.int64(1 << (n - 1)), pattern)  # NaR
-    pattern = _apply_masks(pattern, masks, op)
-    return _posit_decode_table(n, es)[pattern].astype(np.float32)
+    # the scalar encoder's patterns, from the quantizer's own kernel
+    pattern = _apply_masks(fmt.encode_tensor(values), masks, op)
+    return _posit_decode_table(fmt.n, fmt.es)[pattern].astype(np.float32)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These are the straightforward implementations the library's fewer-pass
 kernels replaced: BFP and FP ``real_to_format_tensor`` (float64 working
-copies, one full-tensor temporary per step), AdaptivFloat's own rounding
+copies, one full-tensor temporary per step), Posit's nearest-value search
+over its float64 value table, AdaptivFloat's own rounding
 pass and fused flip kernel (FloatingPoint's field arithmetic re-derived
 under the shared bias, before AFP ran on FloatingPoint's kernels), the
 NCHW ``as_strided`` im2col, the gather-and-``argmax`` max pool, the
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from repro.formats.bfp import BfpMetadata
+from repro.formats.bitstring import uint_to_bits
 
 
 def bfp_real_to_format_tensor(fmt, tensor: np.ndarray) -> np.ndarray:
@@ -68,6 +70,43 @@ def bfp_real_to_format_tensor(fmt, tensor: np.ndarray) -> np.ndarray:
         nan_remapped = int(np.count_nonzero(np.isnan(blocks)))
         fmt.stats_sink.record(fmt, x, result,
                               saturated=saturated, flushed=flushed,
+                              nan_remapped=nan_remapped)
+    return result
+
+
+#: (n, es) -> every finite posit value, ascending
+_POSIT_VALUES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _posit_values(fmt) -> np.ndarray:
+    key = (fmt.n, fmt.es)
+    if key not in _POSIT_VALUES:
+        values = np.array([fmt.format_to_real(uint_to_bits(p, fmt.n))
+                           for p in range(1 << fmt.n)])
+        _POSIT_VALUES[key] = np.sort(values[~np.isnan(values)])
+    return _POSIT_VALUES[key]
+
+
+def posit_real_to_format_tensor(fmt, tensor: np.ndarray) -> np.ndarray:
+    """Reference ``Posit.real_to_format_tensor``: nearest value, ties down."""
+    x = np.asarray(tensor, dtype=np.float32).astype(np.float64)
+    values = _posit_values(fmt)
+    flat = x.reshape(-1)
+    clean = np.nan_to_num(flat, nan=0.0, posinf=fmt.maxpos, neginf=-fmt.maxpos)
+    np.clip(clean, -fmt.maxpos, fmt.maxpos, out=clean)
+    idx = np.searchsorted(values, clean)
+    idx = np.clip(idx, 1, len(values) - 1)
+    left = values[idx - 1]
+    right = values[idx]
+    nearest = np.where(np.abs(clean - left) <= np.abs(clean - right), left, right)
+    tiny = (nearest == 0.0) & (clean != 0.0)
+    nearest = np.where(tiny, np.sign(clean) * fmt.minpos, nearest)
+    result = nearest.reshape(x.shape).astype(np.float32)
+    if fmt.stats_sink is not None:
+        saturated = int(np.count_nonzero(np.abs(flat) > fmt.maxpos))
+        nan_remapped = int(np.count_nonzero(np.isnan(flat)))
+        fmt.stats_sink.record(fmt, x.astype(np.float32), result,
+                              saturated=saturated, flushed=0,
                               nan_remapped=nan_remapped)
     return result
 

@@ -77,6 +77,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "240" in out and "127" in out
 
+    def test_ranges_rejects_a_posit_past_float64(self, capsys):
+        assert main(["ranges", "--format", "posit_16_7"]) == 2
+        assert "past float64" in capsys.readouterr().err
+
     def test_accuracy(self, capsys):
         code = main(["accuracy", *CHEAP, "--format", "fp32", "int8"])
         assert code == 0

@@ -328,17 +328,24 @@ class TestVectorizedFlipParity:
     @pytest.mark.parametrize("spec", [None, "fp32", "fp16", "fp8", "int8",
                                       "posit8"])
     def test_special_value_parity_pins(self, spec):
-        """-0.0, ±inf and mixed-payload NaN victims flip bit-identically to
-        the scalar kernel (regression: the BFP vector path used ``value < 0``
-        where the scalar path uses ``signbit``, silently dropping the -0.0
-        sign; NaN encodes went through version-dependent ``np.unique``)."""
+        """-0.0, ±inf, mixed-payload NaN and huge finite victims flip
+        bit-identically to the scalar kernel (regressions: the BFP vector
+        path used ``value < 0`` where the scalar path uses ``signbit``,
+        silently dropping the -0.0 sign; NaN encodes went through
+        version-dependent ``np.unique``; the fused posit flip kept its own
+        search without the ±maxpos clamp, so 1e30 encoded below maxpos)."""
         from repro.formats import flip_value, flip_values, make_format
 
         fmt = make_format(spec) if spec is not None else None
         values = self._special_victims()
         if fmt is not None:
+            # (the fabric's XOR of 2e19 can give a signalling NaN, which the
+            # scalar kernel's float64 round trip quiets)
+            huge = np.float32([1e30, 3.4e38, -1e30, -3.4e38, 2e19, 5000.0])
+            values = np.concatenate([values, huge])
+        if fmt is not None:
             fmt.real_to_format_tensor(values)  # capture metadata if any
-        for bits in [(0,), (1,), (0, 2)]:
+        for bits in [(0,), (1,), (0, 2), (3,), (7,)]:
             vec = flip_values(fmt, values, bits)
             ref = np.array([np.float32(flip_value(fmt, float(v), bits))
                             for v in values], dtype=np.float32)

@@ -8,6 +8,9 @@ and NaN payloads count), BFP exponent registers and AFP bias registers must
 match, and the numeric-health counts and tensors reported to a stats sink
 must match.  AdaptivFloat, which runs on FloatingPoint's kernels in the
 window of its captured bias, is held to its own frozen pre-merge kernels.
+Posit's key table is held to the frozen search on every 16-bit key, and
+BFP's float32 pass and float64 pass are each driven and held to the frozen
+float64 kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from hypothesis.extra import numpy as hnp
 from repro import nn
 from repro.core import metrics as M
 from repro.formats import (AdaptivFloat, BlockFloatingPoint, FloatingPoint,
-                           flip_value, flip_values, make_format)
-from repro.formats import vectorized
+                           Posit, flip_value, flip_values, make_format)
+from repro.formats import bfp, vectorized
 from repro.nn import functional as F
 
 from tests import kernel_oracles as K
@@ -32,11 +35,20 @@ AFP_SPECS = [f"afp_e{e}m{m}{suffix}"
              for e, m in [(2, 1), (4, 3), (5, 2), (8, 7), (12, 3)]
              for suffix in ("", "_nodn")]
 
+#: the posits whose quantizer is one gather from a key table
+KEY_TABLE_POSITS = [(3, 0), (3, 1),
+                    *((n, es) for n in range(4, 10) for es in range(3)),
+                    (10, 1), (10, 2), (11, 2)]
+
+#: posits held to the frozen search: key-table ones and search-path ones
+POSIT_SPECS = ["posit8", "posit_8_0", "posit_5_2", "posit_11_2",
+               "posit16", "posit_8_3", "posit_10_0"]
+
 SPECS = sorted(
     {spec for spec in ALL_SPECS
      if isinstance(make_format(spec), (BlockFloatingPoint, FloatingPoint))}
     | {"fp16", "fp32", "bfloat16", "bfp_e5m5_b16", "bfp_e8m7_btensor"}
-    | set(AFP_SPECS))
+    | set(AFP_SPECS) | set(POSIT_SPECS))
 
 
 def _bits(*patterns: int) -> list[float]:
@@ -106,6 +118,8 @@ class _RecordingSink:
 def _oracle(fmt):
     if isinstance(fmt, BlockFloatingPoint):
         return K.bfp_real_to_format_tensor
+    if isinstance(fmt, Posit):
+        return K.posit_real_to_format_tensor
     if isinstance(fmt, AdaptivFloat):
         return K.afp_real_to_format_tensor
     return K.fp_real_to_format_tensor
@@ -171,6 +185,101 @@ class TestQuantizerOracles:
     def test_hypothesis_scaled_ranges(self, spec, values, scale):
         x = (np.array(values, dtype=np.float64) * scale).astype(np.float32)
         assert_quantizer_matches(spec, x)
+
+
+def _key_probes() -> np.ndarray:
+    """Every 16-bit key of a float32, each with six low halves."""
+    keys = np.arange(1 << 16, dtype=np.uint32) << 16
+    lows = np.array([0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF], dtype=np.uint32)
+    return (keys[:, None] | lows).reshape(-1).view(np.float32)
+
+
+class TestPositKeyTable:
+    """The key table equals the frozen search on every float32 key."""
+
+    def test_each_posit_takes_its_path(self):
+        for n in range(3, 13):
+            for es in range(n - 1):
+                try:
+                    fmt = Posit(n, es)
+                except ValueError:  # maxpos past float64
+                    continue
+                assert (fmt._key_table() is not None) == \
+                    ((n, es) in KEY_TABLE_POSITS), (n, es)
+        assert Posit(16, 1)._key_table() is None
+
+    @pytest.mark.parametrize("n,es", KEY_TABLE_POSITS)
+    def test_every_key_matches_search(self, n, es):
+        assert_quantizer_matches(f"posit_{n}_{es}", _key_probes())
+
+    @pytest.mark.parametrize("n,es", [(16, 1), (8, 3), (10, 0), (12, 2)])
+    def test_search_path_posits(self, n, es):
+        fmt = Posit(n, es)
+        assert fmt._key_table() is None
+        rng = np.random.default_rng(n * 10 + es)
+        words = rng.integers(0, 1 << 32, size=20000, dtype=np.uint64)
+        assert_quantizer_matches(f"posit_{n}_{es}",
+                                 words.astype(np.uint32).view(np.float32))
+
+
+def _bfp_case(peak: float, tail: float) -> np.ndarray:
+    """A 16-value block around ``peak`` plus a partial block around ``tail``."""
+    block = np.float32([peak, -peak / 2, peak * 0.75, -peak * 0.3, 0.0, -0.0,
+                        peak / 8, -peak / 1024, *_bits(0x00000001, 0x80000002),
+                        peak * 2.0 ** -20, -peak, peak / 3, np.nan, -np.inf,
+                        peak * 0.5])
+    return np.concatenate([block, np.float32([tail, -tail / 3, 0.0, -0.0,
+                                              tail / 100])])
+
+
+#: (spec, tensor, float32 pass?) on both sides of the float32 pass's guard:
+#: e9m2 granularity exponents k = floor(log2 peak) - 1 at the bottom of
+#: float32, and a 1-bit mantissa at 2^127, whose carry makes k = 128
+_BFP_PASS_CASES = [
+    ("bfp_e9m2_b16", _bfp_case(2.0 ** -126, 1.0), True),      # k = -127
+    ("bfp_e9m2_b16", _bfp_case(2.0 ** -127, 1.0), False),     # k = -128
+    ("bfp_e9m2_b16", _bfp_case(1e-40, 1e-41), False),         # subnormal peaks
+    ("bfp_e8m1_b16", _bfp_case(2.0 ** 127, 1.0), True),       # k = 127
+    ("bfp_e8m1_b16", _bfp_case(1.5 * 2.0 ** 127, 1.0), False),  # k = 128
+    ("bfp_e8m1_b16", _bfp_case(1.0, 1.5 * 2.0 ** 127), False),  # k = 128 last
+    ("bfp_e8m24_b16", _bfp_case(3.0, 1.0), True),
+    ("bfp_e8m25_b16", _bfp_case(3.0, 1.0), False),            # max_mantissa
+]
+
+
+@pytest.fixture
+def bfp_passes(monkeypatch):
+    """Records which pass each BFP conversion takes (True = float32)."""
+    calls = []
+    real = bfp._float32_pass
+    monkeypatch.setattr(bfp, "_float32_pass",
+                        lambda *args: calls.append(real(*args)) or calls[-1])
+    return calls
+
+
+class TestBfpPasses:
+    """BFP's float32 pass and its float64 fallback both give the frozen bits."""
+
+    @pytest.mark.parametrize("spec,x,float32", _BFP_PASS_CASES)
+    def test_pass_matches_frozen_kernel(self, bfp_passes, spec, x, float32):
+        assert_quantizer_matches(spec, x)
+        assert bfp_passes == [float32, float32]  # without and with a sink
+
+    def test_ordinary_activation_takes_float32_pass(self, bfp_passes):
+        rng = np.random.default_rng(5)
+        nhwc = rng.standard_normal((2, 5, 6, 8)).astype(np.float32)
+        assert_quantizer_matches("bfp_e5m5_b16", nhwc.transpose(0, 3, 1, 2))
+        assert bfp_passes == [True, True]
+
+
+@pytest.mark.parametrize("spec", ["bfp_e5m5_b16", "bfp_e8m7_b8", "bfp_e9m2_b16",
+                                  "posit8", "posit16"])
+def test_bfp_and_posit_results_are_c_contiguous(spec):
+    """Downstream sums follow memory layout, so an NHWC-ordered input must
+    still give a C-ordered result."""
+    x = np.random.default_rng(6).standard_normal((2, 5, 6, 8)).astype(
+        np.float32).transpose(0, 3, 1, 2)
+    assert make_format(spec).real_to_format_tensor(x).flags["C_CONTIGUOUS"]
 
 
 def _assert_im2col_matches(x, kernel, stride, padding):

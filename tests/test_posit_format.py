@@ -34,6 +34,22 @@ class TestSpec:
         with pytest.raises(ValueError):
             Posit(4, 3)  # es leaves no regime room
 
+    @pytest.mark.parametrize("n,es", [(10, 7), (16, 7), (16, 14), (12, 9)])
+    def test_maxpos_past_float64_is_rejected(self, n, es):
+        with pytest.raises(ValueError, match="past float64"):
+            Posit(n, es)
+
+    def test_every_admitted_posit_has_a_float64_range(self):
+        for n in range(3, 17):
+            for es in range(n - 1):
+                try:
+                    p = Posit(n, es)
+                except ValueError as exc:
+                    assert "past float64" in str(exc)
+                    continue
+                assert np.isfinite(p.maxpos) and p.minpos > 0.0
+        assert Posit(9, 7).maxpos == 2.0 ** 896  # the widest still admitted
+
     def test_registry_specs(self):
         assert make_format("posit8").config() == {"n": 8, "es": 1}
         assert make_format("posit_6_0").config() == {"n": 6, "es": 0}
