@@ -94,7 +94,8 @@ from ..nn.tensor import Tensor
 from ..obs.telemetry import get_registry
 from ..obs.tracing import BroadcastTracer, get_tracer, set_tracer
 from .ecc import parse_protection
-from .faultmodels import EXHAUSTIVE_SITE_CAP, parse_fault_model
+from .faultmodels import (EXHAUSTIVE_SITE_CAP, FaultModel, SingleBit,
+                          parse_fault_model)
 from .goldeneye import GoldenEye
 from .injection import InjectionError, ValueInjection, per_sample_numel
 from .metrics import InferenceOutcome, check_labels, compare_outcomes
@@ -407,7 +408,7 @@ def sample_layer_plans(
     budget: int,
     rng: np.random.Generator,
     num_bits: int = 1,
-    fault_model=None,
+    fault_model: FaultModel = SingleBit(),
 ) -> LayerPlan:
     """Draw up to ``budget`` unique injection plans for ``layer``.
 
@@ -418,13 +419,14 @@ def sample_layer_plans(
     partial result instead of being discarded wholesale).
 
     ``fault_model`` (a :class:`repro.core.faultmodels.FaultModel`) selects
-    the bit-pattern sampler; ``None`` is the classic single/multi-bit draw,
-    byte-identical to campaigns that predate fault models.  An exhaustive
+    the bit-pattern sampler; the default :class:`SingleBit` is the classic
+    single/multi-bit draw, byte-identical to campaigns that predate fault
+    models.  Metadata plans always take the classic draw.  An exhaustive
     model ignores ``budget`` and ``rng`` entirely and enumerates every
     single-bit site deterministically (refusing layers over
     :data:`~repro.core.faultmodels.EXHAUSTIVE_SITE_CAP`).
     """
-    if fault_model is not None and fault_model.exhaustive:
+    if fault_model.exhaustive:
         return _exhaustive_layer_plan(platform, layer, kind, location,
                                       fault_model)
     engine = platform.injector
@@ -1000,8 +1002,7 @@ def _execute_campaign(platform: GoldenEye, images, labels,
     from ..obs.live import CampaignProgress
 
     kind, location = spec.kind, spec.location
-    fault_model = (None if spec.fault_model == "single"
-                   else parse_fault_model(spec.fault_model))
+    fault_model = parse_fault_model(spec.fault_model)
     protection = (None if spec.protect == "none"
                   else parse_protection(spec.protect))
     workers = max(1, int(cfg.workers or 1))
@@ -1260,22 +1261,20 @@ def _run_serial(payload, sampling: dict[str, LayerPlan],
 
 
 def _site_space(platform: GoldenEye, layer: str, kind: str, location: str,
-                fault_model=None) -> int:
+                fault_model: FaultModel = SingleBit()) -> int:
     """Total number of unique (index/register, pattern) sites at this layer.
 
     Neuron value sites count *per-sample* elements: the batch axis is never
     injectable (each batch sample receives the same flip), so a 1-D layer
     output of shape ``(batch,)`` contributes exactly one element — not
     ``batch`` of them (see :func:`repro.core.injection.per_sample_numel`).
-    A ``fault_model`` narrows the per-word pattern count (e.g. a burst can
+    The fault model gives the per-word pattern count (e.g. a burst can
     start at fewer positions than there are bits).
     """
     state = platform.layers[layer]
     if kind == "value":
         numel, width = _layer_value_geometry(platform, layer, location)
-        patterns = (fault_model.patterns_per_word(width)
-                    if fault_model is not None else width)
-        return numel * patterns
+        return numel * fault_model.patterns_per_word(width)
     fmt = state.neuron_format if location == "neuron" else state.weight_format
     if fmt is None or not fmt.has_metadata:
         return 0

@@ -103,6 +103,9 @@ class SingleBit(FaultModel):
     engine (one ``rng.choice(width, num_bits)`` draw after the site index),
     so campaigns run under ``SingleBit`` are byte-identical — plans,
     records, journals — to campaigns run before fault models existed.
+    It is the one classic draw: value and metadata sampling without a
+    model and gradient sampling all go through it.  ``num_bits`` wider
+    than the word raises ``ValueError``.
     """
 
     def spec(self) -> str:
@@ -220,8 +223,11 @@ class Exhaustive(FaultModel):
 
 
 @dataclass(frozen=True)
-class Temporal(FaultModel):
-    """A single-bit fault persisting for ``persist`` evaluation batches."""
+class Temporal(SingleBit):
+    """A single-bit fault persisting for ``persist`` evaluation batches.
+
+    Its bits are drawn as :class:`SingleBit` draws them.
+    """
 
     def __post_init__(self):
         if self.persist < 1:
@@ -230,13 +236,6 @@ class Temporal(FaultModel):
 
     def spec(self) -> str:
         return f"temporal{self.persist}"
-
-    def sample_bits(self, rng, width, num_bits=1):
-        return tuple(sorted(
-            rng.choice(width, size=num_bits, replace=False).tolist()))
-
-    def patterns_per_word(self, width):
-        return width
 
 
 def _parse_burst(spec: str) -> Burst:

@@ -407,8 +407,7 @@ class GoldenEye:
         else:
             quantized = data if resumed else self._quantize(state, data)
             state.last_output_shape = (batch,) + quantized.shape[1:]
-            quantized = self.injector.apply_lane_injections(
-                state, quantized, lanes)
+            quantized = self.injector.apply_lane_injections(state, quantized)
         if self.detector is not None:
             quantized = self.detector.clamp(state.name, quantized)
         return quantized
@@ -477,36 +476,39 @@ class GoldenEye:
                   for name in {state.name} | {layer for layer, _ in sites}]
         if None in starts:
             return None, None
-        fmt, module = state.neuron_format, state.module
         if (sites <= {(state.name, "neuron")}
-                and self.detector is None
-                and fmt is not None
-                and state.hook_handle is not None
-                and not module._forward_pre_hooks
-                and list(module._forward_hooks) == [state.hook_handle.id]
-                and state.name in session.neuron_metadata
-                and session.runs_once(module)):
+                and self._unobserved(state)
+                and state.name in session.neuron_metadata):
             return min(starts), functools.partial(self._resume_output, state)
         return min(starts), None
+
+    def _unobserved(self, state: LayerState) -> bool:
+        """Whether a replay may serve ``state``'s call from its golden output.
+
+        Only our hook may see the call: no range detector, a neuron format
+        to restore, our hook the module's only forward hook and no
+        pre-hook.  And the module ran once in the recorded pass: one that
+        runs twice has one golden register (its last call's), which its
+        first call must not start from.
+        """
+        module = state.module
+        return (self.detector is None
+                and state.neuron_format is not None
+                and state.hook_handle is not None
+                and list(module._forward_hooks) == [state.hook_handle.id]
+                and not module._forward_pre_hooks
+                and self.resume_session.runs_once(module))
 
     def _cone_servers(self) -> dict:
         """Convs a K=1 replay serves from their golden outputs, patched on
         the fault's cone: ``{id(module): server}`` (see :meth:`forward_from`)."""
-        if self.detector is not None:
-            return {}
         armed = {layer for layer, _ in self.injector.armed_sites()}
         servers = {}
         for name, state in self.layers.items():
             module, fmt = state.module, state.neuron_format
-            # a module that runs twice has one golden register (its last
-            # call's), which the first call's patch must not start from
             if (name in armed or type(module) is not nn.Conv2d
-                    or module.groups != 1 or fmt is None
-                    or fmt.stats_sink is not None
-                    or state.hook_handle is None
-                    or module._forward_pre_hooks
-                    or list(module._forward_hooks) != [state.hook_handle.id]
-                    or not self.resume_session.runs_once(module)):
+                    or module.groups != 1 or not self._unobserved(state)
+                    or fmt.stats_sink is not None):
                 continue
             align = _block_alignment(fmt, state.last_output_shape)
             if align is not None:

@@ -11,8 +11,8 @@ reproduction's substrate:
   real accelerator would hold before the optimizer reads it);
 * gradients are interpreted in a configurable number format — flipping a bit
   of an FP32 gradient word by default, or of the emulated format's encoding —
-  using the same ``real_to_format``/``format_to_real`` machinery as data
-  injections;
+  and the word is corrupted by :func:`repro.core.injection.corrupt_element`,
+  the fused encode → flip → decode a weight injection goes through;
 * :func:`train_with_gradient_faults` runs the paper's §V-D "build resilient
   models" experiment shape: training loops with a per-step fault probability.
 """
@@ -25,11 +25,11 @@ import numpy as np
 
 from .. import nn
 from ..formats.base import NumberFormat
-from ..formats.bitstring import bits_to_float32, flip_bit, float32_to_bits
 from ..formats.registry import make_format
 from ..nn import functional as F
 from ..nn.tensor import Tensor
-from .injection import InjectionError
+from .faultmodels import SingleBit
+from .injection import InjectionError, corrupt_element
 from .metrics import check_labels
 
 __all__ = ["GradientInjection", "GradientInjector", "train_with_gradient_faults",
@@ -108,8 +108,8 @@ class GradientInjector:
         param = self._params[name]
         width = self.format.bit_width if self.format is not None else 32
         index = int(rng.integers(param.data.size))
-        bits = tuple(sorted(rng.choice(width, size=num_bits, replace=False).tolist()))
-        return GradientInjection(name, index, bits)
+        return GradientInjection(name, index,
+                                 SingleBit().sample_bits(rng, width, num_bits))
 
     # ------------------------------------------------------------------
     def apply(self) -> int:
@@ -121,36 +121,15 @@ class GradientInjector:
         """
         performed = 0
         for plan in self._plans:
-            param = self._params[plan.parameter]
-            if param.grad is None:
+            grad = self._params[plan.parameter].grad
+            if grad is None:
                 continue
-            # index without reshape: the gradient buffer may be non-contiguous
-            # (e.g. written through a transpose), and reshape would copy
-            index = np.unravel_index(plan.flat_index, param.grad.shape)
-            value = float(param.grad[index])
-            if self.format is None:
-                bits = float32_to_bits(value)
-                for b in plan.bits:
-                    bits = flip_bit(bits, b)
-                corrupted = bits_to_float32(bits)
-            else:
+            if self.format is not None:
                 # interpret the gradient tensor in the emulated format: its
                 # metadata (scale/bias/shared exponents) comes from the
                 # gradient itself, as a gradient buffer in that format would
-                self.format.real_to_format_tensor(param.grad)
-                from ..formats.bfp import BlockFloatingPoint
-                if isinstance(self.format, BlockFloatingPoint):
-                    block = plan.flat_index // self.format.metadata.block_size
-                    bits = self.format.real_to_format(value, block=block)
-                    for b in plan.bits:
-                        bits = flip_bit(bits, b)
-                    corrupted = self.format.format_to_real(bits, block=block)
-                else:
-                    bits = self.format.real_to_format(value)
-                    for b in plan.bits:
-                        bits = flip_bit(bits, b)
-                    corrupted = self.format.format_to_real(bits)
-            param.grad[index] = np.float32(corrupted)
+                self.format.real_to_format_tensor(grad)
+            corrupt_element(self.format, grad, plan.flat_index, plan.bits)
             performed += 1
         self.injections_applied += performed
         return performed

@@ -15,6 +15,17 @@ Injection *locations*:
 * ``"weight"`` — the layer's parameters, corrupted offline at arm time and
   restored at disarm.
 
+This module is the one place a value fault is applied.  Neuron columns, with
+or without fault-axis lanes, go through one routine
+(:meth:`InjectionEngine._corrupt_columns`) over
+:func:`~repro.formats.vectorized.flip_values_batched`; a weight or a
+gradient element goes through :func:`corrupt_element` over
+:func:`~repro.formats.vectorized.flip_values`, the one-lane call of the
+same kernels.  A metadata register is corrupted by
+:func:`~repro.formats.bitstring.apply_bit_op`, and every bit pattern is
+drawn by a :class:`~repro.core.faultmodels.FaultModel` (the classic one is
+:class:`~repro.core.faultmodels.SingleBit`).
+
 When a layer has no emulated format (native FP32 fabric), value injections
 flip bits of the IEEE-754 binary32 encoding — the classic PyTorchFI-style
 single-bit-flip model.
@@ -30,15 +41,16 @@ import numpy as np
 
 from ..formats.base import NumberFormat
 from ..formats.bfp import BlockFloatingPoint
-from ..formats.bitstring import flip_bit, set_bit
-from ..formats.vectorized import flip_value, flip_values, flip_values_batched
+from ..formats.bitstring import apply_bit_op
+from ..formats.vectorized import flip_values, flip_values_batched
 from ..obs.telemetry import get_registry
+from .faultmodels import FaultModel, SingleBit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .goldeneye import LayerState
 
 __all__ = ["ValueInjection", "MetadataInjection", "InjectionEngine",
-           "InjectionError", "per_sample_numel"]
+           "InjectionError", "corrupt_element", "per_sample_numel"]
 
 
 def per_sample_numel(shape: tuple[int, ...]) -> int:
@@ -120,19 +132,28 @@ class MetadataInjection:
             raise InjectionError("persist must be non-negative")
 
 
-def _corrupt_bitstring(bits, plan_bits, op: str):
-    """Apply a plan's bit operation to a metadata-register bitstring."""
-    for b in plan_bits:
-        if op == "xor":
-            bits = flip_bit(bits, b)
-        else:
-            bits = set_bit(bits, b, 1 if op == "set" else 0)
-    return bits
+def _blocks_of(fmt: NumberFormat | None, flat_index):
+    """BFP block register of each flat position, or None for other formats."""
+    if isinstance(fmt, BlockFloatingPoint) and fmt.metadata is not None:
+        return fmt._block_of(flat_index)
+    return None
 
 
-# scalar encode → flip → decode lives in the formats layer now; keep the
-# module-private alias so downstream code and docs keep working
-_flip_value = flip_value
+def corrupt_element(fmt: NumberFormat | None, array: np.ndarray,
+                    flat_index: int, bits, op: str = "xor") -> None:
+    """Corrupt ``bits`` of one element of ``array`` in place, under ``fmt``.
+
+    The weight and gradient fault: the element at ``flat_index`` (C order)
+    goes through the same fused encode → corrupt → decode kernel a neuron
+    column does (:func:`~repro.formats.vectorized.flip_values`), under its
+    BFP block register when ``fmt`` has one.  The element is addressed
+    with ``np.unravel_index``, so a non-contiguous ``array`` (a gradient
+    written through a transpose) is corrupted where it lives, not in a
+    copy.
+    """
+    index = np.unravel_index(flat_index, array.shape)
+    array[index] = flip_values(fmt, array[index], bits,
+                               blocks=_blocks_of(fmt, flat_index), op=op)[0]
 
 
 @dataclass
@@ -221,39 +242,47 @@ class InjectionEngine:
         metadata register, a value plan one data word per sample."""
         if isinstance(plan, MetadataInjection):
             return self._corrupt_neuron_metadata(state, plan, quantized)
-        return self._corrupt_neuron_value(state, plan, quantized)
+        return self._corrupt_columns(state, [plan], quantized)
 
-    def _corrupt_neuron_value(self, state: "LayerState", plan: ValueInjection,
-                              quantized: np.ndarray) -> np.ndarray:
-        """Flip the planned bit at ``flat_index`` *within each sample*.
+    def _corrupt_columns(self, state: "LayerState", plans: list,
+                         quantized: np.ndarray) -> np.ndarray:
+        """Flip value plan ``k``'s bits at its ``flat_index`` in every sample
+        of lane ``k``.
 
-        Every sample in the batch is one independent inference experiencing
-        the same single-bit flip at the same activation site (PyTorchFI's
-        batched-injection semantics), so one batched forward pass evaluates
-        the injection across the whole evaluation set at once.  The whole
-        batch column is corrupted in a single vectorized encode → flip →
-        decode pass (:func:`repro.formats.vectorized.flip_values`).
+        ``quantized`` holds ``len(plans)`` replicas of the evaluation batch
+        along axis 0 (one, without fault-axis batching).  Every sample in a
+        lane is one independent inference experiencing the same flip at the
+        same activation site (PyTorchFI's batched-injection semantics), so
+        one forward pass evaluates a plan across the whole evaluation set.
+        All lanes' victim columns are corrupted in one vectorized encode →
+        flip → decode pass
+        (:func:`~repro.formats.vectorized.flip_values_batched`), each
+        element under its own BFP block register.  The result is a
+        C-ordered copy; ``quantized`` is not modified.
         """
         out = quantized.copy()
-        batch = out.shape[0] if out.ndim >= 1 else 1
-        per_sample = out.reshape(batch, -1)
+        total = out.shape[0] if out.ndim >= 1 else 1
+        per_sample = out.reshape(total, -1)
         sample_size = per_sample.shape[1]
-        if plan.flat_index >= sample_size:
+        for plan in plans:
+            if plan.flat_index >= sample_size:
+                raise InjectionError(
+                    f"flat_index {plan.flat_index} out of range for layer "
+                    f"{state.name} per-sample output of {sample_size} elements"
+                )
+        ops = {p.op for p in plans}
+        if len(ops) > 1:
             raise InjectionError(
-                f"flat_index {plan.flat_index} out of range for layer {state.name} "
-                f"per-sample output of {sample_size} elements"
-            )
+                f"lane-batched plans must share one bit operation, got {ops}")
+        rows = np.arange(total)
+        cols = np.repeat(np.array([p.flat_index for p in plans], dtype=np.int64),
+                         total // len(plans))
         fmt = state.neuron_format
-        blocks = None
-        if isinstance(fmt, BlockFloatingPoint) and fmt.metadata is not None:
-            block_size = fmt.metadata.block_size
-            blocks = (np.arange(batch, dtype=np.int64) * sample_size
-                      + plan.flat_index) // block_size
-        column = per_sample[:, plan.flat_index]
-        per_sample[:, plan.flat_index] = flip_values(fmt, column, plan.bits,
-                                                     blocks=blocks, op=plan.op)
-        self.injections_applied += 1
-        self._count_flip("value", "neuron")
+        per_sample[rows, cols] = flip_values_batched(
+            fmt, per_sample[rows, cols], [p.bits for p in plans],
+            blocks=_blocks_of(fmt, rows * sample_size + cols), op=plans[0].op)
+        self.injections_applied += len(plans)
+        self._count_flip("value", "neuron", len(plans))
         return out
 
     # ------------------------------------------------------------------
@@ -277,45 +306,18 @@ class InjectionEngine:
         return self._corrupt_neuron(state, plans[lane], quantized)
 
     def apply_lane_injections(self, state: "LayerState",
-                              quantized: np.ndarray,
-                              lanes: int) -> np.ndarray:
+                              quantized: np.ndarray) -> np.ndarray:
         """Apply all K armed plans to a fault-stacked tensor in one pass.
 
-        ``quantized`` holds ``lanes`` replicas of the evaluation batch along
-        axis 0; armed plan ``k`` corrupts only replica ``k``, at its own
-        site with its own bits — a single
-        :func:`~repro.formats.vectorized.flip_values_batched` call over the
-        gathered victim column.  Stateless formats only (no block/scale
-        registers to track per lane).
+        ``quantized`` holds one replica of the evaluation batch per armed
+        plan along axis 0; plan ``k`` corrupts only replica ``k``, at its
+        own site with its own bits (see :meth:`_corrupt_columns`).
+        Stateless formats only (no block/scale registers to track per lane).
         """
         plans = self._layer_plans(state)
         if not plans:
             return quantized
-        out = quantized.copy()
-        total = out.shape[0] if out.ndim >= 1 else 1
-        batch = total // lanes
-        per_sample = out.reshape(total, -1)
-        sample_size = per_sample.shape[1]
-        for plan in plans:
-            if plan.flat_index >= sample_size:
-                raise InjectionError(
-                    f"flat_index {plan.flat_index} out of range for layer "
-                    f"{state.name} per-sample output of {sample_size} elements"
-                )
-        ops = {p.op for p in plans}
-        if len(ops) > 1:
-            raise InjectionError(
-                f"lane-batched plans must share one bit operation, got {ops}")
-        rows = np.arange(total)
-        cols = np.repeat(
-            np.array([p.flat_index for p in plans], dtype=np.int64), batch)
-        column = per_sample[rows, cols]
-        per_sample[rows, cols] = flip_values_batched(
-            state.neuron_format, column, [p.bits for p in plans],
-            op=plans[0].op)
-        self.injections_applied += len(plans)
-        self._count_flip("value", "neuron", len(plans))
-        return out
+        return self._corrupt_columns(state, plans, quantized)
 
     def _corrupt_neuron_metadata(self, state: "LayerState", plan: MetadataInjection,
                                  quantized: np.ndarray) -> np.ndarray:
@@ -325,8 +327,8 @@ class InjectionEngine:
                 f"layer {state.name} format {fmt!r} has no metadata to inject into"
             )
         golden = state.neuron_golden_metadata
-        bits = _corrupt_bitstring(fmt.get_metadata_bits(plan.register),
-                                  plan.bits, plan.op)
+        bits = apply_bit_op(fmt.get_metadata_bits(plan.register),
+                            plan.bits, plan.op)
         fmt.set_metadata_bits(bits, plan.register)
         corrupted = fmt.apply_metadata_corruption(quantized, golden)
         self.injections_applied += 1
@@ -344,22 +346,16 @@ class InjectionEngine:
 
     def _inject_weight_value(self, state: "LayerState", plan: ValueInjection) -> None:
         param = self._weight_param(state)
-        flat = param.data.reshape(-1)
-        if plan.flat_index >= flat.size:
+        if plan.flat_index >= param.data.size:
             raise InjectionError(
                 f"flat_index {plan.flat_index} out of range for layer {state.name} "
-                f"weight of {flat.size} elements"
+                f"weight of {param.data.size} elements"
             )
-        fmt = state.weight_format
-        block = 0
-        if isinstance(fmt, BlockFloatingPoint) and fmt.metadata is not None:
-            block = plan.flat_index // fmt.metadata.block_size
         self._restores.append(
             _WeightRestore(state.name, "weight", param.data.copy())
         )
-        corrupted = _flip_value(fmt, float(flat[plan.flat_index]), plan.bits,
-                                block=block, op=plan.op)
-        flat[plan.flat_index] = np.float32(corrupted)
+        corrupt_element(state.weight_format, param.data, plan.flat_index,
+                        plan.bits, plan.op)
         self.injections_applied += 1
         self._count_flip("value", "weight")
 
@@ -375,8 +371,8 @@ class InjectionEngine:
             _WeightRestore(state.name, "weight", param.data.copy(),
                            saved_metadata=golden)
         )
-        bits = _corrupt_bitstring(fmt.get_metadata_bits(plan.register),
-                                  plan.bits, plan.op)
+        bits = apply_bit_op(fmt.get_metadata_bits(plan.register),
+                            plan.bits, plan.op)
         fmt.set_metadata_bits(bits, plan.register)
         param.data[...] = fmt.apply_metadata_corruption(param.data, golden)
         self.injections_applied += 1
@@ -391,15 +387,18 @@ class InjectionEngine:
         layer: str | None = None,
         location: str = "neuron",
         num_bits: int = 1,
-        fault_model=None,
+        fault_model: FaultModel = SingleBit(),
     ) -> ValueInjection:
-        """Sample a uniformly random single/multi-bit value injection.
+        """Sample a uniformly random value injection.
 
         Neuron sampling requires a prior (warm-up) forward pass so output
         shapes are known.  ``fault_model`` (a
-        :class:`repro.core.faultmodels.FaultModel`) selects the bit pattern
-        and operation; ``None`` keeps the classic single/multi-bit XOR draw
-        byte-for-byte (same RNG consumption, same plans).
+        :class:`repro.core.faultmodels.FaultModel`) draws the bit pattern
+        and names the operation; the default :class:`SingleBit` is the
+        classic single/multi-bit XOR draw.  A model with no pattern that
+        fits the layer's word (a burst wider than it) raises
+        :class:`InjectionError`; ``num_bits`` wider than the word raises
+        ``ValueError``.
         """
         state = self._pick_layer(rng, layer)
         if location == "neuron":
@@ -417,13 +416,12 @@ class InjectionEngine:
             numel = param.data.size
             width = state.weight_format.bit_width if state.weight_format else 32
         index = int(rng.integers(numel))
-        if fault_model is None:
-            bits = tuple(sorted(
-                rng.choice(width, size=num_bits, replace=False).tolist()))
-            return ValueInjection(state.name, location, index, bits)
         try:
             bits = fault_model.sample_bits(rng, width, num_bits)
         except ValueError as exc:
+            if fault_model.patterns_per_word(width):
+                raise  # num_bits wider than the word: the caller's error
+            # no pattern fits this layer's word (a burst wider than it)
             raise InjectionError(str(exc)) from None
         return ValueInjection(state.name, location, index, bits,
                               op=fault_model.op, persist=fault_model.persist)
@@ -446,9 +444,9 @@ class InjectionEngine:
                 f"layer {state.name} has no captured metadata; "
                 "run one clean forward pass (or attach weights) first"
             )
-        width = fmt.metadata_register_width()
         register = int(rng.integers(registers))
-        bits = tuple(sorted(rng.choice(width, size=num_bits, replace=False).tolist()))
+        bits = SingleBit().sample_bits(rng, fmt.metadata_register_width(),
+                                       num_bits)
         return MetadataInjection(state.name, location, register, bits)
 
     # ------------------------------------------------------------------

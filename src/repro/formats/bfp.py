@@ -143,11 +143,15 @@ class BlockFloatingPoint(NumberFormat):
     # ------------------------------------------------------------------
     # block helpers
     # ------------------------------------------------------------------
-    def _block_of(self, flat_index: int) -> int:
+    def _block_of(self, flat_index):
+        """Block register holding each flat position (an int or an int array)."""
         meta = self._require_metadata()
-        if not 0 <= flat_index < meta.numel:
-            raise IndexError(f"flat index {flat_index} outside tensor of {meta.numel} elements")
-        return flat_index // meta.block_size
+        index = np.asarray(flat_index)
+        outside = (index < 0) | (index >= meta.numel)
+        if outside.any():
+            raise IndexError(f"flat index {index[outside].flat[0]} outside "
+                             f"tensor of {meta.numel} elements")
+        return index // meta.block_size
 
     def _shared_exponent(self, block: int) -> int:
         meta = self._require_metadata()

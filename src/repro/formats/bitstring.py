@@ -16,6 +16,7 @@ __all__ = [
     "Bitstring",
     "flip_bit",
     "set_bit",
+    "apply_bit_op",
     "bits_to_uint",
     "uint_to_bits",
     "int_to_twos_complement",
@@ -66,6 +67,22 @@ def set_bit(bits: Bitstring, position: int, value: int) -> Bitstring:
     forced = list(bits)
     forced[position] = value
     return forced
+
+
+def apply_bit_op(bits: Bitstring, positions, op: str = "xor") -> Bitstring:
+    """Return ``bits`` with ``op`` applied at every position (MSB first).
+
+    ``"xor"`` flips each bit (the transient SEU model); ``"set"`` /
+    ``"clear"`` force it to 1 / 0 (the stuck-at model).  The one bitstring
+    fault primitive: metadata registers and the scalar reference flip
+    (:func:`repro.formats.vectorized.flip_value`) both corrupt through it.
+    """
+    if op not in ("xor", "set", "clear"):
+        raise ValueError(f"unknown bit operation {op!r}; valid: xor, set, clear")
+    for position in positions:
+        bits = (flip_bit(bits, position) if op == "xor"
+                else set_bit(bits, position, int(op == "set")))
+    return bits
 
 
 def bits_to_uint(bits: Bitstring) -> int:

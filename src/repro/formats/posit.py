@@ -240,11 +240,8 @@ class Posit(NumberFormat):
     # scalar path
     # ------------------------------------------------------------------
     def real_to_format(self, value: float) -> Bitstring:
-        value = float(value)
-        if np.isnan(value):
-            return uint_to_bits(1 << (self.n - 1), self.n)  # NaR
-        quantized = self.real_to_format_tensor(np.float32([value]))
-        return uint_to_bits(int(self._patterns(quantized)[0]), self.n)
+        pattern = self.encode_tensor(np.float32([float(value)]))[0]
+        return uint_to_bits(int(pattern), self.n)
 
     def format_to_real(self, bits: Bitstring) -> float:
         validate_bits(bits, self.n)

@@ -33,7 +33,15 @@ single-pass numpy implementation of the same semantics — the QPyTorch-style
 
 Every path is bit-for-bit equivalent to the scalar :func:`flip_value` (see
 ``tests/test_injection.py`` parity coverage, including NaN, ``-0.0`` and
-``±inf`` victims).
+``±inf`` victims), with one exception: when a flip on the FP32 fabric
+produces a signalling NaN, the fabric's XOR keeps it, while
+:func:`flip_value` returns it quiet (its decode goes through a Python
+float).  Flipping bits 0 and 2 of 2e19 gives ``0xFF8AC723`` here and
+``0xFFCAC723`` there.
+
+Neuron, weight and gradient corruptions all run through these kernels
+(:mod:`repro.core.injection`); :func:`flip_value` is the reference they
+are tested against and the fallback for what no fused kernel serves.
 
 Multi-fault batching
 --------------------
@@ -54,7 +62,7 @@ import numpy as np
 from .afp import AdaptivFloat
 from .base import NumberFormat
 from .bfp import BlockFloatingPoint
-from .bitstring import bits_to_float32, flip_bit, float32_to_bits, set_bit
+from .bitstring import apply_bit_op, bits_to_float32, float32_to_bits
 from .fp import ExpWindow, FloatingPoint
 from .fxp import FixedPoint
 from .intq import IntegerQuant
@@ -69,19 +77,6 @@ _MAX_FUSED_WIDTH = 62
 _POSIT_DECODE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _apply_bits(bits, bit_positions: Sequence[int], op: str):
-    """Apply ``op`` at every position of a bitstring (scalar fault primitive)."""
-    for b in bit_positions:
-        if op == "xor":
-            bits = flip_bit(bits, b)
-        elif op in ("set", "clear"):
-            bits = set_bit(bits, b, 1 if op == "set" else 0)
-        else:
-            raise ValueError(f"unknown bit operation {op!r}; "
-                             "valid: xor, set, clear")
-    return bits
-
-
 def flip_value(fmt: NumberFormat | None, value: float,
                bit_positions: Sequence[int], block: int = 0,
                op: str = "xor") -> float:
@@ -89,15 +84,18 @@ def flip_value(fmt: NumberFormat | None, value: float,
 
     ``op`` selects the corruption: ``"xor"`` flips the bits (the transient
     SEU model), ``"set"`` / ``"clear"`` force them to 1 / 0 (stuck-at).
+    The paper's routine on one value, through ``real_to_format`` and
+    ``format_to_real``: the reference the fused kernels are pinned to, and
+    the fallback for a format no fused kernel serves.
     """
     if fmt is None:
-        bits = _apply_bits(float32_to_bits(value), bit_positions, op)
+        bits = apply_bit_op(float32_to_bits(value), bit_positions, op)
         return bits_to_float32(bits)
     if isinstance(fmt, BlockFloatingPoint):
-        bits = _apply_bits(fmt.real_to_format(value, block=block),
-                           bit_positions, op)
+        bits = apply_bit_op(fmt.real_to_format(value, block=block),
+                            bit_positions, op)
         return fmt.format_to_real(bits, block=block)
-    bits = _apply_bits(fmt.real_to_format(value), bit_positions, op)
+    bits = apply_bit_op(fmt.real_to_format(value), bit_positions, op)
     return fmt.format_to_real(bits)
 
 
@@ -106,6 +104,8 @@ def flip_values(fmt: NumberFormat | None, values: np.ndarray,
                 blocks: np.ndarray | None = None,
                 op: str = "xor") -> np.ndarray:
     """Apply the same bit corruption to every element of ``values`` in one pass.
+
+    The one-lane call of :func:`flip_values_batched`.
 
     Parameters
     ----------
@@ -126,13 +126,8 @@ def flip_values(fmt: NumberFormat | None, values: np.ndarray,
     -------
     ``float32`` array of corrupted values, same shape as ``values``.
     """
-    flat = np.asarray(values, dtype=np.float32).reshape(-1)
-    width = 32 if fmt is None else fmt.bit_width
-    mask = _xor_mask(bit_positions, width)
-    out = _flip_fused(fmt, flat, mask, blocks, op)
-    if out is None:
-        out = _flip_memoized(fmt, flat, bit_positions, op)
-    return out
+    return flip_values_batched(fmt, values, [bit_positions], blocks=blocks,
+                               op=op)
 
 
 def flip_values_batched(fmt: NumberFormat | None, values: np.ndarray,
@@ -145,7 +140,7 @@ def flip_values_batched(fmt: NumberFormat | None, values: np.ndarray,
     ``values[k * B : (k + 1) * B]`` for ``B = len(values) // K``), and
     ``lane_bits[k]`` names the MSB-first bit positions flipped in lane ``k``
     only.  ``blocks``, when given, is per-element (already lane-concatenated)
-    exactly like ``values``.  With ``K == 1`` this is :func:`flip_values`.
+    exactly like ``values``.  :func:`flip_values` is its one-lane call.
     ``op`` applies to every lane (a campaign runs one fault model).
 
     Every bit position is validated (``IndexError``) before any lane is
@@ -162,11 +157,9 @@ def flip_values_batched(fmt: NumberFormat | None, values: np.ndarray,
     lane_size = flat.size // len(lanes)
     width = 32 if fmt is None else fmt.bit_width
     lane_masks = [_xor_mask(bits, width) for bits in lanes]
-    if len(lanes) == 1:
-        out = _flip_fused(fmt, flat, lane_masks[0], blocks, op)
-        return out if out is not None \
-            else _flip_memoized(fmt, flat, lanes[0], op)
-    masks = np.repeat(np.asarray(lane_masks, dtype=np.int64), lane_size)
+    # one lane keeps a scalar mask: the K=1 hot path builds no mask array
+    masks = (lane_masks[0] if len(lanes) == 1 else
+             np.repeat(np.asarray(lane_masks, dtype=np.int64), lane_size))
     out = _flip_fused(fmt, flat, masks, blocks, op)
     if out is not None:
         return out

@@ -133,6 +133,11 @@ class TestScalarBitstrings:
         assert fmt._block_of(6) == 2
         with pytest.raises(IndexError):
             fmt._block_of(7)
+        np.testing.assert_array_equal(fmt._block_of(np.arange(7)),
+                                      [0, 0, 0, 1, 1, 1, 2])
+        for outside in ([0, 7], [-1, 3]):
+            with pytest.raises(IndexError, match="outside tensor"):
+                fmt._block_of(np.array(outside))
 
     def test_sign_flip_negates_value(self):
         # §IV-C: BFP's short element word makes the sign bit weighty
@@ -235,7 +240,7 @@ class TestRoundingCarry:
 
 class TestScalarTensorParity:
     """The scalar path must operate on the exact bits the tensor path stored,
-    so ``InjectionEngine._flip_value`` corrupts what the hardware holds."""
+    so the reference flip (``flip_value``) corrupts what the hardware holds."""
 
     @settings(max_examples=50, deadline=None)
     @example(values=[63.875])

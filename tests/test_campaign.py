@@ -173,6 +173,35 @@ class TestMultiBitCampaign:
                                   num_bits=3, seed=0)
         assert all(r.injections == 4 for r in result.per_layer.values())
 
+    @pytest.mark.parametrize("spec,kind", [("fp16", "value"),
+                                           ("int8", "metadata")])
+    @pytest.mark.parametrize("location", ["neuron", "weight"])
+    def test_num_bits_wider_than_the_word_raises(self, model, data, spec,
+                                                 kind, location):
+        """40 distinct bits fit no 16-bit word or 32-bit register: the
+        campaign raises instead of recording a sampling error per layer."""
+        with GoldenEye(model, spec) as ge:
+            with pytest.raises(ValueError, match="larger sample"):
+                run_campaign(ge, *data, kind=kind, location=location,
+                             injections_per_layer=2, num_bits=40, seed=0)
+
+    def test_burst_wider_than_the_word_is_a_sampling_error(self, model,
+                                                           data):
+        """A burst that fits no word of a layer stays that layer's sampling
+        error: the campaign returns, with no injection at any layer."""
+        from repro.core import parse_fault_model
+        from repro.core.campaign import sample_layer_plans
+
+        with GoldenEye(model, "int8") as ge:
+            result = run_campaign(ge, *data, injections_per_layer=2, seed=0,
+                                  fault_model="burst4:stride8")
+            plan = sample_layer_plans(
+                ge, "fc", "value", "neuron", 2, np.random.default_rng(0),
+                fault_model=parse_fault_model("burst4:stride8"))
+        assert not result.per_layer
+        assert not plan.plans
+        assert "cannot fit a 8-bit word" in plan.sampling_error
+
     def test_multibit_at_least_as_damaging_on_average(self, model, data):
         # flipping 4 bits of a 16-bit word is (statistically) no gentler
         # than flipping 1; compare with matched seeds

@@ -19,6 +19,7 @@ Three layers of lockdown:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 
@@ -330,6 +331,166 @@ class TestSingleBitByteIdentity:
             "seed": 5, "injections_per_layer": 6, "num_bits": 1,
             "layers": ["fc1"], "fault": "burst2", "protect": "secded",
             "data": "55da2623a79f27c1"}
+
+
+def _plan_digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestFrozenPlans:
+    """Every bit draw (value, metadata and gradient, under every fault
+    model) yields the plans the engine drew before all draws went through
+    a :class:`FaultModel`.  Each digest covers seeds 0-2: the ``repr`` of
+    every plan list (and its retries, site space and sampling error, or
+    the ``ValueError`` an exhaustive layer over the cap raises), frozen
+    from the engine whose value, metadata and gradient samplers each held
+    their own ``rng.choice`` draw."""
+
+    SEEDS = (0, 1, 2)
+
+    LAYER_PLANS = {
+        # (format, kind, location, fault model, num_bits): digest
+        ("fp16", "value", "neuron", "single", 1): "d26566b24784f306",
+        ("fp16", "value", "neuron", "single", 2): "cabbe46e5aad10e3",
+        ("fp16", "value", "neuron", "burst2:stride2", 1): "5e8f791fda60a557",
+        ("fp16", "value", "neuron", "stuck1", 1): "473de27c8f166d5e",
+        ("fp16", "value", "neuron", "temporal3", 1): "19e759415cb2814e",
+        ("fp16", "value", "neuron", "exhaustive", 1): "1081d0ed887be0ec",
+        ("fp16", "metadata", "neuron", "single", 1): "5c04c443c7055b1b",
+        ("fp16", "value", "weight", "single", 1): "078c43872e78ce14",
+        ("fp16", "value", "weight", "single", 2): "1722f92b4c44136d",
+        ("fp16", "value", "weight", "burst2:stride2", 1): "df89543c52bca8bb",
+        ("fp16", "value", "weight", "stuck1", 1): "af59d85db811ee78",
+        ("fp16", "value", "weight", "temporal3", 1): "bbc6f239eb66f889",
+        ("fp16", "value", "weight", "exhaustive", 1): "9b548a2ae3c3a580",
+        ("fp16", "metadata", "weight", "single", 1): "5c04c443c7055b1b",
+        ("int8", "value", "neuron", "single", 1): "e78f15e7c7f27d4d",
+        ("int8", "value", "neuron", "single", 2): "986d0e65b90e4416",
+        ("int8", "value", "neuron", "burst2:stride2", 1): "d7648cf7cc745a95",
+        ("int8", "value", "neuron", "stuck1", 1): "df4ac0ca908d7ac6",
+        ("int8", "value", "neuron", "temporal3", 1): "16c3b7fbbe390352",
+        ("int8", "value", "neuron", "exhaustive", 1): "7e01ddd3a606ef85",
+        ("int8", "metadata", "neuron", "single", 1): "0892d019dfa92005",
+        ("int8", "value", "weight", "single", 1): "89477617c5c3526c",
+        ("int8", "value", "weight", "single", 2): "bbc529126fa1ebb5",
+        ("int8", "value", "weight", "burst2:stride2", 1): "84f30d8e75317931",
+        ("int8", "value", "weight", "stuck1", 1): "da5406c04a5a6365",
+        ("int8", "value", "weight", "temporal3", 1): "5a488facb74b235c",
+        ("int8", "value", "weight", "exhaustive", 1): "f38e544425da44b9",
+        ("int8", "metadata", "weight", "single", 1): "edcd417af9c1cf35",
+        ("bfp_e5m5_b16", "value", "neuron", "single", 1): "1e57c0b23e671eb8",
+        ("bfp_e5m5_b16", "value", "neuron", "single", 2): "1c13c55193b9a7e1",
+        ("bfp_e5m5_b16", "value", "neuron", "burst2:stride2", 1):
+            "a04070be8d1f01b6",
+        ("bfp_e5m5_b16", "value", "neuron", "stuck1", 1): "7a5916f1cb9cd557",
+        ("bfp_e5m5_b16", "value", "neuron", "temporal3", 1):
+            "698183577ce239df",
+        ("bfp_e5m5_b16", "value", "neuron", "exhaustive", 1):
+            "20a52fe00b943459",
+        ("bfp_e5m5_b16", "metadata", "neuron", "single", 1):
+            "64338d891639443a",
+        ("bfp_e5m5_b16", "value", "weight", "single", 1): "65ccf7f909a43c20",
+        ("bfp_e5m5_b16", "value", "weight", "single", 2): "a08fb2f59cf2838b",
+        ("bfp_e5m5_b16", "value", "weight", "burst2:stride2", 1):
+            "e1c6066a1c39ddf9",
+        ("bfp_e5m5_b16", "value", "weight", "stuck1", 1): "a6437e13711def4b",
+        ("bfp_e5m5_b16", "value", "weight", "temporal3", 1):
+            "69a50a9c7a2ccc03",
+        ("bfp_e5m5_b16", "value", "weight", "exhaustive", 1):
+            "7998ef01f2293e55",
+        ("bfp_e5m5_b16", "metadata", "weight", "single", 1):
+            "f8d58dc5c1a8d30b",
+    }
+
+    ENGINE_DRAWS = {
+        # (format, location): sample_value_injection and
+        # sample_metadata_injection on a random layer
+        ("fp16", "neuron"): "d50f8a751b8ac090",
+        ("fp16", "weight"): "59561105de631c76",
+        ("int8", "neuron"): "df80ffdf2d1842b1",
+        ("int8", "weight"): "518f087a813998cd",
+        ("bfp_e5m5_b16", "neuron"): "59341d0b0f817ef8",
+        ("bfp_e5m5_b16", "weight"): "93590ca278d5f921",
+    }
+
+    GRADIENT_DRAWS = {
+        None: "9c9a3ed31ca61973",
+        "fp16": "19fe83911918425b",
+        "int8": "274e29a92571e0c1",
+        "bfp_e5m5_b16": "6568ad52efa19a96",
+    }
+
+    @pytest.fixture(scope="class")
+    def platforms(self):
+        from repro.core.campaign import golden_inference
+        from repro.models import simple_cnn
+
+        out = {}
+        for spec in ("fp16", "int8", "bfp_e5m5_b16"):
+            ge = GoldenEye(simple_cnn(num_classes=4, image_size=8, seed=0),
+                           spec).attach()
+            x = np.random.default_rng(5).standard_normal(
+                (3, 3, 8, 8)).astype(np.float32)
+            golden_inference(ge, x, np.array([0, 1, 2]))
+            out[spec] = ge
+        yield out
+        for ge in out.values():
+            ge.detach()
+
+    @pytest.mark.parametrize("key", sorted(LAYER_PLANS))
+    def test_layer_plans(self, platforms, key):
+        spec, kind, location, model, num_bits = key
+        ge = platforms[spec]
+        # the classic draw is the default: called without a model
+        kwargs = ({} if model == "single"
+                  else {"fault_model": parse_fault_model(model)})
+        lines = []
+        for seed in self.SEEDS:
+            for i, layer in enumerate(ge.layer_names()):
+                rng = np.random.default_rng([seed, i])
+                try:
+                    plan = sample_layer_plans(ge, layer, kind, location, 6,
+                                              rng, num_bits, **kwargs)
+                except ValueError as exc:
+                    lines.append(f"ValueError {exc}")
+                    continue
+                lines.append(f"{plan.plans!r} {plan.retries} "
+                             f"{plan.site_space} {plan.sampling_error}")
+        assert _plan_digest(lines) == self.LAYER_PLANS[key]
+
+    @pytest.mark.parametrize("key", sorted(ENGINE_DRAWS))
+    def test_engine_draws(self, platforms, key):
+        from repro.core import InjectionError
+
+        spec, location = key
+        engine = platforms[spec].injector
+        lines = []
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            lines += [repr(engine.sample_value_injection(rng,
+                                                         location=location))
+                      for _ in range(4)]
+            for _ in range(2):
+                try:
+                    lines.append(repr(engine.sample_metadata_injection(
+                        rng, location=location, num_bits=2)))
+                except InjectionError as exc:
+                    lines.append(f"InjectionError {exc}")
+        assert _plan_digest(lines) == self.ENGINE_DRAWS[key]
+
+    @pytest.mark.parametrize("spec", list(GRADIENT_DRAWS), ids=str)
+    def test_gradient_draws(self, spec):
+        from repro.core import GradientInjector
+        from repro.models import simple_cnn
+
+        injector = GradientInjector(
+            simple_cnn(num_classes=4, image_size=8, seed=0), spec)
+        lines = []
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            lines += [repr(injector.sample(rng)) for _ in range(6)]
+            lines += [repr(injector.sample(rng, num_bits=2)) for _ in range(3)]
+        assert _plan_digest(lines) == self.GRADIENT_DRAWS[spec]
 
 
 class TestNonDefaultCampaigns:

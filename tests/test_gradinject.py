@@ -70,6 +70,19 @@ class TestApplication:
         assert changed.sum() == 1
         assert changed.reshape(-1)[5]
 
+    def test_native_flip_keeps_the_neuron_kernels_bits(self, model, rng):
+        """An FP32 gradient word flips through the neuron kernel: bits
+        (0, 2) of 2e19 give the signalling NaN 0xFF8AC723, as a weight or
+        neuron flip does, where the old inline codec stored 0xFFCAC723."""
+        backward_once(model, rng)
+        grad = model.fc3.weight.grad
+        site = np.unravel_index(4, grad.shape)  # the buffer may be strided
+        grad[site] = np.float32(2e19)
+        inj = GradientInjector(model)
+        inj.arm(GradientInjection("fc3.weight", 4, (0, 2)))
+        assert inj.apply() == 1
+        assert np.float32(grad[site]).view(np.uint32) == 0xFF8AC723
+
     def test_exponent_flip_is_large(self, model, rng):
         backward_once(model, rng)
         inj = GradientInjector(model)

@@ -154,6 +154,22 @@ class TestWeightInjection:
         assert not np.array_equal(golden.logits, faulty.logits)
         ge.detach()
 
+    def test_native_weight_flip_keeps_the_neuron_kernels_bits(self, model):
+        """A weight on the FP32 fabric flips through the neuron kernel: bits
+        (0, 2) of 2e19 give the signalling NaN 0xFF8AC723, not the quieted
+        0xFFCAC723 of the scalar reference's Python-float round trip."""
+        from repro.formats import flip_values
+
+        ge = GoldenEye(model, "fp16", quantize_weights=False).attach()
+        assert ge.layers["fc"].weight_format is None
+        model.fc.weight.data.reshape(-1)[3] = np.float32(2e19)
+        with ge.injector.armed(ValueInjection("fc", "weight", 3, (0, 2))):
+            stored = model.fc.weight.data.reshape(-1)[3:4].view(np.uint32)
+            assert stored[0] == 0xFF8AC723
+            neuron = flip_values(None, np.float32([2e19]), (0, 2))
+            assert neuron.view(np.uint32)[0] == stored[0]
+        ge.detach()
+
     def test_weight_index_out_of_range(self, model):
         ge = GoldenEye(model, "fp16").attach()
         with pytest.raises(InjectionError, match="out of range"):
@@ -263,28 +279,52 @@ class TestVectorizedFlipParity:
         from repro.formats import flip_value, flip_values, make_format
 
         fmt = make_format(spec) if spec is not None else None
-        values = (rng.standard_normal(48) * 3).astype(np.float32)
-        if fmt is not None:
-            values = fmt.real_to_format_tensor(values)
+        raw = (rng.standard_normal(48) * 3).astype(np.float32)
+        values = fmt.real_to_format_tensor(raw) if fmt is not None else raw
         for bits in [(0,), (1,), (0, 2)]:
             vec = flip_values(fmt, values, bits)
             ref = np.array([np.float32(flip_value(fmt, float(v), bits))
                             for v in values], dtype=np.float32)
             same = (vec == ref) | (np.isnan(vec) & np.isnan(ref))
             assert same.all(), (spec, bits)
+            # weight faults hit quantized values; gradient faults raw ones,
+            # in a buffer that may be a transposed view
+            self._assert_element_parity(fmt, values.reshape(6, 8), bits)
+            self._assert_element_parity(fmt, raw.reshape(8, 6).T, bits)
 
     def test_bfp_matches_scalar_kernel_per_block(self, rng):
         from repro.formats import BlockFloatingPoint, flip_value, flip_values
 
         fmt = BlockFloatingPoint(8, 7, block_size=4)
-        values = fmt.real_to_format_tensor(
-            rng.standard_normal(32).astype(np.float32))
+        raw = rng.standard_normal(32).astype(np.float32).reshape(8, 4).T
+        values = fmt.real_to_format_tensor(raw)  # blocks in C order of raw
         blocks = np.arange(32) // 4
         for bits in [(0,), (1,), (7,), (0, 7)]:
             vec = flip_values(fmt, values, bits, blocks=blocks)
             ref = np.array([np.float32(flip_value(fmt, float(v), bits, block=int(b)))
-                            for v, b in zip(values, blocks)], dtype=np.float32)
+                            for v, b in zip(values.reshape(-1), blocks)],
+                           dtype=np.float32)
             np.testing.assert_array_equal(vec, ref, err_msg=str(bits))
+            self._assert_element_parity(fmt, values, bits, block_size=4)
+            self._assert_element_parity(fmt, raw, bits, block_size=4)
+
+    def _assert_element_parity(self, fmt, victims, bits, block_size=None):
+        """``corrupt_element`` (the weight and gradient fault) on each
+        element of ``victims`` in turn changes only that element, in place,
+        to what ``flip_value`` gives it: the same bits, or NaN for NaN."""
+        from repro.core.injection import corrupt_element
+        from repro.formats import flip_value
+
+        flat = victims.reshape(-1)  # C order, as flat_index counts
+        for i, v in enumerate(flat):
+            array = victims.copy(order="K")  # keeps a transposed layout
+            corrupt_element(fmt, array, i, bits)
+            block = 0 if block_size is None else i // block_size
+            expected = flat.copy()
+            expected[i] = np.float32(flip_value(fmt, float(v), bits,
+                                                block=block))
+            self._assert_bitwise_equal(array.reshape(-1), expected,
+                                       f"{fmt} bits={bits} element {i}")
 
     def test_fp32_fabric_is_pure_xor(self):
         from repro.formats import flip_values
@@ -431,8 +471,9 @@ class TestVectorizedFlipParity:
         assert np.signbit(out[1])
 
     def test_batched_neuron_corruption_matches_per_sample_loop(self, model, x, labels):
-        """End-to-end: ``_corrupt_neuron_value`` reproduces the historical
-        per-sample scalar loop, including per-sample BFP block lookup."""
+        """End-to-end: the neuron column routine (one lane) reproduces the
+        historical per-sample scalar loop, including per-sample BFP block
+        lookup."""
         from repro.formats import flip_value
         from repro.formats.bfp import BlockFloatingPoint
 
@@ -445,7 +486,7 @@ class TestVectorizedFlipParity:
         quantized = state.neuron_format.real_to_format_tensor(
             np.random.default_rng(0).standard_normal(
                 state.last_output_shape).astype(np.float32))
-        out = ge.injector._corrupt_neuron_value(state, plan, quantized)
+        out = ge.injector._corrupt_neuron(state, plan, quantized)
 
         # per-sample scalar reference (the pre-vectorization implementation)
         fmt = state.neuron_format

@@ -75,6 +75,25 @@ class TestKnownEncodings:
         assert np.isnan(p.format_to_real([1, 0, 0, 0, 0, 0, 0, 0]))
         assert p.real_to_format(float("nan")) == [1, 0, 0, 0, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize("fmt", [Posit(8, 1), make_format("fp16"),
+                                     make_format("int8")],
+                             ids=["posit8", "fp16", "int8"])
+    def test_scalar_encoder_books_no_conversion(self, fmt):
+        """The scalar encoder (the reference flip's) books nothing in a
+        stats sink, for a posit as for FP and INT."""
+        class CountingSink:
+            calls = 0
+
+            def record(self, *args, **kwargs):
+                self.calls += 1
+
+        fmt.real_to_format_tensor(np.float32([1.0, -2.0]))  # INT's scale
+        sink = CountingSink()
+        fmt.set_stats_sink(sink)
+        fmt.real_to_format(1.5)
+        fmt.set_stats_sink(None)
+        assert sink.calls == 0
+
     def test_maxpos_pattern_is_all_ones_after_sign(self):
         p = Posit(8, 1)
         assert p.format_to_real([0, 1, 1, 1, 1, 1, 1, 1]) == p.maxpos
