@@ -1,12 +1,12 @@
-"""Parallel campaign executor: scaling curve, shm cache effect and parity.
+"""Parallel campaign executor: scaling curve and parity.
 
 ``run_campaign(..., workers=N)`` shards the deterministically pre-sampled
-plans across a supervised fork-based worker pool (:mod:`repro.exec`), with
-the golden activation prefix published once over POSIX shared memory and
-records streamed back in batched frames.  Three things are measured here:
+plans across a supervised fork-based worker pool (:mod:`repro.exec`),
+whose workers replay the golden activation prefix they inherit and stream
+records back in batched frames.  Three things are measured here:
 
-* **executor scaling** — wall-clock for 1/2/4/8 workers, with and without
-  the shared-memory golden cache, under an *emulated device latency*
+* **executor scaling** — wall-clock for 1/2/4/8 workers under an
+  *emulated device latency*
   (``ExecConfig.injection_latency``: the same per-injection sleep applied
   identically in the serial loop and in every worker).  On a many-core
   host the raw section below shows real CPU scaling; on a 1-core CI box
@@ -23,8 +23,8 @@ records streamed back in batched frames.  Three things are measured here:
   whose BLAS pools each span the machine and oversubscribe it (check the
   ``exec.blas_threads`` gauge).  Its size moves with host load, which is
   why no gate is attached to this section;
-* **parity** — every run, whatever the pool size, cache mode or journal
-  setting, must be **bit-identical** to serial execution.  That *is*
+* **parity** — every run, whatever the pool size or journal setting,
+  must be **bit-identical** to serial execution.  That *is*
   asserted: parallelism must never change the science.
 
 Set ``BENCH_QUICK=1`` to skip the CPU-bound ResNet sweep and shrink the
@@ -70,46 +70,41 @@ def _pool_payload(runs, serial_wall):
 
 
 def _sweep(ge, images, labels, injections_per_layer, latency, repeats=1):
-    """1/2/4/8-worker sweep with and without the shared golden cache.
+    """1/2/4/8-worker sweep.
 
-    Every side pins ``fault_batch=1``: the emulated latency is slept once
+    Every run pins ``fault_batch=1``: the emulated latency is slept once
     per chunk, so the sweep models the same per-injection sleep in the
     serial loop and in every worker only when a chunk is one injection.
-    Each shared-cache pool size runs ``repeats`` times and reports its
-    median-wall run; every run must match the serial one bit for bit.
+    Each pool size runs ``repeats`` times and reports its median-wall run;
+    every run must match the serial one bit for bit.
     """
     checked = []
 
-    def median_run(workers, repeats, **config):
+    def median_run(workers):
         reps = [timed_campaign(
             ge, images, labels, injections_per_layer=injections_per_layer,
             seed=0, exec_config=ExecConfig(workers=workers,
                                            injection_latency=latency,
-                                           fault_batch=1, **config))
+                                           fault_batch=1))
             for _ in range(repeats)]
-        checked.extend(((config, workers), run) for run in reps)
+        checked.extend((workers, run) for run in reps)
         return sorted(reps, key=lambda run: run["wall_s"])[repeats // 2]
 
-    runs = {workers: median_run(workers, repeats) for workers in POOL_SIZES}
-    runs_noshm = {workers: median_run(workers, 1, shared_cache=False)
-                  for workers in POOL_SIZES[1:]}
+    runs = {workers: median_run(workers) for workers in POOL_SIZES}
     serial = runs[1]["result"]
-    for context, run in checked:
-        assert_bit_identical(serial, run, context)
-    return runs, runs_noshm
+    for workers, run in checked:
+        assert_bit_identical(serial, run, workers)
+    return runs
 
 
-def _report_sweep(lines, runs, runs_noshm):
+def _report_sweep(lines, runs):
     serial_wall = runs[1]["wall_s"]
     for workers in POOL_SIZES:
         run = runs[workers]
-        noshm = runs_noshm.get(workers)
-        extra = (f"   noshm {serial_wall / noshm['wall_s']:.2f}x"
-                 if noshm else "")
         lines.append(
             f"  {workers} worker(s)           {run['wall_s'] * 1000:8.1f} ms"
             f"  {run['injections_per_sec']:8.1f} inj/s"
-            f"  ({serial_wall / run['wall_s']:.2f}x){extra}")
+            f"  ({serial_wall / run['wall_s']:.2f}x)")
 
 
 @pytest.mark.skipif(
@@ -129,9 +124,8 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
     images = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
     labels = rng.integers(0, 4, size=8)
     with GoldenEye(model, SPEC) as ge:
-        exec_runs, exec_noshm = _sweep(ge, images, labels,
-                                       EXEC_INJECTIONS_PER_LAYER,
-                                       EXEC_LATENCY_S, GATE_REPEATS)
+        exec_runs = _sweep(ge, images, labels, EXEC_INJECTIONS_PER_LAYER,
+                           EXEC_LATENCY_S, GATE_REPEATS)
     serial_wall = exec_runs[1]["wall_s"]
     walls = [exec_runs[w]["wall_s"] for w in POOL_SIZES]
     payload["executor_scaling"] = {
@@ -141,7 +135,6 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
         "injections": exec_runs[1]["injections"],
         "repeats": GATE_REPEATS,
         "pools": _pool_payload(exec_runs, serial_wall),
-        "pools_noshm": _pool_payload(exec_noshm, serial_wall),
         "speedup_at_4": serial_wall / exec_runs[4]["wall_s"],
         "speedup_at_8": serial_wall / exec_runs[8]["wall_s"],
         "monotone_to_8": all(a >= b for a, b in zip(walls, walls[1:])),
@@ -149,7 +142,7 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
     lines.append(f"  -- executor scaling (emulated device latency "
                  f"{EXEC_LATENCY_S * 1000:.0f} ms/injection, simple_mlp, "
                  f"median of {GATE_REPEATS}) --")
-    _report_sweep(lines, exec_runs, exec_noshm)
+    _report_sweep(lines, exec_runs)
 
     # --- raw CPU-bound sweep on the ResNet18 analogue ---------------------
     if not QUICK:
@@ -158,9 +151,8 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
         resnet_model.eval()
         with GoldenEye(resnet_model, SPEC) as ge:
             layers = ge.layer_names()
-            raw_runs, raw_noshm = _sweep(ge, images, labels,
-                                         RAW_INJECTIONS_PER_LAYER,
-                                         latency=0.0)
+            raw_runs = _sweep(ge, images, labels, RAW_INJECTIONS_PER_LAYER,
+                              latency=0.0)
             # journal overhead: the 2-worker campaign, write-ahead journaled
             journaled = timed_campaign(
                 ge, images, labels,
@@ -174,14 +166,13 @@ def test_parallel_campaign_scaling_and_parity(request, tmp_path):
             "layers": len(layers),
             "injections_per_layer": RAW_INJECTIONS_PER_LAYER,
             "pools": _pool_payload(raw_runs, raw_runs[1]["wall_s"]),
-            "pools_noshm": _pool_payload(raw_noshm, raw_runs[1]["wall_s"]),
             "journal_wall_s": journaled["wall_s"],
             "journal_overhead_frac": journal_overhead,
         }
         lines.append(f"  -- raw CPU-bound (resnet18 analogue, "
                      f"{len(layers)} x {RAW_INJECTIONS_PER_LAYER} "
                      f"injections) --")
-        _report_sweep(lines, raw_runs, raw_noshm)
+        _report_sweep(lines, raw_runs)
         lines.append(
             f"  2 workers + journal   {journaled['wall_s'] * 1000:8.1f} ms"
             f"  (journal overhead {journal_overhead:+.1%})")

@@ -20,7 +20,7 @@ Subpackages
     Resilience profiles, tradeoff studies, and report rendering.
 ``repro.obs``
     Observability: metrics registry, span tracer with JSONL event sink,
-    per-layer profiler, JSON/CSV/Prometheus exporters.
+    per-layer profiler, JSON/Prometheus exporters.
 """
 
 from . import analysis, core, data, formats, models, nn, obs

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..core.goldeneye import GoldenEye
+from ..core.dse import evaluate_format_accuracy
 from ..core.metrics import check_labels
 from ..nn import functional as F
 from ..nn.tensor import Tensor
@@ -80,19 +80,6 @@ def pgd_attack(model: nn.Module, images: np.ndarray, labels: np.ndarray,
     return adversarial.astype(np.float32)
 
 
-def _accuracy_under_format(model: nn.Module, images: np.ndarray, labels: np.ndarray,
-                           spec, targets) -> float:
-    model.eval()
-    if spec == "native":
-        with nn.no_grad():
-            logits = model(Tensor(images))
-        return float((logits.argmax(axis=-1) == labels).mean())
-    with GoldenEye(model, spec, targets=targets):
-        with nn.no_grad():
-            logits = model(Tensor(images))
-    return float((logits.argmax(axis=-1) == labels).mean())
-
-
 def attack_success_by_format(
     model: nn.Module,
     images: np.ndarray,
@@ -112,8 +99,13 @@ def attack_success_by_format(
         raise ValueError(f"unknown attack {attack!r}; use 'fgsm' or 'pgd'")
     results = []
     for spec in formats:
-        clean = _accuracy_under_format(model, images, labels, spec, targets)
-        adv = _accuracy_under_format(model, adversarial, labels, spec, targets)
+        fmt = None if spec == "native" else spec
+        clean = evaluate_format_accuracy(model, images, labels, fmt,
+                                         targets=targets,
+                                         batch_size=len(images))
+        adv = evaluate_format_accuracy(model, adversarial, labels, fmt,
+                                       targets=targets,
+                                       batch_size=len(images))
         name = spec if isinstance(spec, str) else spec.name
         results.append(AttackResult(format_name=name, clean_accuracy=clean,
                                     adversarial_accuracy=adv))

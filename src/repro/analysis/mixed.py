@@ -18,10 +18,7 @@ import numpy as np
 
 from ..core.dse import evaluate_format_accuracy
 from ..core.goldeneye import GoldenEye
-from ..core.metrics import check_labels
 from ..nn.module import Module
-from ..nn.tensor import Tensor
-from .. import nn
 from .tables import render_table
 
 __all__ = ["LayerSensitivity", "MixedPrecisionResult", "profile_layer_sensitivity",
@@ -54,14 +51,6 @@ class MixedPrecisionResult:
             title=(f"mixed-precision assignment: accuracy {self.accuracy:.3f} "
                    f"(baseline {self.baseline_accuracy:.3f}), "
                    f"mean element width {self.mean_bits:.1f} bits"))
-
-
-def _native_accuracy(model: Module, images: np.ndarray, labels: np.ndarray) -> float:
-    check_labels(images, labels)
-    model.eval()
-    with nn.no_grad():
-        logits = model(Tensor(images))
-    return float((logits.argmax(axis=-1) == labels).mean())
 
 
 def profile_layer_sensitivity(
@@ -104,7 +93,8 @@ def assign_mixed_precision(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be a fraction in (0, 1)")
-    baseline = _native_accuracy(model, images, labels)
+    baseline = evaluate_format_accuracy(model, images, labels,
+                                        batch_size=len(images))
     floor = baseline - threshold
     sensitivities = profile_layer_sensitivity(model, images, labels, cheap,
                                               targets=targets)

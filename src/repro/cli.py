@@ -377,7 +377,6 @@ def cmd_campaign(args) -> int:
         seed=args.seed, profiler=profiler, numerics=numerics,
         workers=args.workers, journal=args.journal,
         shard_timeout=args.shard_timeout,
-        shared_cache=not args.no_shared_cache,
         fault_batch=args.fault_batch,
         fault_model=fault_spec, protect=args.protect,
         layers=args.layers,
@@ -753,10 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shard-timeout", type=float, default=None,
                        help="seconds before a stuck shard attempt is killed "
                             "and retried (then quarantined)")
-    group.add_argument("--no-shared-cache", action="store_true",
-                       help="do not publish the golden activation cache to "
-                            "shared memory; each worker keeps its "
-                            "fork-inherited copy-on-write cache")
     group.add_argument("--fault-batch", type=_positive_int("--fault-batch"),
                        default=None,
                        help="independent neuron faults evaluated per "

@@ -11,6 +11,7 @@ multiple accuracy-preserving low-precision design points.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -126,13 +127,19 @@ def evaluate_format_accuracy(
     model: nn.Module,
     images: np.ndarray,
     labels: np.ndarray,
-    number_format: NumberFormat | str,
+    number_format: NumberFormat | str | dict | None = None,
     targets=("conv", "linear"),
     batch_size: int = 64,
 ) -> float:
-    """Top-1 accuracy of ``model`` under emulated ``number_format``."""
+    """Top-1 accuracy of ``model`` under emulated ``number_format``.
+
+    ``number_format=None`` runs the model natively, with no platform (the
+    FP32 profiling pass of §IV-B).  The images go through the model in
+    chunks of ``batch_size``.
+    """
     check_labels(images, labels)
-    platform = GoldenEye(model, number_format, targets=targets)
+    platform = (contextlib.nullcontext() if number_format is None
+                else GoldenEye(model, number_format, targets=targets))
     correct = 0
     with platform:
         model.eval()
@@ -171,7 +178,7 @@ def binary_tree_search(
     widths = sorted(set(bitwidths))
     if baseline_accuracy is None:
         # native FP32 profiling pass (no emulation overhead, §IV-B)
-        baseline_accuracy = _native_accuracy(model, images, labels)
+        baseline_accuracy = evaluate_format_accuracy(model, images, labels)
     floor = baseline_accuracy - threshold
     result = DseResult(family=family, baseline_accuracy=baseline_accuracy,
                        threshold=threshold)
@@ -248,14 +255,3 @@ def _radix_range(family: str, bitwidth: int) -> tuple[int, int]:
         return 1, max(bitwidth - 3, 1)  # leave >= 2 exponent bits
     return 1, max(bitwidth - 2, 1)  # fxp: leave >= 1 integer bit
 
-
-def _native_accuracy(model: nn.Module, images: np.ndarray, labels: np.ndarray,
-                     batch_size: int = 64) -> float:
-    check_labels(images, labels)
-    model.eval()
-    correct = 0
-    with nn.no_grad():
-        for start in range(0, len(images), batch_size):
-            logits = model(Tensor(images[start : start + batch_size]))
-            correct += int((logits.argmax(axis=-1) == labels[start : start + batch_size]).sum())
-    return correct / len(images)

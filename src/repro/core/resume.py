@@ -68,25 +68,15 @@ times along axis 0, one copy per lane, so the same controller serves both.
 Forked workers
 --------------
 The parallel campaign executor (:mod:`repro.exec`) forks worker processes
-*after* the golden pass is recorded, so every worker inherits a
-copy-on-write copy of the cache for free.  A session is **owned** by the
+*after* the golden pass is recorded, so every worker inherits the cache
+copy-on-write: the arrays are never written after the recording, so the
+pool replays the parent's physical pages.  A session is **owned** by the
 process that recorded (or adopted) it: a forked worker must call
 :meth:`ResumeSession.adopt` before replaying, which claims the inherited
 cache and zeroes the inherited counters so each worker reports a clean
-per-process delta that the supervisor can aggregate.
-
-Shared-memory adoption
-----------------------
-Copy-on-write sharing still duplicates every page a worker touches, and a
-worker that re-records silently diverges from the parent's golden state.
-When the supervisor publishes the cache through
-:mod:`repro.exec.shmcache`, workers call :meth:`ResumeSession.adopt_shared`
-instead: the private cache is swapped for a
-:class:`SharedActivationCache` — a read-only facade over the shared
-segment with per-process :class:`CacheStats` — and **every write path
-raises** :class:`ReadOnlyCacheError` (``recording()``, ``put``, ``clear``,
-``drop``).  A worker bug that would have silently diverged per-worker
-state now fails loudly.
+per-process delta that the supervisor can aggregate.  An adopted session
+replays only: ``recording()`` raises before it touches any state, so a
+worker can never diverge from the golden pass its siblings replay.
 """
 
 from __future__ import annotations
@@ -103,14 +93,10 @@ from ..nn.module import COMPUTE, Module
 from ..nn.tensor import Tensor
 from ..obs.telemetry import MetricsRegistry, get_registry
 
-__all__ = ["ActivationCache", "CacheStats", "ReadOnlyCacheError",
-           "ResumeSession", "SharedActivationCache",
+__all__ = ["ActivationCache", "CacheStats", "ResumeSession",
            "DEFAULT_CACHE_BUDGET", "changed_box", "conv_reach",
            "publish_cache_metrics"]
 
-
-class ReadOnlyCacheError(RuntimeError):
-    """A write was attempted against a shared read-only activation cache."""
 
 #: default activation-cache memory budget (bytes)
 DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
@@ -279,73 +265,6 @@ class ActivationCache:
         self._entries.clear()
         self._bytes = 0
 
-    def entries(self):
-        """Snapshot of ``(key, array)`` pairs in insertion (LRU) order.
-
-        This is the export surface the shared-memory publisher
-        (:func:`repro.exec.shmcache.SharedGoldenCache.publish`) packs into a
-        segment; iteration order does not matter to consumers because every
-        lookup goes through the keyed index.
-        """
-        return list(self._entries.items())
-
-
-class SharedActivationCache:
-    """Read-only :class:`ActivationCache` facade over a shared segment.
-
-    Wraps any provider exposing ``array(key) -> ndarray | None``, ``keys()``,
-    ``nbytes`` and ``__len__`` (in practice
-    :class:`repro.exec.shmcache.SharedGoldenCache`).  Lookups hit the shared
-    pages zero-copy; the :class:`CacheStats` are **per-process** so forked
-    workers keep reporting clean deltas.  Every mutation path raises
-    :class:`ReadOnlyCacheError` — a worker must never be able to silently
-    diverge from the published golden state.
-    """
-
-    #: writes are structurally impossible; exposed for budget introspection
-    budget_bytes = None
-
-    def __init__(self, provider):
-        self._provider = provider
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._provider)
-
-    def __contains__(self, key) -> bool:
-        return self._provider.array(key) is not None
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._provider.nbytes)
-
-    def get(self, key) -> np.ndarray | None:
-        entry = self._provider.array(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return entry
-
-    # ------------------------------------------------------------------
-    # write paths: refuse loudly instead of diverging silently
-    # ------------------------------------------------------------------
-    def _refuse(self, action: str):
-        raise ReadOnlyCacheError(
-            f"cannot {action} a shared read-only activation cache: the "
-            "golden prefix is published once by the supervisor and mapped "
-            "read-only into every worker; re-record in the owning process "
-            "instead")
-
-    def put(self, key, array) -> bool:
-        self._refuse("put into")
-
-    def drop(self, key) -> None:
-        self._refuse("drop from")
-
-    def clear(self) -> None:
-        self._refuse("clear")
-
 
 class ResumeSession:
     """One recorded golden pass over a model, replayable from any layer.
@@ -378,11 +297,11 @@ class ResumeSession:
         self._first_index: dict[int, int] = {}
         #: instrumented-layer name -> golden neuron metadata, kept by the
         #: platform after a recording (plain data, so forked workers inherit
-        #: it; a shared-memory cache publishes activation arrays only)
+        #: it)
         self.neuron_metadata: dict[str, object] = {}
         #: execution position -> golden input of that Conv2d call, kept by
         #: reference in the budget the cached outputs leave (plain data, so
-        #: forked and shared-memory workers inherit it)
+        #: forked workers inherit it)
         self.golden_inputs: dict[int, np.ndarray] = {}
         self._input_bytes = 0
         self._mode = "idle"  # "idle" | "record" | "replay"
@@ -396,6 +315,8 @@ class ResumeSession:
         self._pass_diverged = False
         #: pid of the process that recorded (or adopted) this session
         self.owner_pid = os.getpid()
+        #: claimed by a process that did not record it: replay only
+        self._adopted = False
 
     # ------------------------------------------------------------------
     # introspection
@@ -413,42 +334,24 @@ class ResumeSession:
         """True when the current process owns this session's cache."""
         return os.getpid() == self.owner_pid
 
-    def adopt(self, reset_stats: bool = True) -> "ResumeSession":
+    def adopt(self) -> "ResumeSession":
         """Claim a fork-inherited session in a worker process.
 
         The recorded order and the (copy-on-write) activation cache stay
         valid after a fork, but ownership and counters do not: ``adopt``
-        re-stamps :attr:`owner_pid` and — by default — resets the inherited
+        re-stamps :attr:`owner_pid` and resets the inherited
         :class:`CacheStats` so the worker reports a clean per-process delta
         (the parallel supervisor sums worker deltas into the campaign's
-        ``resume_stats``).  Idempotent within the owning process.
+        ``resume_stats``).  From then on the session replays only:
+        ``recording()`` raises, since a worker that re-recorded would
+        diverge from the golden pass its siblings replay.  Idempotent
+        within the owning process.
         """
-        already_owner = self.is_owner
+        if self.is_owner:
+            return self
         self.owner_pid = os.getpid()
-        if reset_stats and not already_owner:
-            self.cache.stats = CacheStats()
-        return self
-
-    def adopt_shared(self, provider) -> "ResumeSession":
-        """Adopt this fork-inherited session against a shared golden cache.
-
-        Replaces the inherited private :class:`ActivationCache` with a
-        :class:`SharedActivationCache` over ``provider`` (a
-        :class:`repro.exec.shmcache.SharedGoldenCache` or any object with
-        the same read surface), re-stamps ownership and starts fresh
-        per-process stats.  The recorded execution order stays valid — only
-        the array storage moves to the shared segment.
-
-        After adoption every write path raises :class:`ReadOnlyCacheError`:
-        ``recording()`` (which must clear the cache) and any ``put`` fail
-        loudly instead of silently diverging this worker's golden state
-        from its siblings'.
-        """
-        self.owner_pid = os.getpid()
-        if isinstance(provider, SharedActivationCache):
-            self.cache = provider
-        else:
-            self.cache = SharedActivationCache(provider)
+        self._adopted = True
+        self.cache.stats = CacheStats()
         return self
 
     def _require_owner(self, action: str) -> None:
@@ -557,12 +460,16 @@ class ResumeSession:
     def recording(self):
         """Scope one golden forward pass; wipes any previous recording.
 
-        Raises :class:`ReadOnlyCacheError` — before touching any session
-        state — when the session was :meth:`adopt_shared`-ed against a
-        shared read-only cache: workers replay, they never re-record.
+        Raises :class:`RuntimeError` — before touching any session state —
+        in a process that :meth:`adopt`-ed the session: workers replay the
+        parent's recording, they never re-record.
         """
         self._require_owner("record into")
-        self.cache.clear()  # shared read-only caches refuse here
+        if self._adopted:
+            raise RuntimeError(
+                "cannot record into an adopted ResumeSession: a forked "
+                "worker replays the golden pass its parent recorded")
+        self.cache.clear()
         self.order.clear()
         self._first_index.clear()
         self.neuron_metadata.clear()

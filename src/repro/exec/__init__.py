@@ -11,15 +11,15 @@ layer granularity", §IV-C); this package makes them survivable and parallel:
 * :mod:`repro.exec.shard` — the shard protocol: a campaign is split into
   per-layer / per-chunk work units referencing the deterministically sampled
   plan sequence by ``(layer, seq)``.
-* :mod:`repro.exec.worker` — the fork-based worker loop: adopts the parent's
-  activation cache (the shared-memory copy when one was published), caps
+* :mod:`repro.exec.worker` — the fork-based worker loop: adopts the
+  activation cache it inherited from the parent (the golden prefix is
+  recorded once and the pool replays the parent's physical pages), caps
   the OpenBLAS pool numpy loaded at its share of the CPUs, streams completed
   injections in batched record frames (doubling as heartbeats), and
   reports failures instead of dying silently.
-* :mod:`repro.exec.shmcache` — read-only shared-memory publication of the
-  golden activation cache: the parent computes the golden prefix once and
-  every worker maps the same physical pages (refcounted, unlink-on-last-close,
-  force-unlinked at supervisor shutdown so ``/dev/shm`` never leaks).
+* :mod:`repro.exec.shmcache` — a golden cache packed into one shared-memory
+  segment.  No campaign publishes one; the end-to-end benchmark still
+  imports the module.
 * :mod:`repro.exec.supervisor` — the supervisor: dispatches shards to a
   worker pool, enforces per-shard timeouts, retries failed shards with
   exponential backoff, **quarantines** poison shards after the retry budget,

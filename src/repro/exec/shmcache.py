@@ -1,39 +1,32 @@
-"""Shared-memory publication of the golden activation cache.
+"""A golden activation cache packed into one POSIX shared-memory segment.
 
-The resume engine (:mod:`repro.core.resume`) records the golden pass once
-and replays cached layer outputs per injection.  In parallel campaigns the
-workers *fork* after the recording, so they inherit the cache copy-on-write
-— but every page a worker touches is privately duplicated, and a worker
-that re-records (or whose LRU churns) silently re-pays the golden prefix.
-This module removes both costs: the parent packs the recorded activations
-into **one** :class:`multiprocessing.shared_memory.SharedMemory` segment and
-every worker maps the same physical pages **read-only**.
+No campaign publishes a segment.  Parallel workers fork after the golden
+pass is recorded and replay the cache they inherit
+(:meth:`repro.core.resume.ResumeSession.adopt`): nothing writes the
+recorded arrays, so the pool already shares the parent's physical pages,
+and a segment would be a second copy of them (EXPERIMENTS.md, "Forked
+workers share the golden cache they inherit").  The module stays only
+because the end-to-end benchmark still names it: ``benchmarks/e2e`` imports
+:data:`SEGMENT_PREFIX` and :func:`live_segments` for its ``/dev/shm`` leak
+check and wraps :meth:`SharedGoldenCache.publish` in every traced run.  It
+goes with the next change to that benchmark.
 
-* :func:`SharedGoldenCache.publish` — parent side.  Copies each cached
-  array into a single named segment (``repro-golden-<pid>-<nonce>``) behind
-  a JSON index, so the segment is self-describing and can also be attached
-  by name from an unrelated process (:meth:`SharedGoldenCache.attach`).
-* :meth:`SharedGoldenCache.array` — zero-copy, read-only numpy views into
-  the segment (``writeable=False``: a worker that tries to mutate golden
-  state gets a loud ``ValueError``, never silent divergence).
+* :func:`SharedGoldenCache.publish` copies each array into a single named
+  segment (``repro-golden-<pid>-<nonce>``) behind a JSON index, so the
+  segment is self-describing and can also be attached by name from an
+  unrelated process (:meth:`SharedGoldenCache.attach`).
+* :meth:`SharedGoldenCache.array` returns zero-copy, read-only numpy views
+  into the segment (``writeable=False``).
 * **Refcounted unlink-on-last-close.** The publisher holds one reference;
-  every worker that adopts the cache :meth:`acquire`\\ s another and
-  :meth:`release`\\ s it on clean shutdown.  Whoever drops the count to zero
-  unlinks the segment.  Because workers can die without releasing (SIGKILL,
-  OOM), the supervisor additionally force-:meth:`unlink`\\ s at shutdown —
-  unlink is idempotent, so ``/dev/shm`` is left clean either way (asserted
-  by the crash-path stress tests).
+  every holder :meth:`acquire`\\ s another and :meth:`release`\\ s it.
+  Whoever drops the count to zero unlinks the segment, and a forced
+  :meth:`unlink` is idempotent.
 
 Segment layout::
 
     [8-byte little-endian header length n]
     [n bytes of JSON: {"version": 1, "entries": {key: {offset, shape, dtype}}}]
     [64-byte-aligned array payloads ...]
-
-The cache is **read-only by contract**: consumers plug it into a
-:class:`repro.core.resume.ResumeSession` via
-:meth:`~repro.core.resume.ResumeSession.adopt_shared`, whose facade raises
-on any write path (recording, ``put``, ``clear``).
 """
 
 from __future__ import annotations

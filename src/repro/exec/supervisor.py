@@ -16,11 +16,10 @@ workers=N)``:
   batches of :data:`repro.exec.worker.BATCH_RECORDS` (flushed early on
   shard boundaries); the supervisor itself keeps only shard bookkeeping and the
   ``exec.*`` counters.
-* **Shared golden cache** — when resume is enabled the golden activation
-  prefix is computed once in the parent and published read-only to the
-  whole pool via :mod:`repro.exec.shmcache`; the segment is refcounted
-  and force-unlinked at shutdown (``exec.shm_publish_total``,
-  ``exec.shm_adopt_total``, ``exec.shm_unlink_total``, ``exec.shm_bytes``).
+* **One golden cache** — when resume is enabled the golden activation
+  prefix is recorded once in the parent before the pool forks; every
+  worker adopts its inherited copy-on-write view and only reads it, so the
+  pool replays the parent's physical pages.
 * **Per-worker BLAS pinning** — each worker caps the OpenBLAS pool that
   numpy loaded at ``cpus // workers`` threads (floor 1; ``cpus`` is the
   size of its affinity mask) through the library's own
@@ -35,7 +34,7 @@ workers=N)``:
   gauge and shows ``blas_threads: null`` in the event.
 * **Timeout → retry → quarantine** — a shard attempt that exceeds
   ``shard_timeout`` gets its worker killed (and replaced); the shard is
-  retried with exponential backoff up to ``max_retries`` times and then
+  retried with exponential backoff up to :data:`MAX_RETRIES` times and then
   **quarantined**: recorded in the result, the campaign degrades
   gracefully instead of hanging or dying.
 * **Worker supervision** — shards are *assigned* supervisor-side to
@@ -86,7 +85,6 @@ from typing import Callable
 from ..obs.telemetry import get_registry, merge_metric_delta
 from ..obs.tracing import current_span_id, get_tracer
 from .shard import Shard, plan_shards
-from .shmcache import SharedCacheError, SharedGoldenCache
 from .worker import WorkerPayload, worker_main
 
 __all__ = ["ExecConfig", "ParallelOutcome", "CampaignSupervisor",
@@ -95,6 +93,12 @@ __all__ = ["ExecConfig", "ParallelOutcome", "CampaignSupervisor",
 logger = logging.getLogger("repro.exec")
 
 
+#: re-dispatches allowed after a shard's first failed attempt; a shard
+#: that exhausts them is quarantined (``CampaignResult.quarantined``)
+#: instead of failing the campaign
+MAX_RETRIES = 2
+#: exponential-backoff base delay between retries (seconds)
+BACKOFF_BASE = 0.25
 #: backoff ceiling between shard retries (seconds)
 BACKOFF_CAP = 4.0
 #: result-channel poll granularity (also bounds signal-response latency)
@@ -117,15 +121,6 @@ class ExecConfig:
     workers: int = 1
     #: wall-clock budget for one shard attempt (None = unbounded)
     shard_timeout: float | None = None
-    #: re-dispatches allowed after a shard's first failed attempt; a shard
-    #: that exhausts them is quarantined (``CampaignResult.quarantined``)
-    #: instead of failing the campaign
-    max_retries: int = 2
-    #: exponential-backoff base delay between retries (seconds)
-    backoff_base: float = 0.25
-    #: publish the golden activation cache read-only to shared memory so
-    #: the pool replays one physical copy instead of N copy-on-write ones
-    shared_cache: bool = True
     #: emulated device latency per fault-batch chunk in seconds, honoured
     #: identically by the serial and parallel paths (bench/test knob; the
     #: executor-scaling bench uses it to measure orchestration overhead
@@ -146,9 +141,6 @@ class ExecConfig:
     #: injection from its victim layer over the cached prefix, instead of
     #: re-running the whole network (see :mod:`repro.core.resume`)
     resume: bool = True
-    #: install SIGINT/SIGTERM handlers for the duration of the run
-    #: (skipped automatically off the main thread)
-    install_signal_handlers: bool = True
     #: test hook, runs **in the worker** before each shard attempt:
     #: ``worker_fault(worker_id, shard, attempt)`` — hang/crash/raise here
     #: to exercise timeouts, retries, quarantine and death supervision
@@ -180,7 +172,6 @@ class _ShardState:
     pending: set[int]
     attempts: int = 0
     status: str = "queued"  # queued | inflight | deferred | done | quarantined
-    last_error: str = ""
 
 
 class WorkerPool:
@@ -207,7 +198,6 @@ class WorkerPool:
         self.channels: dict[int, object] = {}
         self.worker_shard: dict[int, int | None] = {}
         self.idle: set[int] = set()
-        self.last_seen: dict[int, float] = {}
         self.clean_exits: set[int] = set()
         self._next_worker_id = 0
 
@@ -232,7 +222,6 @@ class WorkerPool:
         self.channels[worker_id] = reader
         self.worker_shard[worker_id] = None
         self.idle.add(worker_id)
-        self.last_seen[worker_id] = time.monotonic()
         self._registry.gauge("exec.workers",
                              help="live campaign workers"
                              ).set(float(len(self.processes)))
@@ -378,8 +367,6 @@ class CampaignSupervisor:
     # signals
     # ------------------------------------------------------------------
     def _install_signal_handlers(self):
-        if not self.config.install_signal_handlers:
-            return None
         if threading.current_thread() is not threading.main_thread():
             return None  # signal API is main-thread only
         previous = {}
@@ -431,7 +418,6 @@ class CampaignSupervisor:
 
     def _handle_message(self, message) -> None:
         mtype, worker_id, body, _ts = message
-        self._pool.last_seen[worker_id] = time.monotonic()
         self._registry.counter(
             "exec.heartbeats_total",
             help="worker liveness messages observed by the supervisor").inc()
@@ -441,10 +427,6 @@ class CampaignSupervisor:
             shard_id, _attempt, records = body
             self._accept_records(shard_id, records)
         elif mtype == "ready":
-            if body.get("shm_adopted"):
-                self._registry.counter(
-                    "exec.shm_adopt_total",
-                    help="workers that adopted the shared golden cache").inc()
             if body.get("blas_threads") is not None:
                 self._registry.gauge(
                     "exec.blas_threads",
@@ -616,15 +598,13 @@ class CampaignSupervisor:
         state = self._states.get(shard_id)
         if state is None or state.status in ("done", "quarantined"):
             return
-        state.last_error = reason
         if not state.pending:
             self._settle(state, via="failed-but-complete")
             return
-        if state.attempts > self.config.max_retries:
+        if state.attempts > MAX_RETRIES:
             self._quarantine(state, reason)
             return
-        delay = min(BACKOFF_CAP,
-                    self.config.backoff_base * (2 ** (state.attempts - 1)))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (state.attempts - 1)))
         state.status = "deferred"
         self._deferred.append((time.monotonic() + delay, shard_id))
         self._registry.counter(
@@ -633,7 +613,7 @@ class CampaignSupervisor:
         logger.warning("shard %d (%s, %d seq(s) left) failed: %s — retry "
                        "%d/%d in %.2fs", shard_id, state.shard.layer,
                        len(state.pending), reason, state.attempts,
-                       self.config.max_retries, delay)
+                       MAX_RETRIES, delay)
 
     def _quarantine(self, state: _ShardState, reason: str) -> None:
         state.status = "quarantined"
@@ -754,44 +734,7 @@ def run_parallel_campaign(payload: WorkerPayload, sampling: dict,
         from ..core.campaign import _run_serial
         _run_serial(payload, sampling, sink)
         return ParallelOutcome()
-    config = payload.config
     shards = plan_shards(sampling, completed=set(sink.records),
-                         workers=config.workers)
-    registry = get_registry()
-    shm = None
-    session = getattr(payload.platform, "resume_session", None)
-    if config.shared_cache and config.resume and session is not None \
-            and hasattr(session.cache, "entries"):
-        entries = session.cache.entries()
-        if entries:
-            try:
-                shm = SharedGoldenCache.publish(entries)
-            except (SharedCacheError, OSError) as exc:
-                # shared memory is an optimization: fall back to the
-                # fork-inherited copy-on-write caches rather than failing
-                logger.warning("could not publish shared golden cache "
-                               "(%s); workers keep private copies", exc)
-            else:
-                registry.counter(
-                    "exec.shm_publish_total",
-                    help="shared golden caches published").inc()
-                registry.gauge(
-                    "exec.shm_bytes",
-                    help="bytes in the published shared golden cache"
-                    ).set(float(shm.nbytes))
-    payload = replace(payload, shm_cache=shm, trace_parent=current_span_id())
-    supervisor = CampaignSupervisor(payload, shards, sink)
-    try:
-        outcome = supervisor.run()
-    finally:
-        if shm is not None:
-            # drop the publisher's reference; then force-unlink in case a
-            # SIGKILLed worker left the refcount dangling (idempotent —
-            # /dev/shm must be clean however the campaign ended)
-            shm.release()
-            shm.unlink()
-            registry.counter(
-                "exec.shm_unlink_total",
-                help="shared golden cache segments unlinked").inc()
-            registry.gauge("exec.shm_bytes").set(0.0)
-    return outcome
+                         workers=payload.config.workers)
+    payload = replace(payload, trace_parent=current_span_id())
+    return CampaignSupervisor(payload, shards, sink).run()

@@ -3,12 +3,11 @@
 Workers are created with the ``fork`` start method *after* the parent has
 attached the platform, captured the golden pass and sampled every plan —
 so each worker inherits a private copy-on-write copy of the whole
-campaign state (model, hooks, plan lists) and nothing heavyweight ever
-crosses a pipe.  When the supervisor published the golden activation cache
-to shared memory (:mod:`repro.exec.shmcache`), the worker adopts *that*
-instead of its inherited private copy — every worker then replays the same
-physical pages read-only (:meth:`repro.core.resume.ResumeSession.adopt_shared`),
-so the golden prefix is computed once per campaign, not once per worker.
+campaign state (model, hooks, plan lists, the recorded golden activation
+cache) and nothing heavyweight ever crosses a pipe.  The worker claims the
+inherited cache with :meth:`repro.core.resume.ResumeSession.adopt` and only
+reads it, so every worker replays the parent's physical pages: the golden
+prefix is computed once per campaign, not once per worker.
 
 At startup each worker **caps the BLAS pool numpy loaded** at
 ``cpus // workers`` threads (floor 1; ``cpus`` counts the CPUs this process
@@ -20,8 +19,8 @@ Protocol (messages on the worker's own result pipe, all ``(type, worker_id,
 payload, timestamp)`` tuples, written synchronously by the worker's main
 thread — no feeder thread, no lock shared with other workers):
 
-* ``("ready", wid, {"pid", "shm_adopted", "blas_threads"}, t)`` — worker
-  is up, adopted the (shared or private) resume cache and runs its BLAS at
+* ``("ready", wid, {"pid", "blas_threads"}, t)`` — worker is up, adopted
+  the inherited resume cache and runs its BLAS at
   ``blas_threads`` threads (read back from the runtime; None when no
   runtime was reached);
 * ``("start", wid, (shard_id, attempt), t)`` — shard attempt began;
@@ -40,8 +39,7 @@ thread — no feeder thread, no lock shared with other workers):
   contributed and the attempt's buffered trace events, folded into the
   parent registry/tracer tagged with this ``worker_id``;
 * ``("exit", wid, resume_stats | None, t)`` — worker drained the sentinel
-  and is shutting down cleanly (carries its activation-cache counters and
-  releases its shared-cache reference).
+  and is shutting down cleanly (carries its activation-cache counters).
 
 A worker that stops producing messages mid-shard is caught by the shard
 timeout, and one that dies outright is caught by ``Process.is_alive()``.
@@ -55,8 +53,7 @@ SIGINT is ignored in workers: a Ctrl-C in the foreground is delivered to
 the whole process group, and shutdown must be coordinated by the
 supervisor (flush the journal first), not by workers dying mid-record.
 An idle worker whose supervisor died without reaping it (SIGKILL, OOM)
-notices within a second that it was re-parented and exits through its
-normal cleanup, releasing its shared-cache reference.
+notices within a second that it was re-parented and exits.
 """
 
 from __future__ import annotations
@@ -102,9 +99,6 @@ class WorkerPayload:
     #: layer -> plans per chunk, resolved once in the parent
     #: (:func:`repro.core.campaign.lane_count`)
     lanes: dict
-    #: shared-memory golden cache published by the supervisor (None = the
-    #: worker keeps its fork-inherited private copy)
-    shm_cache: object | None = None
     #: the campaign's fault-model spec, stamped into records when
     #: non-default (``"single"``/None leaves records byte-identical)
     fault_spec: str | None = None
@@ -226,20 +220,11 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     from ..obs.tracing import BufferingTracer, get_tracer, seed_span_context, \
         set_tracer
 
-    shm_adopted = False
     session = getattr(payload.platform, "resume_session", None)
     if session is not None:
-        if payload.shm_cache is not None:
-            # replay the parent's published golden prefix straight out of
-            # shared memory: one physical copy for the whole pool, and any
-            # accidental write path raises instead of silently diverging
-            payload.shm_cache.acquire()
-            session.adopt_shared(payload.shm_cache)
-            shm_adopted = True
-        else:
-            # claim the forked copy of the activation cache: per-worker
-            # stats start at zero so the supervisor can aggregate deltas
-            session.adopt()
+        # claim the forked copy of the activation cache: per-worker stats
+        # start at zero so the supervisor can aggregate deltas
+        session.adopt()
 
     # The forked copy of the parent's tracer shares the parent's buffered
     # file handle — writing through it would interleave bytes mid-line.
@@ -256,77 +241,72 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     registry = get_registry()
 
     results.send(("ready", worker_id,
-                   {"pid": os.getpid(), "shm_adopted": shm_adopted,
-                    "blas_threads": blas_threads},
+                   {"pid": os.getpid(), "blas_threads": blas_threads},
                    time.time()))
-    try:
-        while True:
+    while True:
+        try:
+            task = task_queue.get(timeout=1.0)
+        except queue.Empty:
+            if os.getppid() != supervisor_pid:
+                return  # orphaned: the supervisor died without us
+            continue
+        if task is None:
+            stats = session.stats.as_dict() if session is not None else None
+            results.send(("exit", worker_id, stats, time.time()))
+            return
+        shard, attempt = task
+        results.send(("start", worker_id, (shard.shard_id, attempt),
+                       time.time()))
+        failure = None
+        batch: list[dict] = []
+
+        def flush_batch():
+            if batch:
+                results.send(("records", worker_id,
+                               (shard.shard_id, attempt, tuple(batch)),
+                               time.time()))
+                batch.clear()
+
+        # every metric the attempt touches (injection flip counters,
+        # numeric-health streams, span timings) is captured as a delta
+        # and streamed back — worker registries die with the fork
+        with registry.run_scope(
+                f"w{worker_id}-s{shard.shard_id}-a{attempt}") as scope:
             try:
-                task = task_queue.get(timeout=1.0)
-            except queue.Empty:
-                if os.getppid() != supervisor_pid:
-                    return  # orphaned: the supervisor died without us
-                continue
-            if task is None:
-                stats = session.stats.as_dict() if session is not None else None
-                results.send(("exit", worker_id, stats, time.time()))
-                return
-            shard, attempt = task
-            results.send(("start", worker_id, (shard.shard_id, attempt),
-                           time.time()))
-            failure = None
-            batch: list[dict] = []
-
-            def flush_batch():
-                if batch:
-                    results.send(("records", worker_id,
-                                   (shard.shard_id, attempt, tuple(batch)),
-                                   time.time()))
-                    batch.clear()
-
-            # every metric the attempt touches (injection flip counters,
-            # numeric-health streams, span timings) is captured as a delta
-            # and streamed back — worker registries die with the fork
-            with registry.run_scope(
-                    f"w{worker_id}-s{shard.shard_id}-a{attempt}") as scope:
+                span = (buffer.span("exec.worker_shard", attempt=attempt,
+                                    **shard.summary())
+                        if buffer is not None else None)
+                if config.worker_fault is not None:
+                    config.worker_fault(worker_id, shard, attempt)
+                if span is not None:
+                    span.__enter__()
                 try:
-                    span = (buffer.span("exec.worker_shard", attempt=attempt,
-                                        **shard.summary())
-                            if buffer is not None else None)
-                    if config.worker_fault is not None:
-                        config.worker_fault(worker_id, shard, attempt)
+                    for records in execute_chunks(payload, shard.layer,
+                                                  shard.seqs):
+                        for record in records:
+                            batch.append(record)
+                            if len(batch) >= BATCH_RECORDS:
+                                flush_batch()
+                finally:
                     if span is not None:
-                        span.__enter__()
-                    try:
-                        for records in execute_chunks(payload, shard.layer,
-                                                      shard.seqs):
-                            for record in records:
-                                batch.append(record)
-                                if len(batch) >= BATCH_RECORDS:
-                                    flush_batch()
-                    finally:
-                        if span is not None:
-                            span.__exit__(None, None, None)
-                except BaseException as exc:  # noqa: BLE001 - report, don't die
-                    failure = f"{type(exc).__name__}: {exc}"
-            # completed work always reaches the supervisor before the
-            # attempt's outcome does — even when the attempt failed
-            flush_batch()
-            metrics = scope.delta()
-            events = buffer.drain() if buffer is not None else []
-            if metrics or events:
-                results.send(("telemetry", worker_id,
-                               {"shard_id": shard.shard_id,
-                                "attempt": attempt,
-                                "metrics": metrics, "events": events},
-                               time.time()))
-            if failure is not None:
-                results.send(("error", worker_id,
-                               (shard.shard_id, attempt, failure),
-                               time.time()))
-                continue
-            results.send(("done", worker_id, (shard.shard_id, attempt),
+                        span.__exit__(None, None, None)
+            except BaseException as exc:  # noqa: BLE001 - report, don't die
+                failure = f"{type(exc).__name__}: {exc}"
+        # completed work always reaches the supervisor before the
+        # attempt's outcome does — even when the attempt failed
+        flush_batch()
+        metrics = scope.delta()
+        events = buffer.drain() if buffer is not None else []
+        if metrics or events:
+            results.send(("telemetry", worker_id,
+                           {"shard_id": shard.shard_id,
+                            "attempt": attempt,
+                            "metrics": metrics, "events": events},
                            time.time()))
-    finally:
-        if shm_adopted:
-            payload.shm_cache.release()
+        if failure is not None:
+            results.send(("error", worker_id,
+                           (shard.shard_id, attempt, failure),
+                           time.time()))
+            continue
+        results.send(("done", worker_id, (shard.shard_id, attempt),
+                       time.time()))

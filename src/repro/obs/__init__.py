@@ -10,7 +10,7 @@ The measurement substrate for the platform's performance claims:
   layer's compute / quantize / inject / detect phases as registry counters
   (seconds, elements → ns/element, calls) from wrappers around the calls
   behind them, plus activation-memory footprints;
-* :mod:`repro.obs.export` — JSON, CSV and Prometheus text exposition of the
+* :mod:`repro.obs.export` — JSON and Prometheus text exposition of the
   registry, ``BENCH_*.json`` benchmark artifacts and Chrome/Perfetto
   ``trace_event`` timelines built from the hierarchical span trace (all
   artifact writes are atomic: temp file + ``os.replace``);
@@ -33,7 +33,6 @@ from .export import (
     atomic_write_text,
     build_chrome_trace,
     chrome_trace_depth,
-    export_csv,
     export_json,
     export_prometheus,
     validate_chrome_trace,
@@ -142,7 +141,6 @@ __all__ = [
     "validate_report",
     "export_json",
     "write_json",
-    "export_csv",
     "export_prometheus",
     "write_bench_json",
     "atomic_write_text",

@@ -1,10 +1,9 @@
-"""Exporters: JSON, CSV, Prometheus exposition and Chrome trace timelines.
+"""Exporters: JSON, Prometheus exposition and Chrome trace timelines.
 
-Four consumers, four formats:
+Three consumers, three formats:
 
 * **JSON** — the CLI's ``--metrics-json`` artifact and the benchmarks'
   ``BENCH_*.json`` perf-trajectory files (machine-diffable across PRs);
-* **CSV** — flat ``name,labels,type,field,value`` rows for spreadsheets;
 * **Prometheus text exposition v0.0.4** — so a long-running service built on
   this platform can be scraped directly (names are sanitised to the
   ``[a-zA-Z_:][a-zA-Z0-9_:]*`` charset; histograms expose ``_bucket``/
@@ -22,10 +21,7 @@ its previous content or holds the complete new one.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import math
 import os
 import re
 import tempfile
@@ -38,7 +34,6 @@ __all__ = [
     "atomic_write_text",
     "export_json",
     "write_json",
-    "export_csv",
     "export_prometheus",
     "write_bench_json",
     "build_chrome_trace",
@@ -94,13 +89,6 @@ def _sanitize(name: str) -> str:
     return sanitized
 
 
-def _finite(value: float) -> Any:
-    """JSON-safe number (inf/nan → string markers)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
-
-
 # ----------------------------------------------------------------------
 # JSON
 # ----------------------------------------------------------------------
@@ -123,28 +111,6 @@ def write_json(path: str, registry: MetricsRegistry | None = None,
     payload = export_json(registry, extra=extra)
     atomic_write_text(path, json.dumps(payload, indent=2, default=str) + "\n")
     return payload
-
-
-# ----------------------------------------------------------------------
-# CSV
-# ----------------------------------------------------------------------
-def export_csv(registry: MetricsRegistry | None = None) -> str:
-    """Flat CSV: one row per (metric, field)."""
-    registry = registry if registry is not None else get_registry()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "labels", "type", "field", "value"])
-    for metric in sorted(registry, key=lambda m: (m.name, sorted(m.labels.items()))):
-        labels = ";".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
-        snap = metric.snapshot()
-        if metric.kind == "histogram":
-            for fname in ("count", "sum", "mean", "min", "max"):
-                writer.writerow([metric.name, labels, metric.kind, fname,
-                                 _finite(snap[fname])])
-        else:
-            writer.writerow([metric.name, labels, metric.kind, "value",
-                             _finite(snap["value"])])
-    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------

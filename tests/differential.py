@@ -1,8 +1,7 @@
 """Differential campaign harness: one seeded campaign, run many ways.
 
 The executor's contract is that *how* a campaign runs — serially, on a
-2- or 4-worker pool, with or without the shared-memory golden cache,
-interrupted and journal-resumed — must never change *what* it computes.
+2- or 4-worker pool, interrupted and journal-resumed — must never change *what* it computes.
 This module runs the same seeded campaign under each execution mode with
 a fresh metrics registry and a fresh JSONL tracer, and returns a
 :class:`DifferentialOutcome` capturing the three surfaces the contract
@@ -56,8 +55,8 @@ __all__ = ["MODES", "DifferentialOutcome", "layer_stats",
 #: count is resolved per layer from the golden recording, and
 #: ``parallel2-default`` the same on two workers.  Value and neuron
 #: metadata plans both batch.
-MODES = ("serial", "parallel2", "parallel4", "parallel2-noshm", "resumed",
-         "serial-k4", "serial-k8", "parallel2-k4", "resumed-k4", "default",
+MODES = ("serial", "parallel2", "parallel4", "resumed", "serial-k4",
+         "serial-k8", "parallel2-k4", "resumed-k4", "default",
          "parallel2-default")
 
 #: counter families that are deterministic under every mode (numerics.*
@@ -215,10 +214,6 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
             result, metrics, events = _traced_campaign(
                 model, format_spec, data, tmp_path / f"{label}.trace.jsonl",
                 workers=4, **common)
-        elif mode == "parallel2-noshm":
-            result, metrics, events = _traced_campaign(
-                model, format_spec, data, tmp_path / f"{label}.trace.jsonl",
-                workers=2, shared_cache=False, **common)
         elif mode == "resumed":
             journal = str(tmp_path / "resumed.journal.jsonl")
             cfg = ExecConfig(workers=2, fault_batch=fault_batch,

@@ -9,7 +9,6 @@ event per injection, resume-cache gauges, CampaignResult.telemetry).
 
 from __future__ import annotations
 
-import csv as csv_mod
 import io
 import json
 import math
@@ -45,7 +44,6 @@ from repro.obs import (
     build_report,
     configure_tracing,
     current_span_id,
-    export_csv,
     export_json,
     export_prometheus,
     get_registry,
@@ -441,15 +439,6 @@ class TestExporters:
         assert metrics["campaign.injection_seconds"][0]["count"] == 3
         assert payload["metrics"] == metrics
 
-    def test_export_csv_rows(self):
-        out = export_csv(self._sample_registry())
-        lines = out.strip().splitlines()
-        assert lines[0] == "name,labels,type,field,value"
-        assert any("injection.flips_total" in l and "5" in l for l in lines)
-        assert any("resume.hit_rate" in l and "0.75" in l for l in lines)
-        # histogram expands into count/sum/mean/min/max rows
-        assert sum("campaign.injection_seconds" in l for l in lines) == 5
-
     def test_export_prometheus_format(self):
         text = export_prometheus(self._sample_registry())
         assert '# TYPE injection_flips_total counter' in text
@@ -620,8 +609,8 @@ class TestNaNGuards:
     def test_exports_stay_finite_after_nan_observations(self, registry):
         registry.histogram("h", buckets=(1.0,)).observe(float("nan"))
         registry.gauge("g").set(float("nan"))
-        for text in (export_csv(registry), export_prometheus(registry)):
-            assert "nan" not in text.lower().replace("nan_count", "")
+        text = export_prometheus(registry)
+        assert "nan" not in text.lower().replace("nan_count", "")
         assert json.dumps(export_json(registry)["metrics"])  # serialisable
 
 
@@ -772,10 +761,6 @@ class TestExporterParity:
         registry = self._registry()
         metrics = export_json(registry)["metrics"]
 
-        reader = csv_mod.reader(io.StringIO(export_csv(registry)))
-        next(reader)  # header
-        csv_values = {(r[0], r[1], r[3]): float(r[4]) for r in reader}
-
         prom_samples = {}
         for line in export_prometheus(registry).splitlines():
             if not line or line.startswith("#"):
@@ -787,22 +772,16 @@ class TestExporterParity:
         for name, entries in metrics.items():
             for snap in entries:
                 labels = snap["labels"]
-                csv_labels = ";".join(
-                    f"{k}={v}" for k, v in sorted(labels.items()))
                 prom_name = name.replace(".", "_")
                 prom_labels = ("{" + ",".join(
                     f'{k}="{v}"' for k, v in sorted(labels.items())) + "}"
                     if labels else "")
                 if snap["type"] == "histogram":
-                    assert csv_values[(name, csv_labels, "count")] == snap["count"]
-                    assert csv_values[(name, csv_labels, "sum")] == \
-                        pytest.approx(snap["sum"])
                     assert prom_samples[f"{prom_name}_count{prom_labels}"] == \
                         snap["count"]
                     assert prom_samples[f"{prom_name}_sum{prom_labels}"] == \
                         pytest.approx(snap["sum"])
                 else:
-                    assert csv_values[(name, csv_labels, "value")] == snap["value"]
                     assert prom_samples[f"{prom_name}{prom_labels}"] == \
                         snap["value"]
                 checked += 1

@@ -1,15 +1,14 @@
 """Differential lockdown of the parallel executor (see tests/differential.py).
 
 One seeded campaign per format family is executed serial, parallel (2 and
-4 workers), parallel without the shared-memory golden cache, and
-interrupted-then-journal-resumed — and every mode must reproduce the
-serial run exactly: bit-identical per-layer statistics, an identical
-``campaign.injection`` trace-event multiset, and identical deterministic
-counter totals.  Three format families keep the executor honest across
-very different numerics: plain floating point (``fp16``), integer
-quantization (``int8``) and block floating point (``bfp_e5m5_b16``).  The
-two with metadata registers also run a neuron metadata campaign through
-the batched and parallel modes.
+4 workers) and interrupted-then-journal-resumed — and every mode must
+reproduce the serial run exactly: bit-identical per-layer statistics, an
+identical ``campaign.injection`` trace-event multiset, and identical
+deterministic counter totals.  Three format families keep the executor
+honest across very different numerics: plain floating point (``fp16``),
+integer quantization (``int8``) and block floating point
+(``bfp_e5m5_b16``).  The two with metadata registers also run a neuron
+metadata campaign through the batched and parallel modes.
 """
 
 from __future__ import annotations

@@ -658,90 +658,29 @@ class TestSessionOwnership:
         session.adopt()  # already the owner: stats must be preserved
         assert session.stats.hits == 7
 
+    def test_recording_refusal_leaves_session_intact(self, cnn, batch):
+        """A worker re-recording over the cache it adopted must raise
+        *before* touching any session state, not corrupt it."""
+        import os
 
-# ----------------------------------------------------------------------
-# shared read-only cache adoption (exec/shmcache integration)
-# ----------------------------------------------------------------------
-class TestSharedAdoption:
-    """`adopt_shared` swaps the private cache for the published read-only
-    segment: replay must stay bit-exact while every write path raises
-    instead of silently diverging a worker from its siblings."""
-
-    def _published_session(self, cnn, batch):
-        from repro.exec import SharedGoldenCache
         from repro.nn import Tensor
 
         session = ResumeSession(cnn)
         with session.recording():
             full = cnn.forward_from(session, Tensor(batch[0]))
-        shm = SharedGoldenCache.publish(session.cache.entries())
-        return session, shm, full
-
-    def test_adopt_shared_replays_bit_exact(self, cnn, batch):
-        from repro.nn import Tensor
-
-        session, shm, full = self._published_session(cnn, batch)
-        try:
-            session.adopt_shared(shm)
-            assert session.is_owner and session.recorded
-            start = session.start_index_for(cnn.fc)
-            with session.replaying(start):
-                resumed = cnn.forward_from(session, Tensor(batch[0]))
-            np.testing.assert_array_equal(full.data, resumed.data)
-            assert session.stats.replayed > 0
-            assert session.stats.hits > 0  # served from the shared pages
-        finally:
-            shm.release()
-
-    def test_adopted_cache_refuses_writes(self, cnn, batch):
-        from repro.core.resume import ReadOnlyCacheError
-
-        session, shm, _ = self._published_session(cnn, batch)
-        try:
-            session.adopt_shared(shm)
-            with pytest.raises(ReadOnlyCacheError, match="read-only"):
-                session.cache.put(0, np.zeros(3))
-            with pytest.raises(ReadOnlyCacheError, match="read-only"):
-                session.cache.drop(0)
-            with pytest.raises(ReadOnlyCacheError, match="read-only"):
-                session.cache.clear()
-        finally:
-            shm.release()
-
-    def test_recording_refusal_leaves_session_intact(self, cnn, batch):
-        """The regression of ISSUE 6: re-recording over a shared cache must
-        raise *before* touching any session state, not corrupt it."""
-        from repro.core.resume import ReadOnlyCacheError
-        from repro.nn import Tensor
-
-        session, shm, full = self._published_session(cnn, batch)
-        try:
-            session.adopt_shared(shm)
-            order_before = list(session.order)
-            with pytest.raises(ReadOnlyCacheError, match="read-only"):
-                with session.recording():
-                    pass  # pragma: no cover - never reached
-            # the refusal must not have wiped the recorded pass
-            assert session.order == order_before
-            assert session.recorded
-            start = session.start_index_for(cnn.fc)
-            with session.replaying(start):
-                resumed = cnn.forward_from(session, Tensor(batch[0]))
-            np.testing.assert_array_equal(full.data, resumed.data)
-        finally:
-            shm.release()
-
-    def test_shared_views_are_immutable(self, cnn, batch):
-        session, shm, _ = self._published_session(cnn, batch)
-        try:
-            session.adopt_shared(shm)
-            start = session.start_index_for(cnn.fc)
-            view = session.cache.get(start)
-            assert view is not None and not view.flags.writeable
-            with pytest.raises(ValueError):
-                view[...] = 0.0
-        finally:
-            shm.release()
+        session.owner_pid = os.getpid() + 1  # pretend we are the fork child
+        session.adopt()
+        order_before = list(session.order)
+        with pytest.raises(RuntimeError, match="adopted"):
+            with session.recording():
+                pass  # pragma: no cover - never reached
+        # the refusal must not have wiped the recorded pass
+        assert session.order == order_before
+        assert session.recorded
+        start = session.start_index_for(cnn.fc)
+        with session.replaying(start):
+            resumed = cnn.forward_from(session, Tensor(batch[0]))
+        np.testing.assert_array_equal(full.data, resumed.data)
 
 
 # ----------------------------------------------------------------------
@@ -1255,11 +1194,9 @@ class TestConeBlasProbe:
 
 
 class TestConeObservability:
-    @pytest.mark.parametrize("shared_cache", [True, False])
-    def test_counts_reach_resume_stats_summed_over_workers(self,
-                                                           shared_cache):
-        """Forked workers, on a shared-memory or a copy-on-write cache,
-        reach the golden inputs and report the serial run's cone."""
+    def test_counts_reach_resume_stats_summed_over_workers(self):
+        """Forked workers reach the golden inputs they inherit and report
+        the serial run's cone."""
         images = _images(4)
         labels = np.arange(4) % 10
         stats = {}
@@ -1267,8 +1204,7 @@ class TestConeObservability:
             with GoldenEye(_zoo("simple_cnn"), "bfp_e5m5_b16") as ge:
                 stats[workers] = run_campaign(
                     ge, images, labels, injections_per_layer=6, seed=3,
-                    fault_batch=1, workers=workers,
-                    shared_cache=shared_cache).resume_stats
+                    fault_batch=1, workers=workers).resume_stats
         keys = ("cone_patched", "cone_unchanged", "cone_positions")
         assert stats[1]["cone_patched"] > 0
         assert {k: stats[2][k] for k in keys} == {k: stats[1][k] for k in keys}
