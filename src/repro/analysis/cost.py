@@ -25,7 +25,6 @@ import numpy as np
 from .. import nn
 from ..core.goldeneye import GoldenEye
 from ..formats.base import NumberFormat
-from ..formats.bfp import BlockFloatingPoint
 from ..formats.registry import make_format
 from ..nn.tensor import Tensor
 from .tables import render_table

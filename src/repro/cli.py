@@ -58,6 +58,7 @@ from .core import (
     run_campaign,
 )
 from .core.dse import FAMILY_BUILDERS, evaluate_format_accuracy
+from .core.resume import hit_rate
 from .data import SyntheticImageNet, get_pretrained
 from .formats import available_formats, dynamic_range, make_format
 from .models import available_models
@@ -352,10 +353,9 @@ def _campaign_summary(campaign) -> str:
                      "re-run with the same --journal to resume")
     stats = campaign.resume_stats
     if stats:
-        lookups = stats["hits"] + stats["misses"]
-        hit_rate = stats["hits"] / lookups if lookups else 0.0
+        rate = hit_rate(stats["hits"], stats["misses"])
         lines.append(
-            f"resume cache: hit-rate {hit_rate:.1%} | "
+            f"resume cache: hit-rate {rate:.1%} | "
             f"replayed {stats['replayed']} | recomputed {stats['recomputed']} | "
             f"evictions {stats['evictions']} | diverged {stats['diverged']}")
         lines.append(

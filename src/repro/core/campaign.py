@@ -99,6 +99,7 @@ from .faultmodels import (EXHAUSTIVE_SITE_CAP, FaultModel, SingleBit,
 from .goldeneye import GoldenEye
 from .injection import InjectionError, ValueInjection, per_sample_numel
 from .metrics import InferenceOutcome, check_labels, compare_outcomes
+from .resume import hit_rate
 
 # repro.exec (multiprocessing, shared memory) loads on a campaign's first
 # use, which keeps it out of the cost of importing repro.core
@@ -300,7 +301,8 @@ class CampaignResult:
     format_name: str
     golden_accuracy: float
     per_layer: dict[str, LayerCampaignResult]
-    #: activation-cache counters when the campaign ran in resume mode
+    #: the ``resume.*`` counts this campaign booked, workers included
+    #: (:attr:`repro.core.resume.ResumeSession.stats`); None without resume
     resume_stats: dict | None = None
     #: run-level telemetry summary (wall-time, throughput, per-layer timing)
     telemetry: dict | None = None
@@ -1021,10 +1023,9 @@ def _execute_campaign(platform: GoldenEye, images, labels,
     started_at = time.time()
     t_campaign = time.perf_counter()
     if cfg.resume:
-        platform.enable_resume()
-        progress.resume_source = (
-            lambda: platform.resume_session.stats.as_dict()
-            if platform.resume_session is not None else {})
+        session = platform.enable_resume()
+        # read live until progress.finish() seals the counts and drops this
+        progress.resume_source = lambda: session.stats
     try:
         if cfg.resume:
             logits = platform.capture_golden(images)  # also warms output shapes
@@ -1044,7 +1045,6 @@ def _execute_campaign(platform: GoldenEye, images, labels,
 
         quarantined: list[dict] = []
         interrupted = False
-        worker_resume_stats: list[dict] = []
         with tracer.span("campaign.run", kind=kind, location=location,
                          format=platform.format_name(), seed=spec.seed,
                          injections_per_layer=spec.injections_per_layer,
@@ -1104,7 +1104,6 @@ def _execute_campaign(platform: GoldenEye, images, labels,
                     outcome = run_parallel_campaign(payload, sampling, sink)
                     quarantined = outcome.quarantined
                     interrupted = outcome.interrupted
-                    worker_resume_stats = outcome.worker_resume_stats
                 else:
                     _run_serial(payload, sampling, sink)
             finally:
@@ -1126,14 +1125,15 @@ def _execute_campaign(platform: GoldenEye, images, labels,
                                  stats.seconds, stats.mean_delta_loss)
 
             resume_stats = None
-            if cfg.resume and platform.resume_session is not None:
-                resume_stats = platform.resume_session.stats.as_dict()
-                for wstats in worker_resume_stats:
-                    for key in resume_stats:
-                        resume_stats[key] += int(wstats.get(key, 0))
-                if worker_resume_stats:
-                    resume_stats["workers"] = len(worker_resume_stats)
-                platform.resume_session.publish_metrics(registry)
+            if cfg.resume:
+                resume_stats = session.stats
+                registry.gauge("resume.hit_rate").set(
+                    hit_rate(resume_stats["hits"], resume_stats["misses"]))
+                # the replay rate is the hit rate of the calls replay wanted
+                registry.gauge("resume.replay_rate").set(hit_rate(
+                    resume_stats["replayed"], resume_stats["recomputed"]))
+                registry.gauge("resume.cache_bytes").set(session.cache.nbytes)
+                registry.gauge("resume.cache_entries").set(len(session.cache))
 
             wall = time.perf_counter() - t_campaign
             injections_total = sum(r.injections for r in per_layer.values())
@@ -1243,8 +1243,6 @@ def _run_serial(payload, sampling: dict[str, LayerPlan],
     chunk's records are accepted as one batch.
     """
     tracer = get_tracer()
-    registry = get_registry()
-    session = payload.platform.resume_session
     for layer, layer_plan in sampling.items():
         if not layer_plan.plans:
             continue
@@ -1255,9 +1253,6 @@ def _run_serial(payload, sampling: dict[str, LayerPlan],
             for records in execute_chunks(payload, layer, seqs):
                 sink.accept(records)
             layer_span.set(performed=len(seqs), retries=layer_plan.retries)
-        if payload.config.resume and session is not None:
-            # keep the resume gauges live as the campaign progresses
-            session.publish_metrics(registry)
 
 
 def _site_space(platform: GoldenEye, layer: str, kind: str, location: str,

@@ -73,10 +73,19 @@ copy-on-write: the arrays are never written after the recording, so the
 pool replays the parent's physical pages.  A session is **owned** by the
 process that recorded (or adopted) it: a forked worker must call
 :meth:`ResumeSession.adopt` before replaying, which claims the inherited
-cache and zeroes the inherited counters so each worker reports a clean
-per-process delta that the supervisor can aggregate.  An adopted session
-replays only: ``recording()`` raises before it touches any state, so a
-worker can never diverge from the golden pass its siblings replay.
+cache.  An adopted session replays only: ``recording()`` raises before it
+touches any state, so a worker can never diverge from the golden pass its
+siblings replay.
+
+Cache counts
+------------
+The cache books its ten counts (:data:`COUNTS`) as the registry counters
+``resume.<name>`` of the process registry, resolved once when the
+session is created.  A worker books into its forked copy of those
+counters, and its counts reach the parent in the per-shard
+:meth:`~repro.obs.telemetry.RunScope.delta` the supervisor merges, like
+every other worker-side metric.  :attr:`ResumeSession.stats` reads the
+counts booked since the session was created, workers included.
 """
 
 from __future__ import annotations
@@ -84,79 +93,42 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..nn.layers import BatchNorm2d, Conv2d
 from ..nn.module import COMPUTE, Module
 from ..nn.tensor import Tensor
-from ..obs.telemetry import MetricsRegistry, get_registry
+from ..obs.telemetry import Counter, get_registry
 
-__all__ = ["ActivationCache", "CacheStats", "ResumeSession",
-           "DEFAULT_CACHE_BUDGET", "changed_box", "conv_reach",
-           "publish_cache_metrics"]
+__all__ = ["ActivationCache", "ResumeSession", "DEFAULT_CACHE_BUDGET",
+           "COUNTS", "hit_rate", "changed_box", "conv_reach"]
 
 
 #: default activation-cache memory budget (bytes)
 DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
 
 
-@dataclass
-class CacheStats:
-    """Counters describing one session's cache behaviour."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    skipped: int = 0  # tensors larger than the whole budget, never stored
-    replayed: int = 0  # leaf calls answered from cache during replay
-    recomputed: int = 0  # leaf calls the replay wanted from cache that re-ran
-    diverged: int = 0  # replay passes that fell back to full execution
-    cone_patched: int = 0  # conv calls that recomputed only the fault's cone
-    cone_unchanged: int = 0  # conv calls the fault did not reach, served whole
-    cone_positions: int = 0  # output positions (image, row, column) patched
-
-    FIELDS = ("hits", "misses", "evictions", "skipped",
-              "replayed", "recomputed", "diverged",
-              "cone_patched", "cone_unchanged", "cone_positions")
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.FIELDS}
-
-    @property
-    def hit_rate(self) -> float:
-        """Cache hit fraction over all lookups (0.0 when never queried)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def replay_rate(self) -> float:
-        """Fraction of the leaf calls the replay wanted that cache answered."""
-        total = self.replayed + self.recomputed
-        return self.replayed / total if total else 0.0
+#: the cache's counts, each booked as the registry counter ``resume.<name>``
+COUNTS = {
+    "hits": "activation-cache lookups answered",
+    "misses": "activation-cache lookups that found no entry",
+    "evictions": "cached activations evicted to fit the byte budget",
+    "skipped": "activations larger than the whole budget, never stored",
+    "replayed": "leaf calls answered from the cache during replay",
+    "recomputed": "leaf calls the replay wanted from the cache that re-ran",
+    "diverged": "replay passes that fell back to full execution",
+    "cone_patched": "conv calls that recomputed only the fault's cone",
+    "cone_unchanged": "conv calls the fault did not reach, served whole",
+    "cone_positions": "output positions (image, row, column) patched",
+}
 
 
-def publish_cache_metrics(stats: CacheStats, cache: "ActivationCache | None" = None,
-                          registry: MetricsRegistry | None = None,
-                          prefix: str = "resume") -> dict:
-    """Bridge :class:`CacheStats` into the metrics registry as live gauges.
-
-    Exposes every raw counter plus the derived ``hit_rate`` / ``replay_rate``
-    and — when ``cache`` is given — ``cache_bytes`` / ``cache_entries``.
-    Returns the flat dict that was published (useful for CLI display and for
-    round-trip tests).
-    """
-    registry = registry if registry is not None else get_registry()
-    flat: dict[str, float] = dict(stats.as_dict())
-    flat["hit_rate"] = stats.hit_rate
-    flat["replay_rate"] = stats.replay_rate
-    if cache is not None:
-        flat["cache_bytes"] = cache.nbytes
-        flat["cache_entries"] = len(cache)
-    for key, value in flat.items():
-        registry.gauge(f"{prefix}.{key}").set(float(value))
-    return flat
+def hit_rate(hits: float, misses: float) -> float:
+    """Fraction of lookups that hit, ``hits / (hits + misses)``; 0.0 when
+    there were none."""
+    lookups = hits + misses
+    return hits / lookups if lookups else 0.0
 
 
 def changed_box(x: np.ndarray, golden: np.ndarray):
@@ -206,7 +178,8 @@ class ActivationCache:
     Keys are opaque (the session uses execution positions).  An array larger
     than the whole budget is never stored; inserting evicts least-recently
     used entries until the new array fits.  ``budget_bytes=None`` disables
-    the limit (cache everything).
+    the limit (cache everything).  Hits, misses, evictions and skipped
+    arrays are booked in the ``resume.*`` counters.
     """
 
     def __init__(self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET):
@@ -215,7 +188,11 @@ class ActivationCache:
         self.budget_bytes = budget_bytes
         self._entries: OrderedDict[object, np.ndarray] = OrderedDict()
         self._bytes = 0
-        self.stats = CacheStats()
+        #: the ``resume.*`` counters of the process registry, by count name
+        registry = get_registry()
+        self.counters: dict[str, Counter] = {
+            name: registry.counter(f"resume.{name}", help=text)
+            for name, text in COUNTS.items()}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -232,7 +209,7 @@ class ActivationCache:
         """Store ``array``; return False if it exceeds the whole budget."""
         size = array.nbytes
         if self.budget_bytes is not None and size > self.budget_bytes:
-            self.stats.skipped += 1
+            self.counters["skipped"].inc()
             return False
         old = self._entries.pop(key, None)
         if old is not None:
@@ -241,7 +218,7 @@ class ActivationCache:
             while self._entries and self._bytes + size > self.budget_bytes:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
-                self.stats.evictions += 1
+                self.counters["evictions"].inc()
         self._entries[key] = array
         self._bytes += size
         return True
@@ -250,10 +227,10 @@ class ActivationCache:
         """Fetch ``key`` (refreshing its LRU position) or None on a miss."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            self.counters["misses"].inc()
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
+        self.counters["hits"].inc()
         return entry
 
     def drop(self, key) -> None:
@@ -287,6 +264,9 @@ class ResumeSession:
                  budget_bytes: int | None = DEFAULT_CACHE_BUDGET):
         self.model = model
         self.cache = ActivationCache(budget_bytes)
+        self.counters = self.cache.counters
+        #: each counter's value when this session was created
+        self.baseline = {name: c.value for name, c in self.counters.items()}
         self._leaf_ids = {
             id(m) for _, m in model.named_modules()
             if not any(True for _ in m.children())
@@ -326,8 +306,12 @@ class ResumeSession:
         return bool(self.order)
 
     @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
+    def stats(self) -> dict[str, int]:
+        """The ten counts (:data:`COUNTS`) booked since this session was
+        created; in a campaign's parent they include the workers' merged
+        shard deltas."""
+        return {name: int(c.value - self.baseline[name])
+                for name, c in self.counters.items()}
 
     @property
     def is_owner(self) -> bool:
@@ -338,20 +322,17 @@ class ResumeSession:
         """Claim a fork-inherited session in a worker process.
 
         The recorded order and the (copy-on-write) activation cache stay
-        valid after a fork, but ownership and counters do not: ``adopt``
-        re-stamps :attr:`owner_pid` and resets the inherited
-        :class:`CacheStats` so the worker reports a clean per-process delta
-        (the parallel supervisor sums worker deltas into the campaign's
-        ``resume_stats``).  From then on the session replays only:
-        ``recording()`` raises, since a worker that re-recorded would
-        diverge from the golden pass its siblings replay.  Idempotent
-        within the owning process.
+        valid after a fork, but ownership does not: ``adopt`` re-stamps
+        :attr:`owner_pid`.  The counters are left as they are: a worker's
+        counts reach the parent as shard deltas, which are relative.  From
+        then on the session replays only: ``recording()`` raises, since a
+        worker that re-recorded would diverge from the golden pass its
+        siblings replay.  Idempotent within the owning process.
         """
         if self.is_owner:
             return self
         self.owner_pid = os.getpid()
         self._adopted = True
-        self.cache.stats = CacheStats()
         return self
 
     def _require_owner(self, action: str) -> None:
@@ -368,12 +349,6 @@ class ResumeSession:
     def runs_once(self, module: Module) -> bool:
         """True when ``module`` executed exactly once in the recorded pass."""
         return self.order.count(id(module)) == 1
-
-    def publish_metrics(self, registry: MetricsRegistry | None = None,
-                        prefix: str = "resume") -> dict:
-        """Publish this session's cache counters as registry gauges."""
-        return publish_cache_metrics(self.stats, self.cache,
-                                     registry=registry, prefix=prefix)
 
     # ------------------------------------------------------------------
     # replay-controller protocol (called from Module.__call__)
@@ -400,11 +375,11 @@ class ResumeSession:
             # model structure changed since the recording: stop trusting the
             # cache and finish this pass (and any until re-recorded) fully
             self._pass_diverged = True
-            self.cache.stats.diverged += 1
+            self.counters["diverged"].inc()
             return COMPUTE
         cached = self.cache.get(pos)
         if cached is None:
-            self.cache.stats.recomputed += 1
+            self.counters["recomputed"].inc()
             return COMPUTE  # evicted / skipped: recompute with exact inputs
         if pos > self._start:
             if server is None:
@@ -415,7 +390,7 @@ class ResumeSession:
                                                   pos, cached)
             self._served = output, region
             return Tensor(output)
-        self.cache.stats.replayed += 1
+        self.counters["replayed"].inc()
         if self._lanes > 1:
             cached = np.tile(cached, (self._lanes,) + (1,) * (cached.ndim - 1))
         if pos == self._start:
@@ -426,13 +401,13 @@ class ResumeSession:
                     golden: np.ndarray):
         """Answer a conv call past the start from its golden output."""
         output, region = server(x, self.golden_inputs[pos], golden)
-        stats = self.cache.stats
         if region is None:
-            stats.cone_unchanged += 1
+            self.counters["cone_unchanged"].inc()
         else:
             (r0, r1), (c0, c1) = region
-            stats.cone_patched += 1
-            stats.cone_positions += output.shape[0] * (r1 - r0) * (c1 - c0)
+            self.counters["cone_patched"].inc()
+            self.counters["cone_positions"].inc(
+                output.shape[0] * (r1 - r0) * (c1 - c0))
         return output, region
 
     def record(self, module: Module, inputs, output) -> None:

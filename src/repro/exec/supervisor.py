@@ -68,7 +68,9 @@ sends a ``telemetry`` message carrying its metric
 which :meth:`CampaignSupervisor._merge_worker_telemetry` folds into the
 parent registry/tracer with ``worker_id`` tags
 (``exec.telemetry_merges_total`` counts the merges) — so a parallel
-campaign's registry and JSONL trace match a serial run's.
+campaign's registry and JSONL trace match a serial run's.  Every worker
+count travels this way, the ``resume.*`` cache counts included; a
+worker's ``exit`` message only marks a clean exit.
 """
 
 from __future__ import annotations
@@ -163,7 +165,6 @@ class ParallelOutcome:
 
     quarantined: list[dict] = field(default_factory=list)
     interrupted: bool = False
-    worker_resume_stats: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -310,7 +311,6 @@ class CampaignSupervisor:
         #: heartbeat per worker message for /healthz
         self.sink = sink
         self.quarantined: list[dict] = []
-        self.worker_resume_stats: list[dict] = []
         self._states = {s.shard_id: _ShardState(shard=s, pending=set(s.seqs))
                         for s in shards}
         #: shard_id -> (worker_id, deadline | None, attempt)
@@ -357,11 +357,8 @@ class CampaignSupervisor:
         return self._outcome()
 
     def _outcome(self) -> ParallelOutcome:
-        return ParallelOutcome(
-            quarantined=self.quarantined,
-            interrupted=self._stop,
-            worker_resume_stats=self.worker_resume_stats,
-        )
+        return ParallelOutcome(quarantined=self.quarantined,
+                               interrupted=self._stop)
 
     # ------------------------------------------------------------------
     # signals
@@ -459,8 +456,6 @@ class CampaignSupervisor:
             self._merge_worker_telemetry(worker_id, body)
         elif mtype == "exit":
             self._pool.clean_exits.add(worker_id)
-            if body:
-                self.worker_resume_stats.append(dict(body))
 
     def _merge_worker_telemetry(self, worker_id: int, body: dict) -> None:
         """Adopt one shard attempt's observability payload.

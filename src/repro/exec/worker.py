@@ -36,10 +36,11 @@ thread — no feeder thread, no lock shared with other workers):
 * ``("telemetry", wid, {shard_id, attempt, metrics, events}, t)`` — the
   shard attempt's observability payload: a serialized
   :meth:`~repro.obs.telemetry.RunScope.delta` of every metric the attempt
-  contributed and the attempt's buffered trace events, folded into the
-  parent registry/tracer tagged with this ``worker_id``;
-* ``("exit", wid, resume_stats | None, t)`` — worker drained the sentinel
-  and is shutting down cleanly (carries its activation-cache counters).
+  contributed (the ``resume.*`` cache counts included) and the attempt's
+  buffered trace events, folded into the parent registry/tracer tagged
+  with this ``worker_id``;
+* ``("exit", wid, None, t)`` — worker drained the sentinel and is
+  shutting down cleanly; it carries nothing.
 
 A worker that stops producing messages mid-shard is caught by the shard
 timeout, and one that dies outright is caught by ``Process.is_alive()``.
@@ -222,8 +223,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
 
     session = getattr(payload.platform, "resume_session", None)
     if session is not None:
-        # claim the forked copy of the activation cache: per-worker stats
-        # start at zero so the supervisor can aggregate deltas
+        # claim the forked copy of the activation cache (replay only)
         session.adopt()
 
     # The forked copy of the parent's tracer shares the parent's buffered
@@ -251,8 +251,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
                 return  # orphaned: the supervisor died without us
             continue
         if task is None:
-            stats = session.stats.as_dict() if session is not None else None
-            results.send(("exit", worker_id, stats, time.time()))
+            results.send(("exit", worker_id, None, time.time()))
             return
         shard, attempt = task
         results.send(("start", worker_id, (shard.shard_id, attempt),

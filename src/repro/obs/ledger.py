@@ -202,6 +202,8 @@ class CampaignLedger:
         interrupt/resume cycles never duplicate history.  Runs without a
         journal always insert.
         """
+        from ..core.resume import hit_rate
+
         fingerprint = result.fingerprint
         telemetry = result.telemetry or {}
         sha = fingerprint_sha(fingerprint)
@@ -210,8 +212,8 @@ class CampaignLedger:
         if result.resume_stats:
             hits = float(result.resume_stats.get("hits", 0))
             misses = float(result.resume_stats.get("misses", 0))
-            if hits + misses > 0:
-                resume_hit_rate = hits / (hits + misses)
+            if hits + misses > 0:  # NULL, not 0.0, when nothing was looked up
+                resume_hit_rate = hit_rate(hits, misses)
         run_values = {
             "fingerprint_sha": sha,
             "fingerprint": json.dumps(fingerprint, sort_keys=True,

@@ -59,7 +59,6 @@ import json
 import logging
 import math
 import queue as _queue
-import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -137,9 +136,11 @@ class CampaignProgress:
         self._last_record_t: float | None = None
         self._last_heartbeat_t: float | None = None
         self._last_log_t: float | None = None
-        #: optional zero-arg callable returning resume-cache counters
-        #: (``CacheStats.as_dict()``-shaped); read at snapshot time
+        #: optional zero-arg callable returning the resume-cache counts
+        #: (:attr:`repro.core.resume.ResumeSession.stats`); read at snapshot
+        #: time until :meth:`finish` seals them
         self.resume_source = None
+        self._resume: dict | None = None
 
     # ------------------------------------------------------------------
     # writers (executor side)
@@ -187,10 +188,16 @@ class CampaignProgress:
             self._last_heartbeat_t = time.monotonic()
 
     def finish(self, state: str = "done") -> None:
-        """Seal the tracker; only the first call wins (``finally`` safety)."""
+        """Seal the tracker; only the first call wins (``finally`` safety).
+
+        Sealing reads the resume counts once and drops their source, so a
+        sealed tracker reports the campaign's final counts and keeps
+        nothing of the campaign alive.
+        """
         with self._lock:
             if self.state == "running":
                 self.state = state
+                self._resume, self.resume_source = self._read_resume(), None
 
     # ------------------------------------------------------------------
     # readers (scrape / logging side)
@@ -244,17 +251,7 @@ class CampaignProgress:
                     "sdc_rate": sdc_rate,
                     "sdc_ci95": list(ci95),
                 }
-            resume = None
-            if self.resume_source is not None:
-                try:
-                    stats = dict(self.resume_source() or {})
-                except Exception:  # noqa: BLE001 - scrape must never throw
-                    stats = {}
-                if stats:
-                    lookups = stats.get("hits", 0) + stats.get("misses", 0)
-                    stats["hit_rate"] = (stats.get("hits", 0) / lookups
-                                         if lookups else 0.0)
-                    resume = stats
+            resume = self._read_resume()
             heartbeat_age = (now - self._last_heartbeat_t
                              if self._last_heartbeat_t is not None else None)
             return {
@@ -276,6 +273,20 @@ class CampaignProgress:
                 "workers": _worker_state(heartbeat_age),
                 "layers": layers,
             }
+
+    def _read_resume(self) -> dict | None:
+        """The resume counts plus their ``hit_rate``: live until
+        :meth:`finish` seals them, None without a source."""
+        from ..core.resume import hit_rate
+
+        if self.resume_source is None:
+            return self._resume
+        try:
+            stats = dict(self.resume_source())
+        except Exception:  # noqa: BLE001 - scrape must never throw
+            return None
+        stats["hit_rate"] = hit_rate(stats["hits"], stats["misses"])
+        return stats
 
     def maybe_log(self) -> None:
         """Emit one throttled INFO progress line (the ``-v`` surface).

@@ -299,6 +299,8 @@ def _layer_rows(report: dict) -> tuple[list[str], list[list[str]]]:
 
 def render_markdown(report: dict) -> str:
     """Render the report as GitHub-flavoured markdown."""
+    from ..core.resume import hit_rate
+
     c = report["campaign"]
     e = report["execution"]
     lines = [
@@ -319,8 +321,7 @@ def render_markdown(report: dict) -> str:
     if report["cache"]:
         hits = report["cache"].get("hits", 0.0)
         misses = report["cache"].get("misses", 0.0)
-        lookups = hits + misses
-        rate = hits / lookups if lookups else 0.0
+        rate = hit_rate(hits, misses)
         lines += ["", "## Resume cache", "",
                   f"- hit rate: {rate:.1%} ({hits:.0f} hits / "
                   f"{misses:.0f} misses)"]

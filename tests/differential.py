@@ -68,11 +68,14 @@ class DifferentialOutcome:
     """One mode's comparable surfaces (plus the raw result for asserts)."""
 
     def __init__(self, result, stats, injections, counters, progress=None,
-                 events=None):
+                 events=None, metrics=None):
         self.result = result
         self.stats = stats
         self.injections = injections
         self.counters = counters
+        #: the registry snapshot (``MetricsRegistry.collect()``) the mode's
+        #: last campaign run left
+        self.metrics = metrics
         #: the final ``progress/v1`` document fetched from a live ``/progress``
         #: endpoint (``run_mode(serve=True)``), or None
         self.progress = progress
@@ -239,14 +242,14 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
             return DifferentialOutcome(result, layer_stats(result),
                                        injection_multiset(events), counters,
                                        progress=_final_progress(server),
-                                       events=events)
+                                       events=events, metrics=resumed_metrics)
         else:
             raise ValueError(f"unknown differential mode {mode!r}")
         return DifferentialOutcome(result, layer_stats(result),
                                    injection_multiset(events),
                                    counter_totals(metrics),
                                    progress=_final_progress(server),
-                                   events=events)
+                                   events=events, metrics=metrics)
     finally:
         if server is not None:
             server.close()

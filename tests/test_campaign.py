@@ -320,18 +320,41 @@ class TestCampaignRobustness:
 
     def test_resume_cache_released_when_injection_raises(self, model, data,
                                                          monkeypatch):
-        """platform.clear_resume() must run even when execution blows up."""
+        """platform.clear_resume() must run even when execution blows up,
+        and the sealed /progress keeps the cache counts, not the cache."""
+        import gc
+        import weakref
+
         import repro.core.campaign as campaign_mod
+        from repro.core.resume import COUNTS
+        from repro.obs.live import LiveServer
 
         def boom(*args, **kwargs):
             raise RuntimeError("injection exploded")
 
+        sessions = []
+        enable_resume = GoldenEye.enable_resume
+
+        def spy(platform, *args, **kwargs):
+            session = enable_resume(platform, *args, **kwargs)
+            sessions.append(weakref.ref(session))
+            return session
+
         # every chunk, batched or not, executes through this call
         monkeypatch.setattr(campaign_mod, "execute_injection_batch", boom)
-        with GoldenEye(model, "fp16") as ge:
-            with pytest.raises(RuntimeError, match="injection exploded"):
-                run_campaign(ge, *data, injections_per_layer=2, seed=0)
-            assert ge.resume_session is None  # cache released, not leaked
+        monkeypatch.setattr(GoldenEye, "enable_resume", spy)
+        with LiveServer.start("127.0.0.1:0") as server:
+            with GoldenEye(model, "fp16") as ge:
+                with pytest.raises(RuntimeError, match="injection exploded"):
+                    run_campaign(ge, *data, injections_per_layer=2, seed=0,
+                                 serve=server)
+                assert ge.resume_session is None  # cache released, not leaked
+            gc.collect()
+            assert [ref() for ref in sessions] == [None]
+            sealed = server.progress.snapshot()
+        assert sealed["state"] == "error"
+        # the golden pass was recorded and no injection ran: all ten zero
+        assert sealed["resume"] == dict.fromkeys(COUNTS, 0) | {"hit_rate": 0.0}
 
     def test_late_injection_error_keeps_partial_layer(self, model, data,
                                                       monkeypatch):

@@ -11,7 +11,6 @@ import sys
 import time
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main

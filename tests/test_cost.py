@@ -1,7 +1,6 @@
 """Tests for the MAC-count and bitwidth cost proxies."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import cost_table, count_macs, mac_cost, model_cost
 from repro.formats import BlockFloatingPoint, FloatingPoint, make_format

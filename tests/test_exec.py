@@ -257,12 +257,28 @@ class TestParallelParity:
         assert layer_stats(par) == layer_stats(serial)
 
     def test_worker_resume_stats_merged(self, model, data):
-        with GoldenEye(model, "fp16") as ge:
-            par = run_campaign(ge, *data, injections_per_layer=4, seed=1,
-                               workers=2)
-        assert par.resume_stats is not None
-        assert par.resume_stats.get("workers", 0) >= 1
-        assert par.resume_stats["replayed"] > 0  # workers used the cache
+        # at K=1 a shard changes no pass, so the workers' merged counts
+        # are the serial run's
+        stats = {}
+        for workers in (1, 2):
+            with GoldenEye(model, "fp16") as ge:
+                stats[workers] = run_campaign(
+                    ge, *data, injections_per_layer=4, seed=1,
+                    workers=workers, fault_batch=1).resume_stats
+        assert stats[2]["replayed"] > 0  # workers used the cache
+        assert stats[2] == stats[1]
+
+    def test_profile_books_both_campaigns_in_the_registry(
+            self, model, data, fresh_global_registry):
+        from repro.analysis import profile_resilience
+
+        profile = profile_resilience(model, "mlp", "int8", *data,
+                                     injections_per_layer=4, seed=1,
+                                     workers=2)
+        hits = [campaign.resume_stats["hits"] for campaign in
+                (profile.value_campaign, profile.metadata_campaign)]
+        assert min(hits) > 0
+        assert fresh_global_registry.get("resume.hits").value == sum(hits)
 
     def test_exec_telemetry_counters_present(self, model, data):
         from repro.obs import get_registry

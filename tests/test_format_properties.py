@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.formats import (
-    AdaptivFloat,
-    BlockFloatingPoint,
-    FixedPoint,
-    FloatingPoint,
-    IntegerQuant,
-    make_format,
-)
+from repro.formats import BlockFloatingPoint, FixedPoint, make_format
 
 ALL_SPECS = [
     "fp_e4m3",

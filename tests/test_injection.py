@@ -6,7 +6,6 @@ import pytest
 from repro.core import GoldenEye, InjectionError, MetadataInjection, ValueInjection
 from repro.core.campaign import golden_inference
 from repro.models import simple_cnn
-from repro.nn import Tensor
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import os
 import sqlite3
 
 import numpy as np

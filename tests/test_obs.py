@@ -4,7 +4,8 @@ Covers the metrics registry primitives (Counter/Gauge/Histogram, labels,
 scoped per-run views), the span tracer + JSONL sink (+ the allocation-free
 null tracer), the per-layer profiler, the three exporters, and the
 instrumentation threaded through the platform (campaign spans, one trace
-event per injection, resume-cache gauges, CampaignResult.telemetry).
+event per injection, resume-cache counters and gauges,
+CampaignResult.telemetry).
 """
 
 from __future__ import annotations
@@ -19,21 +20,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import (
-    CacheStats,
-    GoldenEye,
-    RangeDetector,
-    publish_cache_metrics,
-    run_campaign,
-)
+from repro.core import ActivationCache, GoldenEye, RangeDetector, run_campaign
 from repro.core.campaign import golden_inference
+from repro.core.resume import COUNTS, hit_rate
 from repro.models import simple_cnn
 from repro.obs import (
     BroadcastTracer,
     BufferingTracer,
     Counter,
-    Gauge,
-    Histogram,
     JsonlSink,
     LayerProfiler,
     MetricsRegistry,
@@ -46,7 +40,6 @@ from repro.obs import (
     current_span_id,
     export_json,
     export_prometheus,
-    get_registry,
     get_tracer,
     load_metrics,
     load_trace_events,
@@ -528,22 +521,41 @@ class TestPlatformInstrumentation:
         hist = registry.get("campaign.injection_seconds", layer="fc")
         assert hist is not None and hist.count == 3
 
-    def test_cache_stats_roundtrip_through_registry_bridge(self, registry):
-        stats = CacheStats(hits=30, misses=10, evictions=2, skipped=1,
-                           replayed=28, recomputed=2, diverged=0)
-        flat = publish_cache_metrics(stats, registry=registry)
-        # every as_dict field is exposed as a gauge, values identical
-        recovered = {k: registry.get(f"resume.{k}").value
-                     for k in CacheStats.FIELDS}
-        assert recovered == {k: float(v) for k, v in stats.as_dict().items()}
-        assert registry.get("resume.hit_rate").value == pytest.approx(0.75)
-        assert registry.get("resume.replay_rate").value == pytest.approx(28 / 30)
-        assert flat["hit_rate"] == pytest.approx(0.75)
+    def test_cache_counts_are_registry_counters(self, fresh_global_registry):
+        cache = ActivationCache(budget_bytes=16)
+        cache.put(0, np.zeros(2, dtype=np.float32))
+        cache.get(0)
+        cache.get(1)
+        cache.put(1, np.zeros(5, dtype=np.float32))  # over budget: skipped
+        cache.put(2, np.zeros(4, dtype=np.float32))  # evicts key 0
+        booked = {name: fresh_global_registry.get(f"resume.{name}")
+                  for name in COUNTS}
+        assert all(type(c) is Counter for c in booked.values())
+        assert {name: c.value for name, c in booked.items() if c.value} == {
+            "hits": 1, "misses": 1, "skipped": 1, "evictions": 1}
 
-    def test_cache_stats_bridge_zero_division_safe(self, registry):
-        publish_cache_metrics(CacheStats(), registry=registry)
-        assert registry.get("resume.hit_rate").value == 0.0
-        assert registry.get("resume.replay_rate").value == 0.0
+    def test_resume_gauges_read_the_campaign_counts(self, model, data,
+                                                    fresh_global_registry):
+        registry = fresh_global_registry
+        with GoldenEye(model, "int8") as ge:
+            first = run_campaign(ge, *data, injections_per_layer=3, seed=0)
+            second = run_campaign(ge, *data, injections_per_layer=2, seed=1)
+        stats = second.resume_stats
+        assert stats["hits"] > 0
+        # the counters hold both campaigns, the gauges the last one's rates
+        assert {name: registry.get(f"resume.{name}").value
+                for name in COUNTS} == {
+            name: first.resume_stats[name] + stats[name] for name in COUNTS}
+        assert registry.get("resume.hit_rate").value == hit_rate(
+            stats["hits"], stats["misses"])
+        assert registry.get("resume.replay_rate").value == hit_rate(
+            stats["replayed"], stats["recomputed"])
+        assert registry.get("resume.cache_bytes").value > 0
+        assert registry.get("resume.cache_entries").value > 0
+
+    def test_hit_rate_zero_division_safe(self):
+        assert hit_rate(0, 0) == 0.0
+        assert hit_rate(30, 10) == 0.75
 
     def test_weight_conversion_timing_recorded(self, model, data,
                                                fresh_global_registry):

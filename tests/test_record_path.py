@@ -3,7 +3,9 @@ one fold.
 
 * every surface that reports a campaign — CampaignResult, the final
   ``/progress``, ``repro watch`` on the journal, ``repro report`` on the
-  trace and the ledger row — agrees bit for bit, under every executor;
+  trace and the ledger row — agrees bit for bit, under every executor,
+  and ``resume_stats``, the registry's ``resume.*`` counters and the
+  sealed ``/progress`` hold the same resume-cache counts;
 * ``journal_progress`` takes its done/total denominators from the plan
   sizes in the journal header, like ``/progress`` does;
 * :meth:`RecordSink.accept` is write-ahead: a journal that fails to
@@ -31,6 +33,11 @@ needs_fork = pytest.mark.skipif(
     reason="requires the fork start method")
 
 SEED = 13
+
+#: the resume cache's counts, each the registry counter ``resume.<name>``
+CACHE_COUNTS = ("hits", "misses", "evictions", "skipped", "replayed",
+                "recomputed", "diverged", "cone_patched", "cone_unchanged",
+                "cone_positions")
 
 
 def _make_data(n: int = 10):
@@ -75,6 +82,16 @@ def test_every_surface_reports_the_campaign_fold(model, tmp_path,
     assert not differ, "\n".join(differ)
     for surface, layers in surfaces.items():
         assert set(layers) == set(expected), surface
+
+    counts = outcome.result.resume_stats
+    assert set(counts) == set(CACHE_COUNTS) and counts["hits"] > 0
+    booked = {name: outcome.metrics[f"resume.{name}"] for name in CACHE_COUNTS}
+    assert all(entry["type"] == "counter" for [entry] in booked.values())
+    cache = build_report(metrics=outcome.metrics)["cache"]
+    sealed = outcome.progress["resume"] or {}
+    assert {name: entry["value"] for name, [entry] in booked.items()} == counts
+    assert {name: cache[name] for name in CACHE_COUNTS} == counts
+    assert {name: sealed.get(name) for name in CACHE_COUNTS} == counts
 
 
 def test_report_folds_trace_events_in_seq_order():

@@ -21,7 +21,6 @@ from repro import nn
 from repro.core import (
     ActivationCache,
     GoldenEye,
-    MetadataInjection,
     RangeDetector,
     ResumeSession,
     ValueInjection,
@@ -105,14 +104,14 @@ def _counted_quantizer(fmt):
 # ActivationCache
 # ----------------------------------------------------------------------
 class TestActivationCache:
-    def test_put_get_roundtrip(self):
+    def test_put_get_roundtrip(self, fresh_global_registry):
         cache = ActivationCache(budget_bytes=None)
         arr = np.arange(8, dtype=np.float32)
         assert cache.put(0, arr)
         assert cache.get(0) is arr
-        assert cache.stats.hits == 1
+        assert cache.counters["hits"].value == 1
 
-    def test_budget_evicts_lru(self):
+    def test_budget_evicts_lru(self, fresh_global_registry):
         cache = ActivationCache(budget_bytes=3 * 40)  # three 10-float arrays
         for k in range(3):
             cache.put(k, np.zeros(10, dtype=np.float32))
@@ -120,14 +119,14 @@ class TestActivationCache:
         cache.put(3, np.zeros(10, dtype=np.float32))
         assert 0 in cache and 3 in cache
         assert 1 not in cache
-        assert cache.stats.evictions == 1
+        assert cache.counters["evictions"].value == 1
         assert cache.nbytes <= 3 * 40
 
-    def test_oversize_tensor_never_stored(self):
+    def test_oversize_tensor_never_stored(self, fresh_global_registry):
         cache = ActivationCache(budget_bytes=16)
         assert not cache.put(0, np.zeros(100, dtype=np.float32))
         assert 0 not in cache
-        assert cache.stats.skipped == 1
+        assert cache.counters["skipped"].value == 1
 
     def test_replace_same_key_updates_bytes(self):
         cache = ActivationCache(budget_bytes=None)
@@ -213,12 +212,12 @@ class TestResumedEquivalence:
         with GoldenEye(cnn, "bfp_e5m5_b16") as ge:
             session = ge.enable_resume()
             ge.capture_golden(images)
-            before = session.stats.replayed
+            before = session.stats["replayed"]
             ge.forward_from(ge.layer_names()[-1], images)
             # the deepest instrumented layer sits behind several leaf modules,
             # all of which must come from the cache
-            assert session.stats.replayed - before >= 3
-            assert session.stats.diverged == 0
+            assert session.stats["replayed"] - before >= 3
+            assert session.stats["diverged"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -269,10 +268,10 @@ class TestFallbacks:
             # budget fits roughly one activation tensor: most entries evicted
             session = ge.enable_resume(budget_bytes=64 * 1024)
             golden = ge.capture_golden(images)
-            assert session.stats.evictions + session.stats.skipped > 0
+            assert session.stats["evictions"] + session.stats["skipped"] > 0
             resumed = ge.forward_from(ge.layer_names()[-1], images)
             np.testing.assert_array_equal(resumed, golden)
-            assert session.stats.recomputed > 0  # fell back module-by-module
+            assert session.stats["recomputed"] > 0  # fell back module-by-module
 
     def test_zero_budget_still_bit_exact(self, cnn, batch):
         images, _ = batch
@@ -313,7 +312,7 @@ class TestFallbacks:
             session.order[0] = -1  # simulate a model edited after recording
             resumed = ge.forward_from(ge.layer_names()[-1], images)
             np.testing.assert_array_equal(resumed, golden)
-            assert session.stats.diverged == 1
+            assert session.stats["diverged"] == 1
 
     def test_unknown_layer_raises(self, cnn, batch):
         images, _ = batch
@@ -480,8 +479,8 @@ class TestOutputResume:
             layer = ge.layer_names()[-1]
             start = session.start_index_for(ge.layers[layer].module)
             ge.forward_from(layer, images)
-            assert session.stats.replayed == session.stats.hits == start + 1
-            assert session.stats.misses == 0
+            assert session.stats["replayed"] == session.stats["hits"] == start + 1
+            assert session.stats["misses"] == 0
 
 
 class TestOutputResumeFallbacks:
@@ -631,7 +630,7 @@ class TestSessionOwnership:
             with session.replaying(0):
                 pass
 
-    def test_adopt_claims_session_and_resets_stats(self, cnn, batch):
+    def test_adopt_claims_session_and_keeps_counting(self, cnn, batch):
         import os
 
         from repro.nn import Tensor
@@ -639,24 +638,29 @@ class TestSessionOwnership:
         session = ResumeSession(cnn)
         with session.recording():
             full = cnn.forward_from(session, Tensor(batch[0]))
-        session.cache.stats.hits = 99
+        start = session.start_index_for(cnn.fc)
+        with session.replaying(start):
+            cnn.forward_from(session, Tensor(batch[0]))
+        before = session.stats
         session.owner_pid = os.getpid() + 1  # pretend we are the fork child
         session.adopt()
         assert session.is_owner
-        assert session.stats.hits == 0  # per-worker delta starts clean
+        # no reset: a worker's counts leave as shard deltas, which are relative
+        assert session.stats == before
         # the recording itself survives adoption: replay is still bit-exact
         assert session.recorded
-        start = session.start_index_for(cnn.fc)
         with session.replaying(start):
             resumed = cnn.forward_from(session, Tensor(batch[0]))
         np.testing.assert_array_equal(full.data, resumed.data)
-        assert session.stats.replayed > 0
+        assert session.stats["replayed"] == 2 * before["replayed"] > 0
 
     def test_adopt_is_idempotent_for_the_owner(self, cnn):
         session = ResumeSession(cnn)
-        session.cache.stats.hits = 7
-        session.adopt()  # already the owner: stats must be preserved
-        assert session.stats.hits == 7
+        session.counters["hits"].inc(7)
+        session.adopt()  # already the owner: nothing changes
+        assert session.stats["hits"] == 7
+        with session.recording():  # and it may still record
+            pass
 
     def test_recording_refusal_leaves_session_intact(self, cnn, batch):
         """A worker re-recording over the cache it adopted must raise
@@ -751,9 +755,9 @@ class TestConeOracle:
                     resumed = ge.forward_from(layer, images)
                     full = _full(ge, images)
                 _assert_bits(resumed, full, f"{layer} {plan}")
-        served = session.stats.cone_patched + session.stats.cone_unchanged
+        served = session.stats["cone_patched"] + session.stats["cone_unchanged"]
         assert (served == 0) == (spec in DENSE_FORMATS)
-        assert session.stats.misses == 0
+        assert session.stats["misses"] == 0
 
     @pytest.mark.parametrize("spec", ["fp32", "bfp_e5m5_b16"])
     @pytest.mark.parametrize("kind,location", [("value", "neuron"),
@@ -801,8 +805,8 @@ class TestConeOracle:
                 resumed = ge.forward_from(first, images)
             assert not any(counts)
             _assert_bits(resumed, golden)
-            assert session.stats.cone_unchanged == len(convs)
-            assert session.stats.cone_patched == 0
+            assert session.stats["cone_unchanged"] == len(convs)
+            assert session.stats["cone_patched"] == 0
             for name in convs:  # the golden register is live again
                 state = ge.layers[name]
                 np.testing.assert_array_equal(
@@ -831,7 +835,7 @@ class TestConeOracle:
                 served = registers()
                 _full(ge, images)
                 dense = registers()
-            assert session.stats.cone_patched > 0
+            assert session.stats["cone_patched"] > 0
             for name, (live, captured, shape) in served.items():
                 np.testing.assert_array_equal(live, dense[name][0], name)
                 np.testing.assert_array_equal(captured, dense[name][1], name)
@@ -879,7 +883,7 @@ class TestConeOracle:
             with ge.injector.armed(plan):
                 ge.forward_from("conv1", images)
             after = profiler.as_dict()["conv2"]["phases"]
-        assert session.stats.cone_patched == 1
+        assert session.stats["cone_patched"] == 1
         assert isinstance(conv2, nn.Conv2d)
         for phase in ("compute", "quantize", "inject"):
             assert after[phase]["calls"] == before[phase]["calls"] + 1, phase
@@ -1003,7 +1007,7 @@ class TestConeFallbacks:
                 norm.register_forward_hook(
                     lambda module, inputs, output: seen.append(output.shape))
             self._check(ge, ge.layer_names()[0], images)
-        assert session.stats.cone_patched > 0
+        assert session.stats["cone_patched"] > 0
         # each norm once in the replay and once in the full forward
         assert len(seen) == 2 * len(norms)
         assert seen[:len(norms)] == seen[len(norms):]
@@ -1019,7 +1023,7 @@ class TestConeFallbacks:
                 full = _full(ge, images)
         assert not np.array_equal(full, golden)
         _assert_bits(resumed, full)
-        assert session.stats.cone_unchanged == 1  # conv2 did not see it
+        assert session.stats["cone_unchanged"] == 1  # conv2 did not see it
 
     def test_session_refuses_a_cone_for_fault_lanes(self, cnn, batch):
         session = ResumeSession(cnn)
@@ -1065,7 +1069,7 @@ class TestConeFallbacks:
             session = ge.enable_resume()
             ge.capture_golden(images)
             assert not self._check(ge, ge.layer_names()[0], images)
-        assert session.stats.cone_patched == session.stats.cone_unchanged == 0
+        assert session.stats["cone_patched"] == session.stats["cone_unchanged"] == 0
 
     @pytest.mark.parametrize("observer", ["detector", "numerics"])
     def test_range_detector_and_stats_sink_run_dense(self, batch, observer):
@@ -1080,7 +1084,7 @@ class TestConeFallbacks:
             session = ge.enable_resume()
             ge.capture_golden(images)
             assert not self._check(ge, ge.layer_names()[0], images)
-        assert session.stats.cone_patched == session.stats.cone_unchanged == 0
+        assert session.stats["cone_patched"] == session.stats["cone_unchanged"] == 0
 
     def test_untiled_plane_runs_dense(self):
         images = np.random.default_rng(4).standard_normal(
@@ -1103,7 +1107,7 @@ class TestConeFallbacks:
             else:
                 session.cache.drop(pos)
             self._check(ge, "conv1", images, dense=("conv2",))
-        assert session.stats.recomputed == (missing == "output")
+        assert session.stats["recomputed"] == (missing == "output")
 
     def test_budget_keeps_inputs_beside_the_cache(self, batch):
         images, _ = batch
@@ -1125,7 +1129,7 @@ class TestConeFallbacks:
             with _cone_calls(ge) as coned:
                 lanes = ge.forward_from_batched("conv1", plans, images)
             assert not coned
-            assert session.stats.cone_patched == 0
+            assert session.stats["cone_patched"] == 0
             for k, plan in enumerate(plans):
                 with ge.injector.armed(plan):
                     _assert_bits(lanes[k], _full(ge, images), f"lane {k}")
@@ -1146,7 +1150,7 @@ class TestConeFallbacks:
                 layouts.clear()
                 self._check(ge, "conv1", images, seed=seed)
                 assert len(set(layouts)) == 1, layouts
-        assert session.stats.cone_patched > 0
+        assert session.stats["cone_patched"] > 0
 
 
 # ----------------------------------------------------------------------
