@@ -132,8 +132,9 @@ __all__ = [
 logger = logging.getLogger("repro.campaign")
 
 #: bytes the fault lanes of one automatic chunk may materialise (see
-#: :func:`lane_count`); a lane costs one evaluation batch plus one copy of
-#: the golden recording
+#: :func:`lane_count`); a lane costs the values it tiles: in a chain
+#: recording its layer's recorded outputs on, else the evaluation batch
+#: plus the whole golden recording
 LANE_BYTES = 4 * 1024 * 1024
 
 
@@ -602,10 +603,13 @@ def lane_count(platform: GoldenEye, images, plans, config) -> int:
     """Faults one forward pass evaluates for one layer's ``plans``: K.
 
     An explicit ``config.fault_batch`` is returned as given.  Automatic
-    (None) resolves K = ``LANE_BYTES // (images.nbytes + recording bytes)``,
-    the bytes one lane materialises, capped at the plan count.  K is 1
-    when the plans share no pass (:func:`plans_can_batch`: weight plans,
-    mixed layers or ops) and when there is no golden recording
+    (None) resolves K = ``LANE_BYTES //`` the bytes one lane materialises
+    (:meth:`~repro.core.goldeneye.GoldenEye.lane_bytes`), capped at the
+    plan count: in a chain recording, the recorded outputs from the layer
+    on, plus the layer's input when it recomputes (a range detector makes
+    it recompute); in any other, the images plus the whole recording.  K
+    is 1 when the plans share no pass (:func:`plans_can_batch`: weight
+    plans, mixed layers or ops) and when there is no golden recording
     (``resume=False``).  Observers (a profiler, a numerics monitor) do not
     change K.
     """
@@ -615,7 +619,7 @@ def lane_count(platform: GoldenEye, images, plans, config) -> int:
     if (not config.resume or session is None or not session.recorded
             or not plans_can_batch(plans)):
         return 1
-    lane = np.asarray(images, dtype=np.float32).nbytes + session.cache.nbytes
+    lane = platform.lane_bytes(plans[0].layer, images)
     return max(1, min(len(plans), LANE_BYTES // lane))
 
 

@@ -33,7 +33,8 @@ from ..obs.telemetry import get_registry
 from ..obs.tracing import get_tracer
 from .detector import RangeDetector
 from .injection import InjectionEngine
-from .resume import DEFAULT_CACHE_BUDGET, ResumeSession, changed_box, conv_reach
+from .resume import (DEFAULT_CACHE_BUDGET, LazyTile, ResumeSession,
+                     changed_box, conv_reach)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.numerics import NumericHealthMonitor
@@ -450,9 +451,8 @@ class GoldenEye:
         with get_tracer().span("goldeneye.capture_golden",
                                batch=int(np.asarray(images).shape[0])):
             with nn.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-                with self.resume_session.recording():
-                    logits = self.model.forward_from(
-                        self.resume_session, Tensor(np.asarray(images, dtype=np.float32)))
+                logits = self.resume_session.record_pass(
+                    Tensor(np.asarray(images, dtype=np.float32)))
         # the hook's snapshots: injections read them, never mutate them
         self.resume_session.neuron_metadata.update(
             (name, state.neuron_golden_metadata)
@@ -476,11 +476,36 @@ class GoldenEye:
                   for name in {state.name} | {layer for layer, _ in sites}]
         if None in starts:
             return None, None
-        if (sites <= {(state.name, "neuron")}
-                and self._unobserved(state)
-                and state.name in session.neuron_metadata):
+        if sites <= {(state.name, "neuron")} and self._serves_output(state):
             return min(starts), functools.partial(self._resume_output, state)
         return min(starts), None
+
+    def _serves_output(self, state: LayerState) -> bool:
+        """Whether a replay with only ``state``'s neuron plans armed serves
+        its call from its cached output instead of recomputing it."""
+        return (self._unobserved(state)
+                and state.name in self.resume_session.neuron_metadata)
+
+    def lane_bytes(self, layer: str, images: np.ndarray) -> int:
+        """Bytes one lane of a K-lane replay of ``layer``'s neuron plans
+        materialises, given a recording (see :meth:`forward_from_batched`).
+
+        The lanes share every value before ``layer`` until something reads
+        it.  In a :attr:`~repro.core.resume.ResumeSession.chain` nothing
+        does but ``layer`` itself, and only when it recomputes: a lane then
+        holds the recorded outputs from ``layer`` on, plus its input (the
+        output just before it) when it recomputes.  In any other recording
+        a lane may read any value: the images plus the whole recording.
+        """
+        session = self.resume_session
+        state = self.layers[layer]
+        start = session.start_index_for(state.module)
+        if session.chain and start is not None:
+            first = start if self._serves_output(state) else start - 1
+            if first >= 0:
+                return session.bytes_from(first)
+        return (np.asarray(images, dtype=np.float32).nbytes
+                + session.cache.nbytes)
 
     def _unobserved(self, state: LayerState) -> bool:
         """Whether a replay may serve ``state``'s call from its golden output.
@@ -644,8 +669,11 @@ class GoldenEye:
         stack, with plan ``k``'s corruption applied only to lane ``k``
         (every lane's flip lands in a single
         :func:`~repro.formats.vectorized.flip_values_batched` call for
-        stateless formats).  When a golden recording exists the cached
-        prefix is tiled instead of recomputed, and ``layer`` is served from
+        stateless formats).  The tiles are lazy
+        (:class:`~repro.core.resume.LazyTile`): the images and, when a
+        golden recording exists, the replayed prefix are tiled only when
+        something reads them, which on a chain of leaf calls is at most
+        ``layer``'s input, when it recomputes.  ``layer`` is served from
         its tiled cached output under :meth:`forward_from`'s conditions
         (metadata formats restore the golden metadata once per lane).
         Returns logits of shape
@@ -672,7 +700,7 @@ class GoldenEye:
                     f"plan targets layer {plan.layer!r}, expected {layer!r}")
         images = np.asarray(images, dtype=np.float32)
         lanes, batch = len(plans), images.shape[0]
-        tiled = np.tile(images, (lanes,) + (1,) * (images.ndim - 1))
+        x = LazyTile(images, lanes)
         self.model.eval()
         with self.injector.armed(*plans):
             start, resume = self._resume_point(state)
@@ -681,12 +709,12 @@ class GoldenEye:
                 with nn.no_grad(), np.errstate(over="ignore", invalid="ignore"), \
                         nn.lane_scope(lanes):
                     if start is None:
-                        logits = self.model(Tensor(tiled))
+                        logits = self.model(x)
                     else:
                         with self.resume_session.replaying(
                                 start, lanes=lanes, resume=resume):
                             logits = self.model.forward_from(
-                                self.resume_session, Tensor(tiled))
+                                self.resume_session, x)
             finally:
                 self._fault_lanes = None
         out = logits.data.copy()

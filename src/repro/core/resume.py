@@ -62,8 +62,17 @@ recomputed add up in ``cone_positions``.
 
 A fault-axis batched pass (:meth:`~repro.core.goldeneye.GoldenEye.
 forward_from_batched`) runs the model once over K stacked replicas of the
-evaluation batch; ``replaying(start, lanes=K)`` tiles every cached entry K
-times along axis 0, one copy per lane, so the same controller serves both.
+evaluation batch.  The lanes are identical up to the start, so
+``replaying(start, lanes=K)`` hands back each replayed entry as a
+:class:`LazyTile`, whose K-fold tile along axis 0 is built only when
+something reads it; only the entry ``resume`` receives is tiled up front,
+as the K·B-row stack the lanes' corruptions are applied to.  A replayed
+leaf never reads its input, so when the recording is a
+:attr:`ResumeSession.chain` (every leaf call takes the previous one's
+output) the lanes materialise nothing before the start but the start's
+own input, and only when the start recomputes.  Every value that runs is
+still tiled before it is computed on, so a K-lane pass computes on the
+same K·B-row arrays as one that tiled everything.
 
 Forked workers
 --------------
@@ -101,8 +110,9 @@ from ..nn.module import COMPUTE, Module
 from ..nn.tensor import Tensor
 from ..obs.telemetry import Counter, get_registry
 
-__all__ = ["ActivationCache", "ResumeSession", "DEFAULT_CACHE_BUDGET",
-           "COUNTS", "hit_rate", "changed_box", "conv_reach"]
+__all__ = ["ActivationCache", "ResumeSession", "LazyTile",
+           "DEFAULT_CACHE_BUDGET", "COUNTS", "hit_rate", "changed_box",
+           "conv_reach"]
 
 
 #: default activation-cache memory budget (bytes)
@@ -129,6 +139,45 @@ def hit_rate(hits: float, misses: float) -> float:
     there were none."""
     lookups = hits + misses
     return hits / lookups if lookups else 0.0
+
+
+def lane_tile(array: np.ndarray, lanes: int) -> np.ndarray:
+    """``lanes`` copies of ``array`` stacked along axis 0 (``array`` itself
+    for one lane)."""
+    if lanes == 1:
+        return array
+    return np.tile(array, (lanes,) + (1,) * (array.ndim - 1))
+
+
+#: the slot a :class:`Tensor` keeps its array in
+_DATA = Tensor.data
+
+
+class LazyTile(Tensor):
+    """A tensor of ``lanes`` copies of ``base`` stacked along axis 0, built
+    the first time something reads :attr:`data`.
+
+    ``base`` is only read: it may be a golden array forked workers share
+    copy-on-write.
+    """
+
+    __slots__ = ("_base", "_lanes")
+
+    def __init__(self, base: np.ndarray, lanes: int):
+        super().__init__(base)
+        self._base, self._lanes = base, lanes
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._base is not None:
+            _DATA.__set__(self, lane_tile(self._base, self._lanes))
+            self._base = None
+        return _DATA.__get__(self)
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._base = None
+        _DATA.__set__(self, value)
 
 
 def changed_box(x: np.ndarray, golden: np.ndarray):
@@ -256,7 +305,7 @@ class ResumeSession:
     its own cached output through ``replaying``'s ``resume`` callback.
 
     The session is only valid for the exact inputs of the recorded pass;
-    record a new pass (``recording()``) whenever the evaluation batch
+    record a new pass (:meth:`record_pass`) whenever the evaluation batch
     changes.
     """
 
@@ -284,6 +333,15 @@ class ResumeSession:
         #: forked workers inherit it)
         self.golden_inputs: dict[int, np.ndarray] = {}
         self._input_bytes = 0
+        #: the recorded pass is a chain: each leaf call took the output of
+        #: the one before (the model input, for the first) as its only
+        #: input, and the pass returned the last one's output.  A value
+        #: before a chain's start then reaches the logits only through
+        #: leaf calls, which replay without reading their inputs.
+        self.chain = False
+        #: during :meth:`record_pass`, the tensor the next leaf call must
+        #: take for the pass to stay a chain (None once it is not one)
+        self._link = None
         self._mode = "idle"  # "idle" | "record" | "replay"
         self._pos = 0
         self._start = 0
@@ -350,6 +408,11 @@ class ResumeSession:
         """True when ``module`` executed exactly once in the recorded pass."""
         return self.order.count(id(module)) == 1
 
+    def bytes_from(self, position: int) -> int:
+        """Bytes of the cached outputs recorded at ``position`` and after."""
+        return sum(array.nbytes for pos, array in self.cache._entries.items()
+                   if pos >= position)
+
     # ------------------------------------------------------------------
     # replay-controller protocol (called from Module.__call__)
     # ------------------------------------------------------------------
@@ -391,10 +454,10 @@ class ResumeSession:
             self._served = output, region
             return Tensor(output)
         self.counters["replayed"].inc()
-        if self._lanes > 1:
-            cached = np.tile(cached, (self._lanes,) + (1,) * (cached.ndim - 1))
         if pos == self._start:
-            return Tensor(self._resume(cached))
+            return Tensor(self._resume(lane_tile(cached, self._lanes)))
+        if self._lanes > 1:
+            return LazyTile(cached, self._lanes)
         return Tensor(cached)
 
     def _serve_conv(self, server, x: np.ndarray, pos: int,
@@ -415,6 +478,9 @@ class ResumeSession:
             return
         pos = self._pos
         self._pos += 1
+        if self._link is not None:
+            chained = len(inputs) == 1 and inputs[0] is self._link
+            self._link = output if chained else None
         self.order.append(id(module))
         self._first_index.setdefault(id(module), pos)
         if isinstance(output, Tensor):
@@ -450,22 +516,34 @@ class ResumeSession:
         self.neuron_metadata.clear()
         self.golden_inputs.clear()
         self._input_bytes = 0
+        self.chain = False
         self._mode, self._pos = "record", 0
         try:
             yield self
         finally:
-            self._mode = "idle"
+            self._mode, self._link = "idle", None
+
+    def record_pass(self, x: Tensor) -> Tensor:
+        """Record the model's forward pass on ``x`` (see :meth:`recording`)
+        and return its output; marks the recording a :attr:`chain` when it
+        is one."""
+        with self.recording():
+            self._link = x
+            out = self.model.forward_from(self, x)
+            self.chain = out is self._link
+        return out
 
     @contextlib.contextmanager
     def replaying(self, start_index: int, lanes: int = 1, resume=None,
                   cone=None):
         """Scope one resumed pass: replay leaf calls before ``start_index``.
 
-        ``lanes`` > 1 replays each cached entry as its ``lanes``-fold tile
-        along axis 0, for a fault-axis batched pass over that many replicas
-        of the recorded batch.  ``resume``, when given, serves the call at
-        ``start_index`` too: it receives that call's cached (tiled) output
-        and returns the array the call yields.  Every served call counts as
+        ``lanes`` > 1 replays each cached entry as a :class:`LazyTile`, its
+        ``lanes``-fold tile along axis 0 built when something reads it, for
+        a fault-axis batched pass over that many replicas of the recorded
+        batch.  ``resume``, when given, serves the call at ``start_index``
+        too: it receives that call's cached output, tiled, and returns the
+        array the call yields.  Every served call counts as
         a hit and as ``replayed``; a missing entry recomputes.
 
         ``cone`` (K=1 passes only) maps ``id(module)`` of convs to servers:

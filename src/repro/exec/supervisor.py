@@ -130,14 +130,17 @@ class ExecConfig:
     injection_latency: float = 0.0
     #: independent faults evaluated per forward pass (fault-axis batching,
     #: K).  None resolves K per layer from the bytes one lane materialises
-    #: (:func:`repro.core.campaign.lane_count`): ``LANE_BYTES // (images +
-    #: golden recording)``, capped at the layer's plan count, and 1 for
-    #: weight plans or without a recording; observers (a profiler, a
-    #: numerics monitor) do not change it.  An int >= 1 is used as given;
-    #: 1 is the classic one-injection-per-forward loop.  Per-plan records,
-    #: seq ordering and telemetry stay bit-identical to K=1 — only
-    #: wall-clock and serial journal framing (one line per chunk) change.
-    #: ``telemetry["fault_batch"]`` records the resolved K
+    #: (:func:`repro.core.campaign.lane_count`): ``LANE_BYTES //`` the
+    #: recorded outputs from the layer on (plus its input when it
+    #: recomputes) in a chain recording, or the images plus the whole
+    #: golden recording in any other, capped at the layer's plan count,
+    #: and 1 for weight plans or without a recording; a range detector
+    #: lowers it, observers (a profiler, a numerics monitor) do not change
+    #: it.  An int >= 1 is used as given; 1 is the classic
+    #: one-injection-per-forward loop.  Per-plan records, seq ordering and
+    #: telemetry stay bit-identical to K=1 — only wall-clock and serial
+    #: journal framing (one line per chunk) change.
+    #: ``telemetry["fault_batch"]`` records the largest K over layers
     fault_batch: int | None = None
     #: checkpoint-and-resume: capture the golden pass once and replay each
     #: injection from its victim layer over the cached prefix, instead of

@@ -103,6 +103,7 @@ def build_report(metrics: dict | None = None,
     the per-layer injection statistics and quarantine events.
     """
     from ..core.campaign import fold_layer, normalized_record
+    from ..core.resume import COUNTS
 
     metrics = metrics if metrics is not None else {}
     events = events if events is not None else []
@@ -147,11 +148,10 @@ def build_report(metrics: dict | None = None,
                            metrics.get("injection.flips_total", ())),
     }
 
-    cache = {}
-    for name, entries in metrics.items():
-        if name.startswith("resume."):
-            for entry in entries:
-                cache[name[len("resume."):]] = float(entry.get("value", 0.0))
+    # the cache's counters sum every campaign the metrics hold; the
+    # ``resume.*`` gauges are the last campaign's alone, so they stay out
+    cache = {name: _metric_value(metrics, f"resume.{name}")
+             for name in COUNTS if f"resume.{name}" in metrics}
 
     execution = {
         "workers": _metric_value(metrics, "exec.workers"),
@@ -299,7 +299,7 @@ def _layer_rows(report: dict) -> tuple[list[str], list[list[str]]]:
 
 def render_markdown(report: dict) -> str:
     """Render the report as GitHub-flavoured markdown."""
-    from ..core.resume import hit_rate
+    from ..core.resume import COUNTS, hit_rate
 
     c = report["campaign"]
     e = report["execution"]
@@ -318,16 +318,17 @@ def render_markdown(report: dict) -> str:
     ]
     if "flips_total" in c:  # trace-built reports; the ledger stores none
         lines.append(f"- bit flips applied: {_fmt(c['flips_total'], '.0f')}")
-    if report["cache"]:
-        hits = report["cache"].get("hits", 0.0)
-        misses = report["cache"].get("misses", 0.0)
-        rate = hit_rate(hits, misses)
-        lines += ["", "## Resume cache", "",
-                  f"- hit rate: {rate:.1%} ({hits:.0f} hits / "
-                  f"{misses:.0f} misses)"]
-        for key in sorted(report["cache"]):
-            if key not in ("hits", "misses"):
-                lines.append(f"- {key}: {_fmt(report['cache'][key], '.4g')}")
+    cache = report["cache"]
+    if cache:
+        lines += ["", "## Resume cache", ""]
+        for line, (hit, miss) in (("hit rate", ("hits", "misses")),
+                                  ("replay rate", ("replayed", "recomputed"))):
+            hits, misses = cache.get(hit, 0.0), cache.get(miss, 0.0)
+            lines.append(f"- {line}: {hit_rate(hits, misses):.1%} "
+                         f"({hits:.0f} {hit} / {misses:.0f} {miss})")
+        lines += [f"- {key}: {cache[key]:.0f}" for key in COUNTS
+                  if key in cache and key not in (
+                      "hits", "misses", "replayed", "recomputed")]
     if e.get("shards") or e.get("workers") or report["workers_seen"]:
         lines += ["", "## Parallel execution", "",
                   f"- shards: {e['shards']:.0f} (retries {e['retries']:.0f}, "

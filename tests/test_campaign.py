@@ -463,31 +463,124 @@ class TestLaneCount:
         monkeypatch.setattr(campaign_mod, "execute_injection_batch", spy)
         return sizes
 
+    @staticmethod
+    def _split(total, k):
+        """The chunk sizes of ``total`` plans at ``k`` per chunk."""
+        return [k] * (total // k) + [total % k] * (total % k > 0)
+
     def test_automatic_k_is_the_lane_budget_over_one_lane(self, model, data,
                                                           monkeypatch):
+        """Each layer's K is ``LANE_BYTES //`` its lane, capped at its plan
+        count.  simple_cnn records a chain and no observer makes a layer
+        recompute, so a lane holds the recorded outputs from its layer on."""
         import repro.core.campaign as campaign_mod
 
         images, labels = data
         with GoldenEye(model, "fp16") as ge:
-            ge.enable_resume()
+            session = ge.enable_resume()
             ge.capture_golden(images)
-            lane = images.nbytes + ge.resume_session.cache.nbytes
+            assert session.chain
+            lanes = {name: session.bytes_from(
+                         session.start_index_for(state.module))
+                     for name, state in ge.layers.items()}
             ge.clear_resume()
             # a small model: the plan count caps K
-            assert campaign_mod.LANE_BYTES // lane > 40
+            assert campaign_mod.LANE_BYTES // max(lanes.values()) > 40
             sizes = self._chunks(monkeypatch)
             capped = run_campaign(ge, images, labels, injections_per_layer=40,
                                   seed=0)
             assert capped.telemetry["fault_batch"] == 40
             assert sizes == [40] * len(capped.per_layer)
             sizes.clear()
-            monkeypatch.setattr(campaign_mod, "LANE_BYTES", 3 * lane + 1)
+            budget = 3 * lanes["conv1"] + 1
+            monkeypatch.setattr(campaign_mod, "LANE_BYTES", budget)
             budgeted = run_campaign(ge, images, labels,
                                     injections_per_layer=40, seed=0)
-        assert budgeted.telemetry["fault_batch"] == 3
-        assert sizes == ([3] * 13 + [1]) * len(budgeted.per_layer)
+        ks = {name: min(40, budget // lane) for name, lane in lanes.items()}
+        assert ks["conv1"] == 3 and len(set(ks.values())) == len(ks)
+        assert budgeted.telemetry["fault_batch"] == max(ks.values())
+        assert sizes == [size for name in budgeted.per_layer
+                         for size in self._split(40, ks[name])]
         for layer, stats in capped.per_layer.items():
             assert stats.delta_losses == budgeted.per_layer[layer].delta_losses
+
+    @staticmethod
+    def _lane_counts(name, images, protected, plans=10 ** 6):
+        """Automatic K of every layer of zoo model ``name`` recorded on
+        ``images`` (under an active range detector when ``protected``),
+        for ``plans`` plans, the session, and each layer's input bytes."""
+        from repro.core import RangeDetector
+        from repro.core.campaign import golden_inference, lane_count
+        from repro.exec import ExecConfig
+        from repro.models import create_model
+
+        model = create_model(name, num_classes=4, seed=0)
+        model.eval()
+        detector = RangeDetector() if protected else None
+        labels = np.zeros(len(images), np.int64)
+        inputs = {}
+
+        def measure(layer):
+            def hook(module, args):
+                inputs[layer] = args[0].data.nbytes
+            return hook
+
+        with GoldenEye(model, "fp16", range_detector=detector) as ge:
+            handles = [state.module.register_forward_pre_hook(measure(layer))
+                       for layer, state in ge.layers.items()]
+            golden_inference(ge, images, labels)  # profiles the detector
+            for handle in handles:
+                handle.remove()
+            if detector is not None:
+                detector.active = True
+            session = ge.enable_resume()
+            ge.capture_golden(images)
+            rng = np.random.default_rng(0)
+            ks = {layer: lane_count(
+                      ge, images,
+                      [ge.injector.sample_value_injection(rng, layer=layer)]
+                      * plans, ExecConfig())
+                  for layer in ge.layers}
+            starts = {layer: session.start_index_for(state.module)
+                      for layer, state in ge.layers.items()}
+        return ks, session, starts, inputs
+
+    @pytest.mark.parametrize("name", ["simple_mlp", "simple_cnn", "vgg11"])
+    @pytest.mark.parametrize("protected", [False, True])
+    def test_a_chain_lane_holds_the_recording_from_its_layer_on(
+            self, name, protected):
+        """Lanes share every value before their layer, and a chain reads
+        none of them but the layer's input, when the layer recomputes (a
+        range detector makes it)."""
+        from repro.core.campaign import LANE_BYTES
+
+        images = np.random.default_rng(3).standard_normal(
+            (4, 3, 32, 32)).astype(np.float32)
+        ks, session, starts, inputs = self._lane_counts(name, images,
+                                                        protected)
+        assert session.chain
+        for layer, start in starts.items():
+            lane = session.bytes_from(start) + inputs[layer] * protected
+            assert ks[layer] == max(1, min(10 ** 6, LANE_BYTES // lane)), layer
+        capped, *_ = self._lane_counts(name, images, protected, plans=2)
+        assert capped == {layer: min(2, k) for layer, k in ks.items()}
+
+    @pytest.mark.parametrize("name", ["resnet18", "mobilenet_small",
+                                      "deit_tiny"])
+    @pytest.mark.parametrize("protected", [False, True])
+    def test_any_other_lane_holds_the_images_and_the_whole_recording(
+            self, name, protected):
+        """Functional ops between leaf calls read prefix values, so a lane
+        of a recording that is not a chain may tile every one of them."""
+        from repro.core.campaign import LANE_BYTES
+
+        images = np.random.default_rng(3).standard_normal(
+            (1, 3, 32, 32)).astype(np.float32)
+        ks, session, _, _ = self._lane_counts(name, images, protected)
+        assert not session.chain
+        lane = images.nbytes + session.cache.nbytes
+        assert LANE_BYTES // lane > 1
+        assert set(ks.values()) == {LANE_BYTES // lane}
 
     def test_an_explicit_k_is_honoured(self, model, data, monkeypatch):
         from repro.exec import ExecConfig

@@ -176,18 +176,22 @@ class TestRecording:
 
         images, labels = _make_data()
         db = str(tmp_path / "ledger.sqlite")
-        # three plans per chunk: the budget of three lanes of this batch
+        # the budget of three lanes of the last layer, whose lane (its
+        # recorded output: simple_mlp records a chain) is the smallest;
+        # every other layer resolves fewer
         with GoldenEye(model, "fp16") as ge:
-            ge.enable_resume()
+            session = ge.enable_resume()
             ge.capture_golden(images)
-            lane = images.nbytes + ge.resume_session.cache.nbytes
+            lanes = [session.bytes_from(session.start_index_for(state.module))
+                     for state in ge.layers.values()]
             ge.clear_resume()
-            monkeypatch.setattr(campaign_mod, "LANE_BYTES", 3 * lane)
+            monkeypatch.setattr(campaign_mod, "LANE_BYTES", 3 * lanes[-1])
             result = run_campaign(ge, images, labels,
                                   injections_per_layer=INJECTIONS, seed=SEED,
                                   ledger=db)
         with CampaignLedger(db) as ledger:
             run = ledger.get_run(result.ledger_run_id)
+        assert lanes[-1] == min(lanes) and 3 < INJECTIONS
         assert result.telemetry["fault_batch"] == 3
         assert run["fault_batch"] == 3
 

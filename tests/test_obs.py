@@ -897,6 +897,42 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(report, "pdf")
 
+    def test_cache_section_is_the_counters_of_every_campaign(
+            self, fresh_global_registry):
+        """Two campaigns in one process with different hit rates: the
+        section's rates derive from the counters, which sum both, and the
+        last campaign's gauges are not printed beside them."""
+        rng = np.random.default_rng(4)
+        images = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 4, size=4)
+        stats = []
+        for budget in (None, 64 * 1024):  # conv1's output skips the second
+            with GoldenEye(simple_cnn(num_classes=4), "fp16") as ge:
+                enable = ge.enable_resume
+                ge.enable_resume = lambda: enable(budget_bytes=budget)
+                stats.append(run_campaign(ge, images, labels,
+                                          injections_per_layer=4, seed=1,
+                                          fault_batch=1).resume_stats)
+        rates = [hit_rate(s["hits"], s["misses"]) for s in stats]
+        replay_rates = [hit_rate(s["replayed"], s["recomputed"])
+                        for s in stats]
+        assert rates[0] != rates[1] and replay_rates[0] != replay_rates[1]
+        total = {name: sum(s[name] for s in stats) for name in COUNTS}
+        report = build_report(metrics=export_json()["metrics"])
+        assert report["cache"] == total
+        md = render_report(report, "markdown")
+        section = md.split("## Resume cache")[1].split("##")[0]
+        hits, misses = total["hits"], total["misses"]
+        replayed, recomputed = total["replayed"], total["recomputed"]
+        assert (f"- hit rate: {hit_rate(hits, misses):.1%} ({hits} hits / "
+                f"{misses} misses)") in section
+        assert (f"- replay rate: {hit_rate(replayed, recomputed):.1%} "
+                f"({replayed} replayed / {recomputed} recomputed)") in section
+        for gauge in ("hit_rate", "replay_rate", "cache_bytes",
+                      "cache_entries"):
+            assert fresh_global_registry.get(f"resume.{gauge}") is not None
+            assert gauge not in section
+
     def test_load_artifacts_roundtrip(self, tmp_path):
         metrics, events = self._artifacts()
         mpath = tmp_path / "m.json"

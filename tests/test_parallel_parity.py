@@ -117,10 +117,13 @@ def test_metadata_mode_reproduces_serial_exactly(mode, spec,
 
 
 @needs_fork
-def test_default_config_keeps_one_lane_on_a_large_recording(tmp_path):
-    """simple_cnn at batch 40 records more than ``LANE_BYTES`` per lane, so
-    the shipped default runs K=1 — serially and on two workers — and
-    matches the serial run."""
+def test_default_config_keeps_one_lane_on_a_large_recording(tmp_path,
+                                                            monkeypatch):
+    """simple_cnn at batch 40 records a chain whose lane from conv1 on (the
+    recorded outputs from conv1 on) exceeds ``LANE_BYTES``, so the shipped
+    default runs conv1 at K=1, conv2 at K=2 and fc at its plan count,
+    serially and on two workers, and matches the serial run."""
+    import repro.core.campaign as campaign_mod
     from repro.core.campaign import LANE_BYTES
     from repro.models import simple_cnn
 
@@ -132,10 +135,21 @@ def test_default_config_keeps_one_lane_on_a_large_recording(tmp_path):
     assert data[0].nbytes < LANE_BYTES
     serial = run_mode("serial", model, "fp16", data, tmp_path,
                       injections_per_layer=INJECTIONS, seed=SEED)
+    chunks: dict[str, list[int]] = {}
+    inner = campaign_mod.execute_injection_batch
+
+    def spy(platform, golden, images, plans, *args, **kwargs):
+        chunks.setdefault(plans[0].layer, []).append(len(plans))
+        return inner(platform, golden, images, plans, *args, **kwargs)
+
+    monkeypatch.setattr(campaign_mod, "execute_injection_batch", spy)
     for mode in ("default", "parallel2-default"):
         out = run_mode(mode, model, "fp16", data, tmp_path,
                        injections_per_layer=INJECTIONS, seed=SEED)
-        assert out.result.telemetry["fault_batch"] == 1
+        if mode == "default":  # workers book their chunks in their copy
+            assert chunks == {"conv1": [1] * INJECTIONS, "conv2": [2, 2, 1],
+                              "fc": [INJECTIONS]}
+        assert out.result.telemetry["fault_batch"] == INJECTIONS
         assert out.stats == serial.stats
         assert out.injections == serial.injections
         assert out.counters == serial.counters

@@ -26,8 +26,9 @@ from repro.core import (
     ValueInjection,
     run_campaign,
 )
-from repro.core.campaign import golden_inference
+from repro.core.campaign import execute_injection_batch, golden_inference
 from repro.core.goldeneye import CONE_GEMM_FLOOR
+from repro.core.resume import LazyTile
 from repro.models import create_model, simple_cnn, simple_mlp
 from repro.models.deit import deit_tiny
 from repro.obs import LayerProfiler
@@ -1212,3 +1213,181 @@ class TestConeObservability:
         keys = ("cone_patched", "cone_unchanged", "cone_positions")
         assert stats[1]["cone_patched"] > 0
         assert {k: stats[2][k] for k in keys} == {k: stats[1][k] for k in keys}
+
+
+# ----------------------------------------------------------------------
+# fault lanes share the golden prefix: lazy tiles and chain recordings
+# ----------------------------------------------------------------------
+#: whether each zoo model's golden pass records a chain of leaf calls
+CHAINS = {"simple_mlp": True, "simple_cnn": True, "vgg11": True,
+          "resnet18": False, "mobilenet_small": False, "deit_tiny": False}
+LANE_FORMATS = ["fp16", "bfp_e5m5_b16"]
+
+
+class _FanOut(nn.Module):
+    """``fc3(fc2(h) + h)``: fc3 takes a value no leaf call returned, which
+    reads ``h``, an output of fc1."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.flatten = nn.Flatten(1)
+        self.fc1 = nn.Linear(3 * 32 * 32, 16, rng=rng)
+        self.fc2 = nn.Linear(16, 16, rng=rng)
+        self.fc3 = nn.Linear(16, 6, rng=rng)
+
+    def forward(self, x):
+        h = self.fc1(self.flatten(x))
+        return self.fc3(self.fc2(h) + h)
+
+
+class _AddsZero(nn.Module):
+    """Returns ``fc2(h) + 0``: every leaf call takes the previous one's
+    output, but the pass returns a value no leaf call returned."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.flatten = nn.Flatten(1)
+        self.fc1 = nn.Linear(3 * 32 * 32, 16, rng=rng)
+        self.fc2 = nn.Linear(16, 6, rng=rng)
+
+    def forward(self, x):
+        return self.fc2(self.fc1(self.flatten(x))) + 0
+
+
+def _lane_model(name):
+    return _TwiceMLP() if name == "twice" else _zoo(name)
+
+
+def _protected(model, spec, images):
+    """``model`` under ``spec`` with a range detector profiled on
+    ``images`` and active: every layer recomputes in a replay."""
+    detector = RangeDetector()
+    ge = GoldenEye(model, spec, range_detector=detector).attach()
+    _full(ge, images)
+    detector.active = True
+    return ge
+
+
+class TestChainRecording:
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_zoo_models(self, name):
+        with GoldenEye(_zoo(name), "fp16") as ge:
+            session = ge.enable_resume()
+            assert session.chain is False  # no recording yet
+            ge.capture_golden(_images(2))
+            assert session.chain is CHAINS[name]
+
+    @pytest.mark.parametrize("model", [_FanOut, _AddsZero, _TwiceMLP])
+    def test_toys(self, model):
+        with GoldenEye(model(), "fp16") as ge:
+            session = ge.enable_resume()
+            ge.capture_golden(_images(2))
+            assert session.chain is (model is _TwiceMLP)
+
+    def test_every_recording_resets_the_flag(self, mlp, batch):
+        images, _ = batch
+        session = ResumeSession(mlp)
+        session.record_pass(nn.Tensor(images))
+        assert session.chain
+        with session.recording():  # no model input to link the pass to
+            mlp.forward_from(session, nn.Tensor(images))
+        assert session.recorded and not session.chain
+
+
+class TestLaneTiles:
+    """A K-lane replay tiles a replayed value only when something reads it."""
+
+    @staticmethod
+    def _tiled(monkeypatch):
+        """The arrays ``np.tile`` copies while the spy is installed."""
+        tiled = []
+        tile = np.tile
+
+        def spy(array, reps):
+            tiled.append(array)
+            return tile(array, reps)
+
+        monkeypatch.setattr(np, "tile", spy)
+        return tiled
+
+    @pytest.mark.parametrize("name", ["simple_mlp", "simple_cnn", "twice"])
+    @pytest.mark.parametrize("protected", [False, True])
+    def test_a_chain_chunk_tiles_one_value(self, name, protected,
+                                           monkeypatch):
+        """Served from its cached output, the layer tiles that output, the
+        stack its lanes' corruptions are applied to; recomputing (under a
+        range detector, or as a module run twice), it tiles its input, the
+        output recorded just before it (the images at position 0), and
+        computes its own output on the tile."""
+        images = _images(2)
+        labels = np.zeros(2, np.int64)
+        model = _lane_model(name)
+        ge = (_protected(model, "fp16", images) if protected
+              else GoldenEye(model, "fp16").attach())
+        session = ge.enable_resume()
+        ge.capture_golden(images)
+        golden = golden_inference(ge, images, labels)
+        rng = np.random.default_rng(5)
+        tiled = self._tiled(monkeypatch)
+        for layer, state in ge.layers.items():
+            start = session.start_index_for(state.module)
+            served = ge._serves_output(state)
+            assert served == (not protected
+                              and session.runs_once(state.module))
+            first = start if served else start - 1
+            plans = [ge.injector.sample_value_injection(rng, layer=layer)
+                     for _ in range(3)]
+            tiled.clear()
+            execute_injection_batch(ge, golden, images, plans, True)
+            expected = (session.cache._entries[first] if first >= 0
+                        else images)
+            assert len(tiled) == 1 and tiled[0] is expected, layer
+        ge.detach()
+
+    def test_a_tile_reads_the_golden_array_and_never_writes_it(self):
+        base = np.arange(6, dtype=np.float32).reshape(2, 3)
+        base.flags.writeable = False
+        lazy = LazyTile(base, 3)
+        assert lazy._base is base  # nothing built yet
+        assert lazy.data.shape == (6, 3) and lazy.data.flags.writeable
+        np.testing.assert_array_equal(lazy.data, np.tile(base, (3, 1)))
+        assert lazy.data is lazy.data  # built once
+        assert (lazy * 2).data.shape == (6, 3)
+
+
+def _lane_parity_cases():
+    for name in [*CHAINS, "twice"]:
+        for spec in LANE_FORMATS:
+            for protected in (False, True):
+                yield pytest.param(
+                    name, spec, protected,
+                    id=f"{name}-{spec}-{'detector' if protected else 'plain'}")
+
+
+class TestLaneParity:
+    @pytest.mark.parametrize("name,spec,protected", list(_lane_parity_cases()))
+    def test_each_lane_is_its_single_replay(self, name, spec, protected):
+        """Every layer, value and (for formats with metadata) metadata
+        plans: lane k's logits are, bit for bit, ``forward_from`` with
+        plan k armed alone."""
+        images = _images(2)
+        model = _lane_model(name)
+        ge = (_protected(model, spec, images) if protected
+              else GoldenEye(model, spec).attach())
+        ge.enable_resume()
+        ge.capture_golden(images)
+        rng = np.random.default_rng(31)
+        kinds = ["value", "metadata"] if ge.layers[
+            ge.layer_names()[0]].neuron_format.has_metadata else ["value"]
+        for layer in ge.layer_names():
+            for kind in kinds:
+                sample = getattr(ge.injector, f"sample_{kind}_injection")
+                plans = [sample(rng, layer=layer) for _ in range(3)]
+                lanes = ge.forward_from_batched(layer, plans, images)
+                for k, plan in enumerate(plans):
+                    with ge.injector.armed(plan):
+                        single = ge.forward_from(layer, images)
+                    _assert_bits(lanes[k], single, f"{layer} lane {k} {plan}")
+        ge.detach()
